@@ -63,12 +63,13 @@ def _load_dns(path: str):
     return events
 
 
-def _load_artifacts(path: str) -> list:
+def _load_artifacts(path: str) -> dict:
+    """{file path: artifact} for an artifact file or a directory of them."""
     paths = sorted(glob.glob(os.path.join(path, "*.json"))) if os.path.isdir(path) else [path]
     if not paths:
         raise DataError(f"no-artifacts: {path}")
     try:
-        return [load_artifact(p) for p in paths]
+        return {p: load_artifact(p) for p in paths}
     except ArtifactError as exc:
         raise DataError(f"artifact-error: {exc}") from exc
 
@@ -111,7 +112,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    artifact = _load_artifacts(args.artifact)[0]
+    artifact = list(_load_artifacts(args.artifact).values())[0]
     validation = _load_dataset(args.validation)
     from natwatch.detect import calibrate_threshold
     from natwatch.flowdata import filter_model
@@ -131,13 +132,10 @@ def cmd_evaluate(args) -> int:
     test = _load_dataset(args.test)
     reports = []
     curves = {}
-    for artifact in artifacts:
-        size = None
-        if os.path.isdir(args.artifacts):
-            p = os.path.join(args.artifacts, f"{artifact.model.canonical()}.json")
-            if os.path.exists(p):
-                size = os.path.getsize(p)
-        report, points = evaluation.evaluate_artifact(artifact, test, artifact_size_bytes=size)
+    for path, artifact in artifacts.items():
+        report, points = evaluation.evaluate_artifact(
+            artifact, test, artifact_size_bytes=os.path.getsize(path)
+        )
         reports.append(report)
         curves[report.model] = points
     evaluation.emit_report(reports, args.out, curves)
@@ -155,7 +153,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    artifacts = _load_artifacts(args.artifacts)
+    artifacts = list(_load_artifacts(args.artifacts).values())
     policy = ActionPolicy(
         on_positive=args.policy.split(","),
         notify_path=args.notify_out,
@@ -187,8 +185,9 @@ def cmd_detect(args) -> int:
 def cmd_collect(args) -> int:
     collected = []
     stop = threading.Event()
+    timer = threading.Timer(args.duration, stop.set)
     if args.duration is not None:
-        threading.Timer(args.duration, stop.set).start()
+        timer.start()
     try:
         stats = netflow9.collect_udp(args.bind, args.port, collected.extend, stop)
     except KeyboardInterrupt:
@@ -196,6 +195,8 @@ def cmd_collect(args) -> int:
         stats = None
     except OSError as exc:
         raise DataError(f"bind-error: {exc}") from exc
+    finally:
+        timer.cancel()  # a pending timer would keep the process alive until it fired
     from natwatch.flowdata import LabeledFlow
 
     dataset = FlowDataset(

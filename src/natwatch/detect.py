@@ -102,9 +102,13 @@ class DetectionEvent:
     model: DeviceModelId
     normality_g: float
     threshold: float
-    decision: str  # "M" | "non-M"
     action_taken: str = "log"
     wall_time_s: float = 0.0
+
+    @property
+    def decision(self) -> str:
+        """The one decision rule: "M" iff g >= threshold, else "non-M"."""
+        return "M" if self.normality_g >= self.threshold else "non-M"
 
     def to_dict(self) -> dict:
         return {
@@ -128,23 +132,14 @@ class DetectionEvent:
 def classify(
     artifact: ModelArtifact, flow: FlowRecord, threshold_selector: Union[str, int] = "default"
 ) -> DetectionEvent:
-    """Preprocess and score one flow against one artifact.
-
-    Decision is "M" iff g >= threshold (boundary inclusive).
-    """
+    """Preprocess and score one flow against one artifact."""
     th = artifact.threshold(threshold_selector)
     t0 = time.perf_counter()
     x = transform(artifact.schema, flow)
     g = normality_score(artifact.forest, x)
     wall = time.perf_counter() - t0
-    decision = "M" if g >= th else "non-M"
     return DetectionEvent(
-        flow=flow,
-        model=artifact.model,
-        normality_g=g,
-        threshold=th,
-        decision=decision,
-        wall_time_s=wall,
+        flow=flow, model=artifact.model, normality_g=g, threshold=th, wall_time_s=wall
     )
 
 
@@ -212,21 +207,30 @@ def run_detector(
     threshold_selector: Union[str, int] = "default",
     audit_path: Optional[str] = None,
 ) -> list[DetectionEvent]:
-    """Score every incoming flow against every artifact, in arrival order.
+    """Score the flows against every artifact, one batch per artifact,
+    and emit events in arrival order, each flow's in artifact order.
 
     Positive decisions trigger the policy actions; every event is
-    appended to the JSONL audit log when a path is given.
+    appended to the JSONL audit log when a path is given. An event's
+    wall_time_s is its artifact's batch time over the batch's rows.
     """
     if not artifacts:
         raise ValueError("at least one artifact required")
     policy = policy or ActionPolicy()
+    flows = [item.flow if isinstance(item, LabeledFlow) else item for item in flow_source]
+    scored = []
+    for artifact in artifacts:
+        th = artifact.threshold(threshold_selector)
+        t0 = time.perf_counter()
+        g = normality_scores(artifact.forest, transform_many(artifact.schema, flows))
+        wall = (time.perf_counter() - t0) / max(1, len(flows))
+        scored.append((artifact.model, th, g.tolist(), wall))
     events: list[DetectionEvent] = []
     audit = open(audit_path, "a", encoding="utf-8") if audit_path else None
     try:
-        for item in flow_source:
-            flow = item.flow if isinstance(item, LabeledFlow) else item
-            for artifact in artifacts:
-                event = classify(artifact, flow, threshold_selector)
+        for i, flow in enumerate(flows):
+            for model, th, g, wall in scored:
+                event = DetectionEvent(flow, model, g[i], th, wall_time_s=wall)
                 if event.decision == "M":
                     event.action_taken = policy.apply(event)
                 events.append(event)

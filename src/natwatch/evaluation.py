@@ -63,19 +63,24 @@ def roc_points(scores: Sequence[tuple[float, bool]]) -> list[tuple[float, float]
     return points
 
 
+def _roc(scores: Sequence[tuple[float, bool]]) -> tuple[list, Optional[float]]:
+    """ROC points and the trapezoidal area under them; ([], None) when
+    only one class is present."""
+    try:
+        points = roc_points(scores)
+    except InsufficientDataError:
+        return [], None
+    auc = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        auc += (x1 - x0) * (y0 + y1) / 2.0
+    return points, auc
+
+
 def roc_auc(scores: Sequence[tuple[float, bool]]) -> Optional[float]:
     """Trapezoidal area under the ROC curve; ties between a positive
     and a negative contribute 0.5 (Mann-Whitney equivalence). None when
     only one class is present."""
-    pos = sum(1 for _, m in scores if m)
-    neg = len(scores) - pos
-    if pos == 0 or neg == 0:
-        return None
-    points = roc_points(scores)
-    auc = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        auc += (x1 - x0) * (y0 + y1) / 2.0
-    return auc
+    return _roc(scores)[1]
 
 
 def time_to_detect(
@@ -120,22 +125,17 @@ def evaluate_artifact(
     flows = [lf.flow for lf in test]
     labels = [lf.label == artifact.model for lf in test]
     t0 = time.perf_counter()
-    X = transform_many(artifact.schema, flows)
-    t_pre = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    g = normality_scores(artifact.forest, X)
-    t_cls = time.perf_counter() - t0
+    g = normality_scores(artifact.forest, transform_many(artifact.schema, flows))
+    per_flow = (time.perf_counter() - t0) / max(1, len(flows))
     scores = list(zip(g.tolist(), labels))
 
     tpr_d, fpr_d = confusion_rates(scores, artifact.default_threshold)
     tpr_p = fpr_p = None
     if 10 in artifact.calibrated_thresholds:
         tpr_p, fpr_p = confusion_rates(scores, artifact.calibrated_thresholds[10])
-    auc = roc_auc(scores)
-    points = roc_points(scores) if auc is not None else []
+    points, auc = _roc(scores)
 
     model_test = FlowDataset([lf for lf in test if lf.label == artifact.model])
-    per_flow = (t_pre + t_cls) / max(1, len(flows))
     try:
         ttd = time_to_detect(model_test, per_flow / 2, per_flow / 2)
     except InsufficientDataError:

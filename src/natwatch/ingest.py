@@ -33,8 +33,6 @@ MANDATORY_COLUMNS = [
     "FLOW_END_MILLISECONDS",
 ]
 
-OPTIONAL_COLUMNS = ["TOS", "LABEL", "SRC_MAC"]
-
 _INT_COLUMNS = [
     "INPUT_INTERFACE",
     "PROTOCOL",

@@ -68,7 +68,6 @@ class _PendingData:
     payload: bytes
     sys_uptime: int
     unix_secs: int
-    n_records_hint: int
 
 
 @dataclass
@@ -222,9 +221,7 @@ def decode_netflow_v9(datagram: bytes, cache: TemplateCache) -> list[FlowRecord]
         key = (source_id, flowset_id)
         template = cache.templates.get(key)
         if template is None:
-            cache.buffer(
-                key, _PendingData(payload, sys_uptime, unix_secs, max(1, len(payload) // 16))
-            )
+            cache.buffer(key, _PendingData(payload, sys_uptime, unix_secs))
             continue
         records.extend(_decode_records(template, payload, sys_uptime, unix_secs))
     return records

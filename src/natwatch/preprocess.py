@@ -97,22 +97,12 @@ def fit_schema(training: FlowDataset, m: DeviceModelId) -> FeatureSchema:
 
 
 def transform(schema: FeatureSchema, flow: FlowRecord) -> np.ndarray:
-    """Map one flow to a fixed-length numeric vector under the schema."""
-    out = np.zeros(schema.dimension)
-    for i, (name, x) in enumerate(zip(NUMERIC_FEATURES, _numeric_values(flow))):
-        lo, hi = schema.numeric_ranges[name]
-        out[i] = (x - lo) / (hi - lo) if hi > lo else 0.0
-    offset = len(NUMERIC_FEATURES)
-    for name, value in zip(CATEGORICAL_FEATURES, _categorical_values(flow)):
-        idx = schema._index[name].get(value)
-        if idx is not None:
-            out[offset + idx] = 1.0
-        offset += len(schema.categories[name])
-    return out
+    """Map one flow to a fixed-length vector: transform_many of one flow."""
+    return transform_many(schema, [flow])[0]
 
 
 def transform_many(schema: FeatureSchema, flows: list[FlowRecord]) -> np.ndarray:
-    """Vectorize a batch of flows into an (n, dimension) matrix."""
+    """Vectorize flows into an (n, dimension) matrix: the one transform."""
     n = len(flows)
     out = np.zeros((n, schema.dimension))
     ranges = [schema.numeric_ranges[name] for name in NUMERIC_FEATURES]

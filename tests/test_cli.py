@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import socket
+import threading
 
 import pytest
 
@@ -88,6 +90,8 @@ class TestEvaluate:
         assert (out / "report.json").exists()
         assert (out / f"roc_{MODEL}.csv").exists()
         assert MODEL in capsys.readouterr().out
+        row = json.loads((out / "report.json").read_text())[0]
+        assert row["artifact_size_bytes"] == os.path.getsize(artifact_path)
 
     def test_corrupt_artifact(self, synth_dir, tmp_path):
         bad = tmp_path / "bad.json"
@@ -124,6 +128,20 @@ class TestDetect:
                    "--input", str(synth_dir / "flows.csv"),
                    "--audit", str(tmp_path / "a.jsonl"), "--policy", "explode"])
         assert rc == 2
+
+
+class TestCollect:
+    def test_bind_error_leaves_no_timer(self, tmp_path):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
+            taken.bind(("127.0.0.1", 0))
+            port = taken.getsockname()[1]
+            rc = main(["collect", "--port", str(port), "--bind", "127.0.0.1",
+                       "--out", str(tmp_path / "c.csv"), "--duration", "30"])
+        assert rc == 2
+        timers = [t for t in threading.enumerate() if isinstance(t, threading.Timer)]
+        for t in timers:
+            t.join(timeout=5)
+        assert not any(t.is_alive() for t in timers)
 
 
 class TestBaseline:

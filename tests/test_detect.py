@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from natwatch.detect import (
     ActionPolicy,
@@ -11,8 +13,15 @@ from natwatch.detect import (
     run_detector,
     train_pipeline,
 )
-from natwatch.flowdata import NON_IOT, FlowDataset, chronological_split, filter_model
-from natwatch.preprocess import InsufficientDataError, transform_many
+from natwatch.flowdata import NON_IOT, FlowDataset, LabeledFlow, chronological_split, filter_model
+from natwatch.iforest import (
+    ROW_WALK_MAX_ROWS,
+    ModelArtifact,
+    normality_score,
+    normality_scores,
+    train_forest,
+)
+from natwatch.preprocess import InsufficientDataError, fit_schema, transform, transform_many
 
 from util import WEBCAM, make_flow, make_labeled
 
@@ -131,8 +140,6 @@ class TestCalibrateThreshold:
         )
         th = calibrate_threshold(artifact, validation, 10)
         X = transform_many(artifact.schema, [lf.flow for lf in validation])
-        from natwatch.iforest import normality_scores
-
         frac = float(np.mean(normality_scores(artifact.forest, X) >= th))
         # nearest-rank keeps the k-th smallest itself above threshold
         assert 0.89 <= frac <= 0.91
@@ -185,6 +192,41 @@ class TestClassify:
     def test_wall_time_recorded(self):
         event = classify(trained_artifact(), make_flow())
         assert event.wall_time_s > 0
+
+
+flows_st = st.lists(
+    st.builds(
+        make_flow,
+        in_bytes=st.integers(0, 5000),
+        out_bytes=st.integers(0, 5000),
+        ip_protocol=st.sampled_from([6, 17]),
+        dst_port=st.sampled_from([53, 80, 123, 443]),
+        l7_proto_name=st.sampled_from(["DNS", "HTTP", "SSL"]),
+        flow_end_ms=st.integers(1000, 9000),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(
+    train=flows_st,
+    queries=flows_st,
+    n_trees=st.integers(1, 8),
+    subsample=st.integers(1, 32),
+    seed=st.integers(0, 2**16),
+)
+def test_g_is_bit_identical_through_every_scoring_call(train, queries, n_trees, subsample, seed):
+    schema = fit_schema(FlowDataset([LabeledFlow(f, WEBCAM, "m") for f in train]), WEBCAM)
+    forest = train_forest(transform_many(schema, train), n_trees, subsample, seed)
+    artifact = ModelArtifact(model=WEBCAM, schema=schema, forest=forest)
+    Q = transform_many(schema, queries)
+    batch = normality_scores(forest, Q).tolist()
+    # repeated past ROW_WALK_MAX_ROWS, so the other tree walk scores it too
+    repeats = ROW_WALK_MAX_ROWS // len(queries) + 1
+    assert normality_scores(forest, np.tile(Q, (repeats, 1))).tolist() == batch * repeats
+    assert [normality_score(forest, transform(schema, f)) for f in queries] == batch
+    assert [classify(artifact, f).normality_g for f in queries] == batch
 
 
 class TestActionPolicy:
@@ -248,6 +290,20 @@ class TestRunDetector:
         artifact = trained_artifact()
         events = run_detector([make_labeled()], [artifact])
         assert len(events) == 1
+
+    def test_audit_g_is_the_batch_g(self, tmp_path):
+        """The logged g is the g evaluation and calibration compute, for a
+        flow scored alone and for flows scored in a batch."""
+        artifact = trained_artifact()
+        flows = [lf.flow for lf in webcam_dataset(n=400, seed=3)]
+        audit = tmp_path / "audit.jsonl"
+        run_detector(flows[:1], [artifact], threshold_selector="p10", audit_path=str(audit))
+        run_detector(flows[1:], [artifact], threshold_selector="p10", audit_path=str(audit))
+        lines = [json.loads(line) for line in audit.read_text().splitlines()]
+        g = normality_scores(artifact.forest, transform_many(artifact.schema, flows)).tolist()
+        assert [rec["g"] for rec in lines] == g
+        th = artifact.threshold("p10")
+        assert [rec["decision"] for rec in lines] == ["M" if v >= th else "non-M" for v in g]
 
     def test_no_artifacts_rejected(self):
         with pytest.raises(ValueError):

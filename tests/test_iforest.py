@@ -7,6 +7,7 @@ import pytest
 from natwatch.iforest import (
     ArtifactError,
     IsolationTree,
+    ROW_WALK_MAX_ROWS,
     ModelArtifact,
     TreeNode,
     anomaly_score,
@@ -164,10 +165,11 @@ class TestScoring:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(300, 3))
         forest = train_forest(X, n_trees=25, master_seed=0)
-        q = rng.normal(size=(10, 3))
-        batch = anomaly_scores(forest, q)
-        for i in range(10):
-            assert anomaly_score(forest, q[i]) == pytest.approx(batch[i], abs=1e-12)
+        # both tree walks: the row walk up to ROW_WALK_MAX_ROWS, partitioning above
+        for n in (1, ROW_WALK_MAX_ROWS, ROW_WALK_MAX_ROWS + 1, 1000):
+            q = rng.normal(size=(n, 3))
+            batch = anomaly_scores(forest, q).tolist()
+            assert [anomaly_score(forest, row) for row in q] == batch, n
 
     def test_dimension_mismatch(self):
         forest = train_forest(np.random.default_rng(9).normal(size=(50, 3)), n_trees=5)
