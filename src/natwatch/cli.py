@@ -19,14 +19,8 @@ import time
 
 from natwatch import baselines, evaluation, ingest, netflow9, synth
 from natwatch.detect import ActionPolicy, TrainConfig, run_detector, train_pipeline
-from natwatch.flowdata import (
-    ConfigError,
-    DeviceModelId,
-    FlowDataset,
-    chronological_split,
-)
+from natwatch.flowdata import DeviceModelId, FlowDataset, chronological_split
 from natwatch.iforest import ArtifactError, load_artifact, save_artifact
-from natwatch.preprocess import InsufficientDataError
 
 
 class DataError(Exception):
@@ -112,7 +106,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    artifact = list(_load_artifacts(args.artifact).values())[0]
+    artifact = load_artifact(args.artifact)
     validation = _load_dataset(args.validation)
     from natwatch.detect import calibrate_threshold
     from natwatch.flowdata import filter_model
@@ -332,10 +326,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, InsufficientDataError, ConfigError, ArtifactError) as exc:
-        print(f"data-error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"data-error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from natwatch.preprocess import FeatureSchema, InsufficientDataError
 
 EULER_GAMMA = 0.5772156649
 
-ARTIFACT_FORMAT_VERSION = 1
+ARTIFACT_FORMAT_VERSION = 2
 
 
 class ArtifactError(ValueError):
@@ -52,7 +52,8 @@ def c_factor(n: int) -> float:
 
 @dataclass
 class TreeNode:
-    """Internal node (split_dim >= 0) or external node (split_dim = -1)."""
+    """Internal node (split_dim >= 0) or external node (split_dim = -1).
+    Only an external node has a `size`: the sample points that end in it."""
 
     split_dim: int = -1
     split_value: float = 0.0
@@ -68,8 +69,6 @@ class TreeNode:
 @dataclass
 class IsolationTree:
     root: TreeNode
-    height_limit: int
-    sample_count: int
 
 
 def _build_node(X: np.ndarray, idx: np.ndarray, depth: int, height_limit: int, rng) -> TreeNode:
@@ -88,7 +87,6 @@ def _build_node(X: np.ndarray, idx: np.ndarray, depth: int, height_limit: int, r
     return TreeNode(
         split_dim=dim,
         split_value=value,
-        size=n,
         left=_build_node(X, idx[mask], depth + 1, height_limit, rng),
         right=_build_node(X, idx[~mask], depth + 1, height_limit, rng),
     )
@@ -104,14 +102,9 @@ def _tree_rng(master_seed: int, tree_index: int) -> np.random.Generator:
 @dataclass
 class IsolationForest:
     trees: list[IsolationTree]
-    n_trees: int
-    subsample_size: int
+    sample_count: int  # psi, the subsample each tree was built on
     master_seed: int
     dimension: int
-
-    @property
-    def effective_subsample(self) -> int:
-        return self.trees[0].sample_count if self.trees else self.subsample_size
 
 
 DEFAULT_TREES = 100
@@ -130,22 +123,20 @@ def train_forest(
     subsample and splits from an independent derived stream, so forests
     sharing a seed share their first k trees regardless of n_trees.
     """
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise InsufficientDataError("insufficient-data: empty training matrix")
     n, d = X.shape
     psi = min(subsample, n)
-    height_limit = max(1, math.ceil(math.log2(psi))) if psi > 1 else 0
+    height_limit = math.ceil(math.log2(psi))
     trees = []
     for t in range(n_trees):
         rng = _tree_rng(master_seed, t)
         idx = rng.choice(n, size=psi, replace=False)
-        root = _build_node(X, idx, 0, height_limit, rng)
-        trees.append(IsolationTree(root=root, height_limit=height_limit, sample_count=psi))
-    return IsolationForest(
-        trees=trees, n_trees=n_trees, subsample_size=subsample, master_seed=master_seed,
-        dimension=d,
-    )
+        trees.append(IsolationTree(_build_node(X, idx, 0, height_limit, rng)))
+    return IsolationForest(trees=trees, sample_count=psi, master_seed=master_seed, dimension=d)
 
 
 def path_length(tree: IsolationTree, x) -> float:
@@ -184,8 +175,8 @@ def anomaly_scores(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != forest.dimension:
         raise ValueError(f"dimension mismatch: {X.shape[1]} != {forest.dimension}")
-    c = c_factor(forest.effective_subsample)
-    if c == 0.0 or not forest.trees:
+    c = c_factor(forest.sample_count)
+    if c == 0.0:
         # psi <= 1 or unsplittable data: 0/0 pinned to the midpoint
         return np.full(X.shape[0], 0.5)
     n = X.shape[0]
@@ -233,7 +224,6 @@ class ModelArtifact:
     calibrated_thresholds: dict[int, float] = field(default_factory=dict)
     trained_at: str = ""
     training_flow_count: int = 0
-    format_version: int = ARTIFACT_FORMAT_VERSION
 
     def __post_init__(self):
         if self.schema.dimension != self.forest.dimension:
@@ -258,67 +248,99 @@ class ModelArtifact:
         return self.calibrated_thresholds[selector]
 
 
-def _node_to_preorder(node: TreeNode, out: list) -> None:
+def _node_to_preorder(node: TreeNode, out: list) -> list:
+    """Append the subtree's nodes in preorder: [dim, value] for an
+    internal node, [-1, size] for a leaf."""
     if node.is_leaf:
         out.append([-1, node.size])
     else:
-        out.append([node.split_dim, node.split_value, node.size])
+        out.append([node.split_dim, node.split_value])
         _node_to_preorder(node.left, out)
         _node_to_preorder(node.right, out)
+    return out
 
 
-def _node_from_preorder(items: iter) -> TreeNode:
-    item = next(items)
-    if item[0] == -1:
-        return TreeNode(size=int(item[1]))
-    node = TreeNode(split_dim=int(item[0]), split_value=float(item[1]), size=int(item[2]))
-    node.left = _node_from_preorder(items)
-    node.right = _node_from_preorder(items)
-    return node
+def _node_from_list(item, dimension: int, sample_count: int) -> TreeNode:
+    if type(item) is list and len(item) == 2:
+        dim, value = item
+        if dim == -1 and type(value) is int and 0 <= value <= sample_count:
+            return TreeNode(size=value)
+        if type(dim) is int and 0 <= dim < dimension and type(value) is float \
+                and math.isfinite(value):
+            return TreeNode(split_dim=dim, split_value=value)
+    raise ValueError(f"bad node {item!r:.60}")
 
 
-def forest_to_dict(forest: IsolationForest) -> dict:
-    trees = []
-    for t in forest.trees:
-        nodes: list = []
-        _node_to_preorder(t.root, nodes)
-        trees.append(
-            {"height_limit": t.height_limit, "sample_count": t.sample_count, "nodes": nodes}
-        )
+def _tree_from_preorder(nodes: list, dimension: int, sample_count: int) -> IsolationTree:
+    """Rebuild one tree from its preorder node list, rejecting any list
+    train_forest cannot write: a malformed node, a split on a dimension
+    the forest lacks, a leaf larger than the sample, a missing or extra
+    node, or a split at or below the height limit ceil(log2 psi)."""
+    height_limit = math.ceil(math.log2(sample_count))
+    root = None
+    waiting: list[tuple[TreeNode, int]] = []  # internal nodes short of a child, with depth
+    for item in nodes:
+        if root is not None and not waiting:
+            raise ValueError("nodes after the last leaf of a tree")
+        node = _node_from_list(item, dimension, sample_count)
+        depth = waiting[-1][1] + 1 if waiting else 0
+        if root is None:
+            root = node
+        elif waiting[-1][0].left is None:
+            waiting[-1][0].left = node
+        else:
+            waiting.pop()[0].right = node
+        if not node.is_leaf:
+            if depth >= height_limit:
+                raise ValueError("a tree is deeper than its height limit")
+            waiting.append((node, depth))
+    if root is None or waiting:
+        raise ValueError("truncated node list")
+    return IsolationTree(root)
+
+
+def _forest_to_dict(forest: IsolationForest) -> dict:
     return {
-        "n_trees": forest.n_trees,
-        "subsample_size": forest.subsample_size,
+        "sample_count": forest.sample_count,
         "master_seed": forest.master_seed,
         "dimension": forest.dimension,
-        "trees": trees,
+        "trees": [_node_to_preorder(t.root, []) for t in forest.trees],
     }
 
 
-def forest_from_dict(d: dict) -> IsolationForest:
-    trees = [
-        IsolationTree(
-            root=_node_from_preorder(iter(t["nodes"])),
-            height_limit=int(t["height_limit"]),
-            sample_count=int(t["sample_count"]),
-        )
-        for t in d["trees"]
-    ]
+def _forest_from_dict(d: dict) -> IsolationForest:
+    psi, dimension, trees = d["sample_count"], d["dimension"], d["trees"]
+    # psi rows came from one numpy array, so psi fits its index type; that
+    # also keeps trees, and the recursion of _batch_paths, under 64 levels
+    if type(psi) is not int or not 1 <= psi <= np.iinfo(np.intp).max:
+        raise ValueError(f"sample_count {psi!r:.30} is not a row count")
+    if type(trees) is not list or not trees:
+        raise ValueError("a forest needs at least one tree")
     return IsolationForest(
-        trees=trees,
-        n_trees=int(d["n_trees"]),
-        subsample_size=int(d["subsample_size"]),
+        trees=[_tree_from_preorder(nodes, dimension, psi) for nodes in trees],
+        sample_count=psi,
         master_seed=int(d["master_seed"]),
-        dimension=int(d["dimension"]),
+        dimension=dimension,
     )
 
 
-def _payload_checksum(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+def _finite_threshold(value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite threshold {value}")
+    return value
+
+
+def _head(checksum: str) -> bytes:
+    """An artifact file is _head(checksum) + payload + b"}": the canonical
+    JSON of {"checksum", "format_version", "payload"}."""
+    return b'{"checksum":"%s","format_version":%d,"payload":' % (
+        checksum.encode(), ARTIFACT_FORMAT_VERSION)
 
 
 def save_artifact(artifact: ModelArtifact, path) -> None:
-    """Write the artifact as canonical JSON with an integrity checksum.
+    """Write the artifact as canonical JSON with a SHA-256 checksum of the
+    payload's bytes as written.
 
     Identical trained models serialize byte-identically across
     platforms (timestamps live in metadata only).
@@ -326,44 +348,46 @@ def save_artifact(artifact: ModelArtifact, path) -> None:
     payload = {
         "model": artifact.model.canonical(),
         "schema": artifact.schema.to_dict(),
-        "forest": forest_to_dict(artifact.forest),
+        "forest": _forest_to_dict(artifact.forest),
         "default_threshold": artifact.default_threshold,
         "calibrated_thresholds": {str(k): v for k, v in artifact.calibrated_thresholds.items()},
         "trained_at": artifact.trained_at,
         "training_flow_count": artifact.training_flow_count,
     }
-    doc = {
-        "format_version": artifact.format_version,
-        "checksum": _payload_checksum(payload),
-        "payload": payload,
-    }
-    # json.dumps takes the C encoder; json.dump always streams in Python.
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    with open(path, "wb") as fh:
+        fh.write(_head(hashlib.sha256(body).hexdigest()) + body + b"}")
 
 
 def load_artifact(path) -> ModelArtifact:
+    """Read an artifact written by save_artifact: the file is parsed once,
+    and the checksum is taken over the payload's bytes as they stand in it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        version = doc["format_version"]
-        checksum = doc["checksum"]
-        payload = doc["payload"]
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError) as exc:
+        doc = json.loads(data)
+        version, checksum, payload = doc["format_version"], doc["checksum"], doc["payload"]
+    except (ValueError, KeyError, TypeError) as exc:
         raise ArtifactError(f"corrupt-artifact: {exc}") from exc
     if version != ARTIFACT_FORMAT_VERSION:
         raise ArtifactError(f"unsupported-version:{version}")
-    if _payload_checksum(payload) != checksum:
+    head = _head(str(checksum))
+    body = data[len(head):-1]
+    if not data.startswith(head) or hashlib.sha256(body).hexdigest() != checksum:
         raise ArtifactError("corrupt-artifact: checksum mismatch")
-    return ModelArtifact(
-        model=DeviceModelId.parse(payload["model"]),
-        schema=FeatureSchema.from_dict(payload["schema"]),
-        forest=forest_from_dict(payload["forest"]),
-        default_threshold=float(payload["default_threshold"]),
-        calibrated_thresholds={
-            int(k): float(v) for k, v in payload["calibrated_thresholds"].items()
-        },
-        trained_at=str(payload["trained_at"]),
-        training_flow_count=int(payload["training_flow_count"]),
-        format_version=int(version),
-    )
+    # A valid checksum shows the file is as written, not that a writer
+    # with a working forest wrote it: every field is checked as decoded.
+    try:
+        return ModelArtifact(
+            model=DeviceModelId.parse(payload["model"]),
+            schema=FeatureSchema.from_dict(payload["schema"]),
+            forest=_forest_from_dict(payload["forest"]),
+            default_threshold=_finite_threshold(payload["default_threshold"]),
+            calibrated_thresholds={
+                int(k): _finite_threshold(v) for k, v in payload["calibrated_thresholds"].items()
+            },
+            trained_at=str(payload["trained_at"]),
+            training_flow_count=int(payload["training_flow_count"]),
+        )
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"corrupt-artifact: {type(exc).__name__}: {exc}") from exc

@@ -126,22 +126,17 @@ def parse_flow_csv(
 
             label: Optional[Label] = None
             mac = row.get("SRC_MAC", "") if has_mac else ""
+            entry = inventory.by_ip(flow.src_ip) if inventory is not None else None
             if has_label and row["LABEL"]:
                 try:
                     label = parse_label(row["LABEL"])
                 except ValueError:
                     rejected.append(RejectedRow(line_no, "parse-error:LABEL"))
                     continue
-            elif inventory is not None:
-                entry = inventory.by_ip(flow.src_ip)
-                if entry is not None:
-                    label = entry.model
-                    if not mac:
-                        mac = entry.mac
-            if not mac and inventory is not None:
-                entry = inventory.by_ip(flow.src_ip)
-                if entry is not None:
-                    mac = entry.mac
+            elif entry is not None:
+                label = entry.model
+            if not mac and entry is not None:
+                mac = entry.mac
             flows.append(LabeledFlow(flow=flow, label=label, source_mac=mac or flow.src_ip))
     return FlowDataset(flows), rejected
 

@@ -4,6 +4,7 @@ training flows only."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,12 @@ class FeatureSchema:
     categories: dict[str, list]
 
     def __post_init__(self):
+        features = (set(self.numeric_ranges), set(self.categories))
+        if features != (set(NUMERIC_FEATURES), set(CATEGORICAL_FEATURES)):
+            raise ValueError("schema features differ from NUMERIC_FEATURES/CATEGORICAL_FEATURES")
         for name, (lo, hi) in self.numeric_ranges.items():
-            if lo > hi:
-                raise ValueError(f"min > max for numeric feature {name}")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(f"bad range [{lo}, {hi}] for numeric feature {name}")
         for name, vocab in self.categories.items():
             if len(set(vocab)) != len(vocab):
                 raise ValueError(f"duplicate category value in {name}")

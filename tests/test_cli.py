@@ -78,6 +78,16 @@ class TestCalibrate:
         assert "20" in doc["payload"]["calibrated_thresholds"]
         assert "P20 threshold" in capsys.readouterr().out
 
+    def test_directory_is_data_error(self, synth_dir, artifact_path, tmp_path):
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / artifact_path.name).write_bytes(artifact_path.read_bytes())
+        before = {p.name: p.read_bytes() for p in models.iterdir()}
+        rc = main(["calibrate", "--artifact", str(models),
+                   "--validation", str(synth_dir / "flows.csv")])
+        assert rc == 2
+        assert {p.name: p.read_bytes() for p in models.iterdir()} == before
+
 
 class TestEvaluate:
     def test_report_files(self, synth_dir, artifact_path, tmp_path, capsys):
@@ -122,6 +132,12 @@ class TestDetect:
                    "--policy", "log,notify_stub", "--notify-out", str(notify)])
         assert rc == 0
         assert notify.exists()
+
+    def test_missing_artifact_file_is_data_error(self, synth_dir, tmp_path):
+        rc = main(["detect", "--artifacts", str(tmp_path / "none.json"),
+                   "--input", str(synth_dir / "flows.csv"), "--audit", str(tmp_path / "a.jsonl")])
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_policy_is_data_error(self, synth_dir, artifact_path, tmp_path):
         rc = main(["detect", "--artifacts", str(artifact_path),

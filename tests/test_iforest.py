@@ -1,10 +1,17 @@
+import hashlib
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from natwatch import iforest
 from natwatch.iforest import (
+    ARTIFACT_FORMAT_VERSION,
     ArtifactError,
     IsolationTree,
     ROW_WALK_MAX_ROWS,
@@ -19,9 +26,10 @@ from natwatch.iforest import (
     save_artifact,
     train_forest,
 )
-from natwatch.preprocess import InsufficientDataError, fit_schema
+from natwatch.flowdata import FlowDataset, LabeledFlow
+from natwatch.preprocess import InsufficientDataError, fit_schema, transform_many
 
-from util import WEBCAM, dataset, make_labeled
+from util import WEBCAM, dataset, make_flow, make_labeled
 
 
 def exact_c(n):
@@ -49,29 +57,27 @@ class TestCFactor:
 
 class TestPathLength:
     def test_singleton_leaf(self):
-        tree = IsolationTree(TreeNode(size=1), height_limit=0, sample_count=1)
+        tree = IsolationTree(TreeNode(size=1))
         assert path_length(tree, np.array([0.0])) == 0.0
 
     def test_two_point_leaf(self):
         root = TreeNode(
             split_dim=0,
             split_value=0.5,
-            size=4,
             left=TreeNode(size=2),
             right=TreeNode(size=2),
         )
-        tree = IsolationTree(root, height_limit=1, sample_count=4)
+        tree = IsolationTree(root)
         assert path_length(tree, np.array([0.1])) == pytest.approx(1 + c_factor(2))
 
     def test_uneven_leaf(self):
         root = TreeNode(
             split_dim=0,
             split_value=0.5,
-            size=4,
             left=TreeNode(size=1),
             right=TreeNode(size=3),
         )
-        tree = IsolationTree(root, height_limit=1, sample_count=4)
+        tree = IsolationTree(root)
         assert path_length(tree, np.array([0.9])) == pytest.approx(1 + c_factor(3))
         assert path_length(tree, np.array([0.1])) == 1.0
 
@@ -79,11 +85,10 @@ class TestPathLength:
         root = TreeNode(
             split_dim=0,
             split_value=0.5,
-            size=2,
             left=TreeNode(size=1),
             right=TreeNode(size=1),
         )
-        tree = IsolationTree(root, height_limit=1, sample_count=2)
+        tree = IsolationTree(root)
         assert path_length(tree, np.array([0.5])) == 1.0  # x >= v goes right
 
 
@@ -116,12 +121,24 @@ class TestTrainForest:
     def test_subsample_capped_at_n(self):
         X = np.random.default_rng(3).normal(size=(40, 3))
         forest = train_forest(X, n_trees=5, subsample=256, master_seed=0)
-        assert forest.effective_subsample == 40
+        assert forest.sample_count == 40
 
     def test_height_limit(self):
         X = np.random.default_rng(4).normal(size=(500, 3))
         forest = train_forest(X, n_trees=3, subsample=256, master_seed=0)
-        assert forest.trees[0].height_limit == math.ceil(math.log2(256))
+        for tree in forest.trees:
+            deepest, stack = 0, [(tree.root, 0)]
+            while stack:
+                node, depth = stack.pop()
+                if node.is_leaf:
+                    deepest = max(deepest, depth)
+                else:
+                    stack += [(node.left, depth + 1), (node.right, depth + 1)]
+            assert deepest == math.ceil(math.log2(forest.sample_count)) == 8
+
+    def test_no_trees_raises(self):
+        with pytest.raises(ValueError, match="n_trees"):
+            train_forest(np.zeros((5, 2)), n_trees=0)
 
     def test_empty_matrix_raises(self):
         with pytest.raises(InsufficientDataError):
@@ -184,8 +201,6 @@ def small_artifact():
         make_labeled(in_bytes=200, dst_port=53),
     )
     schema = fit_schema(train, WEBCAM)
-    from natwatch.preprocess import transform_many
-
     X = transform_many(schema, [lf.flow for lf in train])
     forest = train_forest(X, n_trees=10, subsample=3, master_seed=11)
     return ModelArtifact(
@@ -196,6 +211,59 @@ def small_artifact():
         trained_at="2026-01-01T00:00:00Z",
         training_flow_count=3,
     )
+
+
+def _tree(payload) -> list:
+    return payload["forest"]["trees"][0]
+
+
+def write_with_checksum(path, payload) -> None:
+    """Write payload as a format-2 artifact with a correct checksum, the
+    way a tool that edits artifacts by hand would."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    doc = {"checksum": hashlib.sha256(body.encode()).hexdigest(),
+           "format_version": ARTIFACT_FORMAT_VERSION, "payload": payload}
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+
+
+flows_st = st.lists(
+    st.builds(
+        make_flow,
+        in_bytes=st.integers(0, 5000),
+        out_bytes=st.integers(0, 5000),
+        dst_port=st.sampled_from([53, 80, 123, 443]),
+        flow_end_ms=st.integers(1000, 9000),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(
+    train=flows_st,
+    queries=flows_st,
+    n_trees=st.integers(1, 6),
+    subsample=st.integers(1, 32),
+    seed=st.integers(0, 2**16),
+)
+def test_artifact_round_trip_keeps_g_and_bytes(train, queries, n_trees, subsample, seed):
+    schema = fit_schema(FlowDataset([LabeledFlow(f, WEBCAM, "m") for f in train]), WEBCAM)
+    forest = train_forest(transform_many(schema, train), n_trees, subsample, seed)
+    artifact = ModelArtifact(model=WEBCAM, schema=schema, forest=forest,
+                             calibrated_thresholds={10: -0.01})
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        save_artifact(artifact, first)
+        restored = load_artifact(first)
+        save_artifact(restored, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+    # one row at a time (row walk) and ROW_WALK_MAX_ROWS + 1 rows (partitioning)
+    Q = transform_many(schema, queries)
+    big = np.tile(Q, (ROW_WALK_MAX_ROWS // len(queries) + 1, 1))[: ROW_WALK_MAX_ROWS + 1]
+    for X in [Q[i : i + 1] for i in range(len(Q))] + [big]:
+        assert normality_scores(restored.forest, X).tolist() == \
+            normality_scores(forest, X).tolist()
 
 
 class TestArtifact:
@@ -239,9 +307,54 @@ class TestArtifact:
         path = tmp_path / "model.json"
         save_artifact(small_artifact(), path)
         doc = json.loads(path.read_text())
-        doc["format_version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ArtifactError, match="unsupported-version"):
+        for version in (1, 99):  # format 1 stored fields scoring never read; retrain
+            doc["format_version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ArtifactError, match=f"unsupported-version:{version}"):
+                load_artifact(path)
+
+    def test_load_encodes_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_artifact(small_artifact(), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_artifact re-encoded JSON")
+
+        monkeypatch.setattr(iforest.json, "dumps", refuse)
+        assert load_artifact(path).model == WEBCAM
+
+    @pytest.mark.parametrize(
+        "tamper, reason",
+        [
+            (lambda p: _tree(p).pop(), "truncated node list"),
+            (lambda p: _tree(p).append([-1, 1]), "nodes after the last leaf"),
+            (lambda p: _tree(p).__setitem__(0, [999, 0.5]), "bad node"),
+            (lambda p: _tree(p).__setitem__(0, 5), "bad node"),
+            (lambda p: _tree(p).__setitem__(slice(None), [[-1, 4]]), "bad node"),  # 4 > psi
+            (lambda p: _tree(p).__setitem__(slice(None), [[0, 0.5], [-1, 1]] * 3 + [[-1, 0]]),
+             "deeper than its height limit"),
+            (lambda p: p["forest"].update(trees=[]), "at least one tree"),
+            (lambda p: p["forest"].update(sample_count=0), "sample_count"),
+            (lambda p: p["schema"]["numeric_ranges"].pop("in_bytes"), "schema features"),
+            (lambda p: p["schema"]["categories"].update(vlan=[1]), "schema features"),
+            (lambda p: p.pop("model"), "KeyError: 'model'"),
+            (lambda p: p.update(default_threshold=float("nan")), "non-finite threshold"),
+            (lambda p: p.update(training_flow_count=float("inf")), "OverflowError"),
+        ],
+        ids=["truncated", "trailing-node", "split-dim-999", "node-not-a-list",
+             "leaf-over-sample", "too-deep", "no-trees", "sample-count-0",
+             "missing-numeric-range", "extra-categorical", "missing-model", "nan-threshold",
+             "inf-count"],
+    )
+    def test_checksum_valid_tampering_is_corrupt(self, tmp_path, tamper, reason):
+        path = tmp_path / "model.json"
+        save_artifact(small_artifact(), path)
+        payload = json.loads(path.read_text())["payload"]
+        write_with_checksum(path, payload)
+        load_artifact(path)  # re-checksummed but untouched: loads
+        tamper(payload)
+        write_with_checksum(path, payload)
+        with pytest.raises(ArtifactError, match=f"^corrupt-artifact: .*{reason}"):
             load_artifact(path)
 
     def test_threshold_selectors(self):

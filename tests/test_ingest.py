@@ -95,6 +95,17 @@ class TestParseFlowCsv:
         assert ds.flows[0].label == WEBCAM
         assert ds.flows[0].source_mac == "aa:bb:cc:00:00:01"
 
+    def test_inventory_fills_empty_mac_of_labeled_row(self, tmp_path):
+        inv = DeviceInventory([InventoryEntry("aa:bb:cc:00:00:01", "192.168.1.5", WEBCAM)])
+        path = write_csv(
+            tmp_path,
+            ["1,192.168.1.5,8.8.8.8,17,40000,53,812,0,0,0,DNS,1000,4000,non-IoT,"],
+            header=HEADER + ",LABEL,SRC_MAC",
+        )
+        ds, _ = parse_flow_csv(path, inv)
+        assert ds.flows[0].label == NON_IOT  # the LABEL column still wins
+        assert ds.flows[0].source_mac == "aa:bb:cc:00:00:01"
+
     def test_totality(self, tmp_path):
         rows = [
             "1,192.168.1.5,8.8.8.8,17,40000,53,812,0,0,0,DNS,1000,4000",
