@@ -4,8 +4,7 @@ domain-profile detection over tumbling time windows."""
 from __future__ import annotations
 
 import statistics
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from natwatch.flowdata import DeviceModelId
@@ -17,12 +16,10 @@ IPID_MODULUS = 65536
 
 @dataclass
 class IpIdTrack:
-    """Time-ordered IP-ID observations toward one resolver, with the
-    16-bit counter unwrapped to a monotone sequence."""
+    """One device+resolver stream's IP-ID counter, unwrapped in time
+    order to a monotone sequence."""
 
-    resolver_ip: str
-    observations: list[tuple[int, int]]  # (timestamp_ms, raw ip_id)
-    unwrapped_ids: list[int] = field(default_factory=list)
+    unwrapped_ids: list[int]
 
 
 def unwrap_ipid(events: list[DnsEvent]) -> IpIdTrack:
@@ -31,27 +28,17 @@ def unwrap_ipid(events: list[DnsEvent]) -> IpIdTrack:
     Whenever the raw value drops below the running unwrapped value,
     multiples of 65536 are added until the sequence is non-decreasing.
     """
-    observations = [(e.timestamp_ms, e.ip_id) for e in events]
     unwrapped: list[int] = []
     offset = 0
     prev = None
-    for _, raw in observations:
-        value = raw + offset
+    for e in events:
+        value = e.ip_id + offset
         while prev is not None and value < prev:
             offset += IPID_MODULUS
             value += IPID_MODULUS
         unwrapped.append(value)
         prev = value
-    resolver = events[0].resolver_ip if events else ""
-    return IpIdTrack(resolver_ip=resolver, observations=observations, unwrapped_ids=unwrapped)
-
-
-def increment_distribution(track: IpIdTrack) -> dict[int, int]:
-    """Histogram of successive unwrapped IP-ID differences."""
-    if len(track.unwrapped_ids) < 2:
-        raise InsufficientDataError("insufficient-data: need >= 2 observations")
-    diffs = [b - a for a, b in zip(track.unwrapped_ids, track.unwrapped_ids[1:])]
-    return dict(Counter(diffs))
+    return IpIdTrack(unwrapped_ids=unwrapped)
 
 
 @dataclass
@@ -60,24 +47,10 @@ class SlopeModel:
 
     model: Optional[DeviceModelId]
     slope_per_index: float
-    slope_per_second: Optional[float]
-    residual_scale: float
-    increment_histogram: dict[int, int]
-
-
-def _theil_sen(xs: list[float], ys: list[float]) -> Optional[float]:
-    slopes = [
-        (ys[j] - ys[i]) / (xs[j] - xs[i])
-        for i in range(len(xs))
-        for j in range(i + 1, len(xs))
-        if xs[j] > xs[i]
-    ]
-    return statistics.median(slopes) if slopes else None
 
 
 def fit_slope(track: IpIdTrack, model: Optional[DeviceModelId] = None) -> SlopeModel:
-    """Theil-Sen fit of unwrapped IP-ID versus request index (and
-    versus time, when timestamps differ).
+    """Theil-Sen fit of unwrapped IP-ID versus request index.
 
     The slope is the median of all pairwise difference quotients, so a
     minority of corrupted points does not move it.
@@ -86,19 +59,8 @@ def fit_slope(track: IpIdTrack, model: Optional[DeviceModelId] = None) -> SlopeM
     if n < 3:
         raise InsufficientDataError("insufficient-data: need >= 3 observations")
     ys = [float(v) for v in track.unwrapped_ids]
-    idx = [float(i) for i in range(n)]
-    slope_idx = _theil_sen(idx, ys)
-    times = [t / 1000.0 for t, _ in track.observations]
-    slope_sec = _theil_sen(times, ys)
-    intercept = statistics.median(y - slope_idx * x for x, y in zip(idx, ys))
-    residual = statistics.median(abs(y - (intercept + slope_idx * x)) for x, y in zip(idx, ys))
-    return SlopeModel(
-        model=model,
-        slope_per_index=slope_idx,
-        slope_per_second=slope_sec,
-        residual_scale=residual,
-        increment_histogram=increment_distribution(track),
-    )
+    slopes = [(ys[j] - ys[i]) / (j - i) for i in range(n) for j in range(i + 1, n)]
+    return SlopeModel(model=model, slope_per_index=statistics.median(slopes))
 
 
 def slope_match(

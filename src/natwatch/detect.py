@@ -9,7 +9,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class TrainConfig:
     subsample: int = DEFAULT_SUBSAMPLE
     master_seed: int = 0
     calibration_percentiles: list[int] = field(default_factory=lambda: [10])
-    split_ratios: tuple[float, float, float] = (0.70, 0.10, 0.20)
 
     def __post_init__(self):
         for p in self.calibration_percentiles:
@@ -52,7 +51,7 @@ class TrainConfig:
 def train_pipeline(dataset: FlowDataset, cfg: TrainConfig) -> ModelArtifact:
     """Full per-model training: chronological split, model filtering,
     schema fit, forest training, and threshold calibration."""
-    split = chronological_split(dataset, cfg.split_ratios)
+    split = chronological_split(dataset)
     training = filter_model(split.training, cfg.model)
     validation = filter_model(split.validation, cfg.model)
     if len(training) == 0:
@@ -148,56 +147,48 @@ class ActionPolicy:
     """Ordered reactions to a positive detection.
 
     "log" is always applied; "notify_stub" and "block_stub" record the
-    would-be side effect to JSONL files instead of performing it;
-    "cascade_hook" calls a pluggable secondary verifier.
+    would-be side effect to JSONL files instead of performing it, so
+    each needs its file path.
     """
 
     on_positive: list[str] = field(default_factory=lambda: ["log"])
     notify_path: Optional[str] = None
     block_path: Optional[str] = None
-    cascade_hook: Optional[Callable[[DetectionEvent], bool]] = None
 
-    KNOWN = ("log", "notify_stub", "block_stub", "cascade_hook")
+    KNOWN = ("log", "notify_stub", "block_stub")
 
     def __post_init__(self):
         for a in self.on_positive:
             if a not in self.KNOWN:
                 raise ValueError(f"unknown action: {a}")
+        if "notify_stub" in self.on_positive and not self.notify_path:
+            raise ValueError("notify_stub needs a notify path")
+        if "block_stub" in self.on_positive and not self.block_path:
+            raise ValueError("block_stub needs a block path")
         if "log" not in self.on_positive:
             self.on_positive = ["log"] + list(self.on_positive)
 
     def apply(self, event: DetectionEvent) -> str:
         """Run the configured actions; returns the last action applied."""
-        last = "log"
         for action in self.on_positive:
-            if action == "notify_stub" and self.notify_path:
-                with open(self.notify_path, "a", encoding="utf-8") as fh:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "timestamp": datetime.now(timezone.utc).isoformat(),
-                                "model": event.model.canonical(),
-                                "message": "possible vulnerable device detected",
-                            }
-                        )
-                        + "\n"
+            if action == "notify_stub":
+                path, detail = self.notify_path, {"message": "possible vulnerable device detected"}
+            elif action == "block_stub":
+                path, detail = self.block_path, {"flow_key": list(event.flow.key)}
+            else:
+                continue  # "log": the audit log records every event
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(
+                    json.dumps(
+                        {
+                            "timestamp": datetime.now(timezone.utc).isoformat(),
+                            "model": event.model.canonical(),
+                            **detail,
+                        }
                     )
-            elif action == "block_stub" and self.block_path:
-                with open(self.block_path, "a", encoding="utf-8") as fh:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "timestamp": datetime.now(timezone.utc).isoformat(),
-                                "model": event.model.canonical(),
-                                "flow_key": list(event.flow.key),
-                            }
-                        )
-                        + "\n"
-                    )
-            elif action == "cascade_hook" and self.cascade_hook is not None:
-                self.cascade_hook(event)
-            last = action
-        return last
+                    + "\n"
+                )
+        return self.on_positive[-1]
 
 
 def run_detector(

@@ -86,13 +86,9 @@ class DeviceInventory:
         if len(set(ips)) != len(ips):
             raise ValueError("duplicate internal IP in inventory")
         self._by_ip = {e.internal_ip: e for e in self.entries}
-        self._by_mac = {e.mac: e for e in self.entries}
 
     def by_ip(self, ip: str) -> Optional[InventoryEntry]:
         return self._by_ip.get(ip)
-
-    def by_mac(self, mac: str) -> Optional[InventoryEntry]:
-        return self._by_mac.get(mac)
 
 
 @dataclass(frozen=True)
@@ -170,16 +166,12 @@ class FlowDataset:
     def __iter__(self) -> Iterator[LabeledFlow]:
         return iter(self.flows)
 
-    def labels(self) -> set:
-        return {lf.label for lf in self.flows}
-
 
 @dataclass
 class DatasetSplit:
     training: FlowDataset
     validation: FlowDataset
     test: FlowDataset
-    ratios: tuple[float, float, float] = (0.70, 0.10, 0.20)
 
 
 @dataclass(frozen=True)
@@ -266,7 +258,7 @@ def chronological_split(
         train.extend(flows[:i1])
         valid.extend(flows[i1:i2])
         test.extend(flows[i2:])
-    return DatasetSplit(FlowDataset(train), FlowDataset(valid), FlowDataset(test), ratios)
+    return DatasetSplit(FlowDataset(train), FlowDataset(valid), FlowDataset(test))
 
 
 def filter_model(dataset: FlowDataset, m: DeviceModelId) -> FlowDataset:

@@ -196,17 +196,13 @@ def anomaly_scores(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     return np.power(2.0, -mean_h / c)
 
 
-def anomaly_score(forest: IsolationForest, x: np.ndarray) -> float:
-    """anomaly_scores of the single row x."""
+def normality_score(forest: IsolationForest, x: np.ndarray) -> float:
+    """g = 0.5 - s of the single row x; a flow is attributed to the
+    model iff g >= th."""
     x = np.asarray(x, dtype=float)
     if x.shape != (forest.dimension,):
         raise ValueError(f"dimension mismatch: {x.shape} != ({forest.dimension},)")
-    return float(anomaly_scores(forest, x[None, :])[0])
-
-
-def normality_score(forest: IsolationForest, x: np.ndarray) -> float:
-    """g = 0.5 - s; a flow is attributed to the model iff g >= th."""
-    return 0.5 - anomaly_score(forest, x)
+    return float(0.5 - anomaly_scores(forest, x[None, :])[0])
 
 
 def normality_scores(forest: IsolationForest, X: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -36,7 +36,7 @@ F_FLOW_END_MS = 153
 
 _IP_FIELDS = {F_IPV4_SRC_ADDR, F_IPV4_DST_ADDR}
 
-DEFAULT_PENDING_LIMIT = 10_000
+PENDING_LIMIT = 10_000  # buffered data flowsets, over all keys
 
 
 class NetflowDecodeError(ValueError):
@@ -73,28 +73,28 @@ class _PendingData:
 @dataclass
 class TemplateCache:
     """Templates keyed by (source_id, template_id), plus data flowsets
-    buffered while their template is unknown (bounded, oldest dropped)."""
+    buffered while their template is unknown (at most PENDING_LIMIT,
+    oldest dropped)."""
 
-    pending_limit: int = DEFAULT_PENDING_LIMIT
     templates: dict[tuple[int, int], Template] = field(default_factory=dict)
-    pending: dict[tuple[int, int], deque] = field(default_factory=dict)
+    pending: OrderedDict[tuple[int, int], deque] = field(default_factory=OrderedDict)
     _pending_count: int = 0
 
     def buffer(self, key: tuple[int, int], item: _PendingData) -> None:
         q = self.pending.setdefault(key, deque())
         q.append(item)
         self._pending_count += 1
-        while self._pending_count > self.pending_limit:
+        while self._pending_count > PENDING_LIMIT:
             self._drop_oldest()
 
     def _drop_oldest(self) -> None:
-        for key, q in list(self.pending.items()):
-            if q:
-                q.popleft()
-                self._pending_count -= 1
-                if not q:
-                    del self.pending[key]
-                return
+        # no queue is kept empty, so the first key's head goes; an
+        # OrderedDict reaches its first key without scanning deleted slots
+        key, q = next(iter(self.pending.items()))
+        q.popleft()
+        self._pending_count -= 1
+        if not q:
+            del self.pending[key]
 
     def take_pending(self, key: tuple[int, int]) -> list[_PendingData]:
         q = self.pending.pop(key, None)
@@ -239,7 +239,6 @@ def collect_udp(
     port: int,
     sink: Callable[[list[FlowRecord]], None],
     stop: threading.Event,
-    cache: Optional[TemplateCache] = None,
     ready: Optional[threading.Event] = None,
 ) -> CollectorStats:
     """Receive NetFlow v9 over UDP until `stop` is set.
@@ -249,7 +248,7 @@ def collect_udp(
     failures propagate as OSError at startup.
     """
     stats = CollectorStats()
-    cache = cache if cache is not None else TemplateCache()
+    cache = TemplateCache()
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
         sock.bind((bind_addr, port))

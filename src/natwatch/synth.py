@@ -4,7 +4,7 @@ DNS event streams for desk-scale testing of the whole pipeline."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -116,18 +116,10 @@ def _apply_overlap(scenario: ScenarioSpec) -> list[ModelTrafficSpec]:
             raise ConfigError(f"overlap fraction out of [0,1]: {fraction}")
         a, b = specs[name_a], specs[name_b]
         for src, other in ((a, b), (b, a)):
-            blended[format_label(src.label)] = ModelTrafficSpec(
-                label=src.label,
+            blended[format_label(src.label)] = replace(
+                src,
                 port_weights=_blend(src.port_weights, other.port_weights, fraction),
-                protocol_weights=src.protocol_weights,
                 l7_weights=_blend(src.l7_weights, other.l7_weights, fraction),
-                src_tos=src.src_tos,
-                dst_tos=src.dst_tos,
-                in_bytes_lognorm=src.in_bytes_lognorm,
-                out_bytes_lognorm=src.out_bytes_lognorm,
-                duration_lognorm_ms=src.duration_lognorm_ms,
-                mean_iat_s=src.mean_iat_s,
-                macs=src.macs,
             )
     return [blended[format_label(s.label)] for s in scenario.specs]
 

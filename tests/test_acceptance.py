@@ -26,9 +26,9 @@ from natwatch.flowdata import (
 from natwatch.iforest import (
     IsolationForest,
     ModelArtifact,
-    anomaly_score,
     anomaly_scores,
     c_factor,
+    normality_score,
     path_length,
     save_artifact,
     train_forest,
@@ -111,8 +111,8 @@ def test_criterion_2_score_properties():
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(500, 3))
             forest = train_forest(X, master_seed=seed)
-            g_centroid = 0.5 - anomaly_score(forest, X.mean(axis=0))
-            g_outlier = 0.5 - anomaly_score(forest, np.full(3, 12.0))
+            g_centroid = normality_score(forest, X.mean(axis=0))
+            g_outlier = normality_score(forest, np.full(3, 12.0))
             assert g_centroid > g_outlier, f"seed {seed}"
 
         rng = np.random.default_rng(99)

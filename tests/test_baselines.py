@@ -9,7 +9,6 @@ from natwatch.baselines import (
     evaluate_domain_baseline,
     evaluate_ipid_baseline,
     fit_slope,
-    increment_distribution,
     slope_match,
     train_slope_models,
     unwrap_ipid,
@@ -64,26 +63,10 @@ class TestUnwrap:
         assert unwrap_ipid([]).unwrapped_ids == []
 
 
-class TestIncrementDistribution:
-    def test_constant_increment(self):
-        track = unwrap_ipid(events_from_ids([10, 11, 12, 13]))
-        assert increment_distribution(track) == {1: 3}
-
-    def test_mixed_increments(self):
-        track = unwrap_ipid(events_from_ids([0, 4, 5, 19]))
-        assert increment_distribution(track) == {4: 1, 1: 1, 14: 1}
-
-    def test_too_short(self):
-        with pytest.raises(InsufficientDataError):
-            increment_distribution(unwrap_ipid(events_from_ids([7])))
-
-
 class TestFitSlope:
     def test_exact_line(self):
         sm = fit_slope(unwrap_ipid(slope_events(7)))
         assert sm.slope_per_index == pytest.approx(7.0)
-        assert sm.slope_per_second == pytest.approx(7.0)  # 1 event per second
-        assert sm.residual_scale == pytest.approx(0.0)
 
     def test_robust_to_outlier(self):
         from natwatch.baselines import IpIdTrack
@@ -92,11 +75,7 @@ class TestFitSlope:
         # transient spike rather than a wraparound step
         ys = [100 + 7 * i for i in range(15)]
         ys[7] += 5000
-        track = IpIdTrack(
-            resolver_ip="8.8.8.8",
-            observations=[(i * 1000, v % 65536) for i, v in enumerate(ys)],
-            unwrapped_ids=ys,
-        )
+        track = IpIdTrack(unwrapped_ids=ys)
         sm = fit_slope(track)
         ref = statistics.median(
             (ys[j] - ys[i]) / (j - i)

@@ -145,6 +145,15 @@ class TestDetect:
                    "--audit", str(tmp_path / "a.jsonl"), "--policy", "explode"])
         assert rc == 2
 
+    def test_block_stub_without_block_out_is_data_error(self, synth_dir, artifact_path,
+                                                        tmp_path, capsys):
+        rc = main(["detect", "--artifacts", str(artifact_path),
+                   "--input", str(synth_dir / "flows.csv"), "--threshold", "p10",
+                   "--audit", str(tmp_path / "a.jsonl"), "--policy", "log,block_stub"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data-error: block_stub")
+        assert list(tmp_path.iterdir()) == []  # no audit line claims a block
+
 
 class TestCollect:
     def test_bind_error_leaves_no_timer(self, tmp_path):

@@ -239,8 +239,15 @@ class TestActionPolicy:
             ActionPolicy(on_positive=["drop_table"])
 
     def test_log_always_present(self):
-        policy = ActionPolicy(on_positive=["notify_stub"])
+        policy = ActionPolicy(on_positive=["notify_stub"], notify_path="notify.jsonl")
         assert policy.on_positive[0] == "log"
+
+    @pytest.mark.parametrize("action", ["notify_stub", "block_stub"])
+    def test_stub_without_path_rejected(self, action):
+        """A stub action with nowhere to record its side effect would be
+        reported as taken without having happened."""
+        with pytest.raises(ValueError, match=action):
+            ActionPolicy(on_positive=["log", action])
 
     def test_notify_stub_appends_jsonl(self, tmp_path):
         path = tmp_path / "notify.jsonl"
@@ -258,14 +265,6 @@ class TestActionPolicy:
         policy.apply(event)
         entry = json.loads(path.read_text())
         assert tuple(entry["flow_key"]) == tuple(event.flow.key)
-
-    def test_cascade_hook_called(self):
-        seen = []
-        policy = ActionPolicy(
-            on_positive=["cascade_hook"], cascade_hook=lambda e: seen.append(e) or True
-        )
-        policy.apply(self._positive_event())
-        assert len(seen) == 1
 
 
 class TestRunDetector:

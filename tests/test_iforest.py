@@ -17,10 +17,10 @@ from natwatch.iforest import (
     ROW_WALK_MAX_ROWS,
     ModelArtifact,
     TreeNode,
-    anomaly_score,
     anomaly_scores,
     c_factor,
     load_artifact,
+    normality_score,
     normality_scores,
     path_length,
     save_artifact,
@@ -147,12 +147,12 @@ class TestTrainForest:
     def test_constant_data_scores_half(self):
         X = np.ones((50, 4))
         forest = train_forest(X, n_trees=10, subsample=32, master_seed=0)
-        assert anomaly_score(forest, np.ones(4)) == pytest.approx(0.5)
-        assert anomaly_score(forest, np.full(4, 99.0)) == pytest.approx(0.5)
+        assert anomaly_scores(forest, np.ones((1, 4)))[0] == pytest.approx(0.5)
+        assert anomaly_scores(forest, np.full((1, 4), 99.0))[0] == pytest.approx(0.5)
 
     def test_single_point_training(self):
         forest = train_forest(np.array([[1.0, 2.0]]), n_trees=5, master_seed=0)
-        assert anomaly_score(forest, np.array([1.0, 2.0])) == 0.5
+        assert anomaly_scores(forest, np.array([[1.0, 2.0]]))[0] == 0.5
 
 
 class TestScoring:
@@ -169,7 +169,7 @@ class TestScoring:
         forest = train_forest(X, master_seed=0)
         centroid = X.mean(axis=0)
         outlier = np.full(3, 10.0)
-        assert anomaly_score(forest, outlier) > anomaly_score(forest, centroid)
+        assert normality_score(forest, outlier) < normality_score(forest, centroid)
 
     def test_normality_is_half_minus_anomaly(self):
         rng = np.random.default_rng(7)
@@ -185,13 +185,13 @@ class TestScoring:
         # both tree walks: the row walk up to ROW_WALK_MAX_ROWS, partitioning above
         for n in (1, ROW_WALK_MAX_ROWS, ROW_WALK_MAX_ROWS + 1, 1000):
             q = rng.normal(size=(n, 3))
-            batch = anomaly_scores(forest, q).tolist()
-            assert [anomaly_score(forest, row) for row in q] == batch, n
+            batch = normality_scores(forest, q).tolist()
+            assert [normality_score(forest, row) for row in q] == batch, n
 
     def test_dimension_mismatch(self):
         forest = train_forest(np.random.default_rng(9).normal(size=(50, 3)), n_trees=5)
         with pytest.raises(ValueError, match="dimension"):
-            anomaly_score(forest, np.zeros(4))
+            normality_score(forest, np.zeros(4))
 
 
 def small_artifact():

@@ -1,8 +1,12 @@
 import socket
+import struct
 import threading
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from natwatch import netflow9
 from natwatch.netflow9 import (
@@ -131,8 +135,9 @@ class TestDecode:
         assert records[0].flow_start_ms == 100_000 - 1000 + 500
         assert records[0].flow_end_ms == 100_000 - 1000 + 1500
 
-    def test_pending_buffer_bounded(self):
-        cache = TemplateCache(pending_limit=5)
+    def test_pending_buffer_bounded(self, monkeypatch):
+        monkeypatch.setattr(netflow9, "PENDING_LIMIT", 5)
+        cache = TemplateCache()
         for i in range(10):
             record = {**RECORD, 11: i}
             decode_netflow_v9(
@@ -143,6 +148,78 @@ class TestDecode:
         )
         assert len(records) == 5
         assert [r.dst_port for r in records] == [5, 6, 7, 8, 9]  # oldest dropped
+
+    def test_spoofed_sources_evict_in_constant_time(self):
+        """Templates, and the data waiting for them, are keyed by source_id
+        (RFC 3954), so each spoofed source is a new pending key. Dropping
+        the oldest flowset must not cost time per key."""
+        n = 20_000
+        data = encode_data_flowset(300, FIELDS, [RECORD])
+        datagrams = [build_datagram([data], source_id=s) for s in range(n)]
+        cache = TemplateCache()
+        t0 = time.perf_counter()
+        for datagram in datagrams:
+            assert decode_netflow_v9(datagram, cache) == []
+        assert time.perf_counter() - t0 < 5.0
+        newest = [(s, 300) for s in range(n - netflow9.PENDING_LIMIT, n)]
+        assert list(cache.pending) == newest
+        assert [len(q) for q in cache.pending.values()] == [1] * netflow9.PENDING_LIMIT
+
+
+def _flowset(flowset_id, body):
+    return struct.pack("!HH", flowset_id, 4 + len(body)) + body
+
+
+_fields = st.lists(
+    st.tuples(st.sampled_from([1, 4, 5, 7, 8, 10, 11, 12, 21, 22, 23, 55, 152, 153, 99]),
+              st.integers(0, 9)),
+    max_size=8,
+)
+_flowsets = st.one_of(
+    st.lists(st.tuples(st.integers(250, 260), _fields), min_size=1, max_size=2).map(
+        encode_template_flowset
+    ),
+    st.builds(_flowset, st.integers(256, 260), st.binary(max_size=48)),
+    st.builds(_flowset, st.integers(1, 255), st.binary(max_size=8)),
+    st.binary(max_size=12),  # raw bytes: usually a broken flowset header
+)
+
+
+@st.composite
+def _datagrams(draw):
+    header = struct.pack(
+        "!HHIIII",
+        draw(st.sampled_from([9, 9, 9, 5])),
+        draw(st.integers(0, 3)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(0, 2**32 - 1)),
+        0,
+        draw(st.integers(0, 2)),  # source_id
+    )
+    datagram = header + b"".join(draw(st.lists(_flowsets, max_size=4)))
+    cut = draw(st.none() | st.integers(0, len(datagram)))
+    return datagram if cut is None else datagram[:cut]
+
+
+def _cache_state(cache):
+    return dict(cache.templates), [(k, list(q)) for k, q in cache.pending.items()]
+
+
+@given(datagrams=st.lists(_datagrams(), min_size=1, max_size=12),
+       limit=st.sampled_from([1, netflow9.PENDING_LIMIT]))
+def test_decode_rejects_only_with_decode_error_and_atomically(datagrams, limit):
+    """Any datagram either decodes or raises NetflowDecodeError, and a
+    rejected one leaves the templates and the buffered data unchanged."""
+    cache = TemplateCache()
+    with mock.patch.object(netflow9, "PENDING_LIMIT", limit):
+        for datagram in datagrams:
+            before = _cache_state(cache)
+            try:
+                decode_netflow_v9(datagram, cache)
+            except NetflowDecodeError:
+                assert _cache_state(cache) == before
+            queued = [len(q) for q in cache.pending.values()]
+            assert all(queued) and sum(queued) == cache._pending_count <= limit
 
 
 class TestCollector:
