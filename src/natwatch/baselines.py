@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Hashable, Optional
 
+from natwatch.evaluation import rates
 from natwatch.flowdata import DeviceModelId
 from natwatch.ingest import DnsEvent
 from natwatch.preprocess import InsufficientDataError
@@ -14,16 +15,9 @@ from natwatch.preprocess import InsufficientDataError
 IPID_MODULUS = 65536
 
 
-@dataclass
-class IpIdTrack:
-    """One device+resolver stream's IP-ID counter, unwrapped in time
-    order to a monotone sequence."""
-
-    unwrapped_ids: list[int]
-
-
-def unwrap_ipid(events: list[DnsEvent]) -> IpIdTrack:
-    """Unwrap the 16-bit IP-ID counter over one device+resolver stream.
+def unwrap_ipid(events: list[DnsEvent]) -> list[int]:
+    """Unwrap the 16-bit IP-ID counter over one device+resolver stream,
+    in time order, to a non-decreasing sequence.
 
     Whenever the raw value drops below the running unwrapped value,
     multiples of 65536 are added until the sequence is non-decreasing.
@@ -38,7 +32,7 @@ def unwrap_ipid(events: list[DnsEvent]) -> IpIdTrack:
             value += IPID_MODULUS
         unwrapped.append(value)
         prev = value
-    return IpIdTrack(unwrapped_ids=unwrapped)
+    return unwrapped
 
 
 @dataclass
@@ -49,29 +43,29 @@ class SlopeModel:
     slope_per_index: float
 
 
-def fit_slope(track: IpIdTrack, model: Optional[DeviceModelId] = None) -> SlopeModel:
+def fit_slope(unwrapped_ids: list[int], model: Optional[DeviceModelId] = None) -> SlopeModel:
     """Theil-Sen fit of unwrapped IP-ID versus request index.
 
     The slope is the median of all pairwise difference quotients, so a
     minority of corrupted points does not move it.
     """
-    n = len(track.unwrapped_ids)
+    n = len(unwrapped_ids)
     if n < 3:
         raise InsufficientDataError("insufficient-data: need >= 3 observations")
-    ys = [float(v) for v in track.unwrapped_ids]
+    ys = [float(v) for v in unwrapped_ids]
     slopes = [(ys[j] - ys[i]) / (j - i) for i in range(n) for j in range(i + 1, n)]
     return SlopeModel(model=model, slope_per_index=statistics.median(slopes))
 
 
 def slope_match(
-    test_track: IpIdTrack,
+    unwrapped_ids: list[int],
     trained: list[SlopeModel],
     rel_tolerance: float = 0.2,
 ) -> Optional[DeviceModelId]:
-    """Attribute a test track to the trained model with the closest
-    per-index slope, within a relative tolerance. Ties are ambiguous
-    and return None."""
-    test = fit_slope(test_track)
+    """Attribute an unwrapped test stream to the trained model with the
+    closest per-index slope, within a relative tolerance. Ties are
+    ambiguous and return None."""
+    test = fit_slope(unwrapped_ids)
     candidates = []
     for sm in trained:
         if sm.slope_per_index == 0:
@@ -88,33 +82,46 @@ def slope_match(
     return candidates[0][1].model
 
 
-def group_events_by_label(events: list[DnsEvent]) -> dict:
+def _time_ordered_groups(events: list[DnsEvent], key: Callable[[DnsEvent], Hashable]) -> dict:
+    """Events grouped by key, in order of each key's first appearance,
+    each group sorted by timestamp."""
     grouped: dict = {}
     for e in events:
-        if e.label is None:
-            continue
-        grouped.setdefault(e.label, []).append(e)
-    return grouped
+        grouped.setdefault(key(e), []).append(e)
+    return {k: sorted(evs, key=lambda e: e.timestamp_ms) for k, evs in grouped.items()}
 
 
-def group_events_by_device(events: list[DnsEvent]) -> dict[str, list[DnsEvent]]:
-    grouped: dict[str, list[DnsEvent]] = {}
-    for e in events:
-        grouped.setdefault(e.observed_src_ip, []).append(e)
-    return grouped
+def _baseline_row(method: str, m: DeviceModelId, outcomes: list[tuple[object, set]], **extra):
+    """Model m's report row over (true label, set of detected models)
+    outcomes: an outcome is a true positive for its own model and a
+    false positive for any other model it detected."""
+    tpr, fpr = rates((m in hit, t == m) for t, hit in outcomes)
+    positives = sum(1 for t, _ in outcomes if t == m)
+    return {
+        "model": m.canonical(),
+        "method": method,
+        "tpr": tpr,
+        "fpr": fpr,
+        "positives": positives,
+        "negatives": len(outcomes) - positives,
+        **extra,
+    }
+
+
+def _by_model(events: list[DnsEvent]) -> dict[DeviceModelId, list[DnsEvent]]:
+    """The events of labeled device models, by model; non-IoT and
+    unlabeled hosts are left out."""
+    groups = _time_ordered_groups(events, lambda e: e.label)
+    return {m: evs for m, evs in groups.items() if isinstance(m, DeviceModelId)}
 
 
 def train_slope_models(train_events: list[DnsEvent]) -> list[SlopeModel]:
     """Fit one slope model per labeled device model in the training events."""
-    models = []
-    for label, events in group_events_by_label(train_events).items():
-        if not isinstance(label, DeviceModelId):
-            continue  # non-IoT hosts get no slope model
-        events = sorted(events, key=lambda e: e.timestamp_ms)
-        track = unwrap_ipid(events)
-        if len(track.unwrapped_ids) >= 3:
-            models.append(fit_slope(track, model=label))
-    return models
+    return [
+        fit_slope(unwrap_ipid(events), model=m)
+        for m, events in _by_model(train_events).items()
+        if len(events) >= 3
+    ]
 
 
 def evaluate_ipid_baseline(
@@ -129,34 +136,17 @@ def evaluate_ipid_baseline(
     its own model and a false positive for any other model it matched.
     """
     trained = train_slope_models(train_events)
-    per_device: list[tuple[object, Optional[DeviceModelId]]] = []
-    for _ip, events in group_events_by_device(test_events).items():
-        events = sorted(events, key=lambda e: e.timestamp_ms)
-        true_label = events[0].label
-        track = unwrap_ipid(events)
+    outcomes: list[tuple[object, set]] = []
+    for events in _time_ordered_groups(test_events, lambda e: e.observed_src_ip).values():
         try:
-            predicted = slope_match(track, trained, rel_tolerance)
+            predicted = slope_match(unwrap_ipid(events), trained, rel_tolerance)
         except InsufficientDataError:
             predicted = None
-        per_device.append((true_label, predicted))
-
-    rows = []
-    for sm in trained:
-        m = sm.model
-        pos = [p for t, p in per_device if t == m]
-        neg = [p for t, p in per_device if t != m]
-        rows.append(
-            {
-                "model": m.canonical(),
-                "method": "dns-ipid-slope",
-                "tpr": (sum(1 for p in pos if p == m) / len(pos)) if pos else None,
-                "fpr": (sum(1 for p in neg if p == m) / len(neg)) if neg else None,
-                "positives": len(pos),
-                "negatives": len(neg),
-                "slope_per_index": sm.slope_per_index,
-            }
-        )
-    return rows
+        outcomes.append((events[0].label, {predicted}))
+    return [
+        _baseline_row("dns-ipid-slope", sm.model, outcomes, slope_per_index=sm.slope_per_index)
+        for sm in trained
+    ]
 
 
 MIN_PROFILE_SERVERS = 3
@@ -202,6 +192,8 @@ def domain_detect(
     profile's names appear there; overlapping profiles may all fire for
     the same window.
     """
+    if window_s < 1:
+        raise ValueError(f"window must be at least 1 s, got {window_s}")
     if not events:
         return []
     window_ms = window_s * 1000
@@ -232,38 +224,12 @@ def evaluate_domain_baseline(
     model is the fraction of its own devices' windows where it is
     detected; FPR is its detection rate over other devices' windows.
     """
-    profiles = [
-        p
-        for p in build_domain_profiles(
-            {
-                m: evs
-                for m, evs in group_events_by_label(train_events).items()
-                if isinstance(m, DeviceModelId)
-            }
-        )
-        if p.covered
-    ]
-    window_results: list[tuple[object, set]] = []
-    for _ip, events in group_events_by_device(test_events).items():
-        events = sorted(events, key=lambda e: e.timestamp_ms)
-        true_label = events[0].label
+    profiles = [p for p in build_domain_profiles(_by_model(train_events)) if p.covered]
+    outcomes: list[tuple[object, set]] = []
+    for events in _time_ordered_groups(test_events, lambda e: e.observed_src_ip).values():
         for det in domain_detect(events, profiles, window_s, min_distinct):
-            window_results.append((true_label, det.models))
-
-    rows = []
-    for p in profiles:
-        m = p.model
-        pos = [hit for t, hit in window_results if t == m]
-        neg = [hit for t, hit in window_results if t != m]
-        rows.append(
-            {
-                "model": m.canonical(),
-                "method": "dns-domain",
-                "tpr": (sum(1 for hit in pos if m in hit) / len(pos)) if pos else None,
-                "fpr": (sum(1 for hit in neg if m in hit) / len(neg)) if neg else None,
-                "positives": len(pos),
-                "negatives": len(neg),
-                "profile_size": len(p.server_names),
-            }
-        )
-    return rows
+            outcomes.append((events[0].label, det.models))
+    return [
+        _baseline_row("dns-domain", p.model, outcomes, profile_size=len(p.server_names))
+        for p in profiles
+    ]

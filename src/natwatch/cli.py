@@ -9,9 +9,7 @@ machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import glob
-import json
 import os
 import sys
 import threading
@@ -214,16 +212,8 @@ def cmd_baseline(args) -> int:
         rows = baselines.evaluate_domain_baseline(
             train_events, test_events, args.window, args.min_distinct
         )
-    os.makedirs(args.out, exist_ok=True)
     columns = sorted({k for row in rows for k in row})
-    csv_path = os.path.join(args.out, "baseline_report.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-    with open(os.path.join(args.out, "baseline_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2)
+    evaluation.write_rows(rows, columns, args.out, "baseline_report")
     for row in rows:
         print(f"{row['model']}: TPR={row['tpr']} FPR={row['fpr']} ({row['method']})")
     print(f"baseline report written to {args.out}")

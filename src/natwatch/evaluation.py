@@ -7,8 +7,8 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, asdict
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -17,27 +17,26 @@ from natwatch.iforest import ModelArtifact, normality_scores
 from natwatch.preprocess import InsufficientDataError, transform_many
 
 
+def rates(pairs: Iterable[tuple[bool, bool]]) -> tuple[Optional[float], Optional[float]]:
+    """TPR and FPR over (hit, is_positive) pairs. A rate whose class is
+    absent is returned as None, never as 0."""
+    tp = fp = pos = neg = 0
+    for hit, is_positive in pairs:
+        if is_positive:
+            pos += 1
+            tp += hit
+        else:
+            neg += 1
+            fp += hit
+    return (tp / pos if pos else None), (fp / neg if neg else None)
+
+
 def confusion_rates(
     scores: Sequence[tuple[float, bool]], th: float
 ) -> tuple[Optional[float], Optional[float]]:
-    """TPR and FPR at threshold th over (g, is_positive) pairs.
-
-    Positive decision: g >= th. A rate whose class is absent is
-    returned as None, never as 0.
-    """
-    tp = fp = pos = neg = 0
-    for g, is_m in scores:
-        if is_m:
-            pos += 1
-            if g >= th:
-                tp += 1
-        else:
-            neg += 1
-            if g >= th:
-                fp += 1
-    tpr = tp / pos if pos else None
-    fpr = fp / neg if neg else None
-    return tpr, fpr
+    """TPR and FPR at threshold th over (g, is_positive) pairs; the
+    positive decision is g >= th."""
+    return rates((g >= th, is_m) for g, is_m in scores)
 
 
 def roc_points(scores: Sequence[tuple[float, bool]]) -> list[tuple[float, float]]:
@@ -83,9 +82,7 @@ def roc_auc(scores: Sequence[tuple[float, bool]]) -> Optional[float]:
     return _roc(scores)[1]
 
 
-def time_to_detect(
-    model_flows: FlowDataset, preprocess_s: float = 0.0, classify_s: float = 0.0
-) -> float:
+def time_to_detect(model_flows: FlowDataset, compute_s: float = 0.0) -> float:
     """Expected seconds until one of the model's flows is classified:
     mean flow inter-arrival time + mean flow duration + compute time."""
     flows = sorted((lf.flow for lf in model_flows), key=lambda f: f.flow_start_ms)
@@ -94,7 +91,7 @@ def time_to_detect(
     starts = [f.flow_start_ms for f in flows]
     mean_iat_s = (starts[-1] - starts[0]) / (len(starts) - 1) / 1000.0
     mean_dur_s = sum(flow_duration(f) for f in flows) / len(flows) / 1000.0
-    return mean_iat_s + mean_dur_s + preprocess_s + classify_s
+    return mean_iat_s + mean_dur_s + compute_s
 
 
 @dataclass
@@ -137,7 +134,7 @@ def evaluate_artifact(
 
     model_test = FlowDataset([lf for lf in test if lf.label == artifact.model])
     try:
-        ttd = time_to_detect(model_test, per_flow / 2, per_flow / 2)
+        ttd = time_to_detect(model_test, per_flow)
     except InsufficientDataError:
         ttd = None
 
@@ -169,14 +166,7 @@ _NUMERIC_FIELDS = [
     "time_to_detect_s",
 ]
 
-REPORT_COLUMNS = [
-    "model",
-    "flow_count",
-    "test_positive_count",
-    "test_negative_count",
-    *_NUMERIC_FIELDS,
-    "method",
-]
+REPORT_COLUMNS = [f.name for f in fields(ModelReport)]
 
 
 def _summary_rows(reports: list[ModelReport]) -> list[dict]:
@@ -190,6 +180,21 @@ def _summary_rows(reports: list[ModelReport]) -> list[dict]:
     return rows
 
 
+def write_rows(rows: list[dict], columns: list[str], out_dir: str, stem: str) -> list[str]:
+    """Write rows to <stem>.csv (an absent or None value is an empty
+    cell) and <stem>.json; returns the two paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, f"{stem}.csv")
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+    json_path = os.path.join(out_dir, f"{stem}.json")
+    with open(json_path, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh, indent=2)
+    return [csv_path, json_path]
+
+
 def emit_report(
     reports: list[ModelReport],
     out_dir: str,
@@ -200,23 +205,8 @@ def emit_report(
     Summary mean/stddev rows are appended over the model rows.
     Returns the written paths.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
     rows = [asdict(r) for r in reports] + _summary_rows(reports)
-
-    csv_path = os.path.join(out_dir, "report.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-    written.append(csv_path)
-
-    json_path = os.path.join(out_dir, "report.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2)
-    written.append(json_path)
-
+    written = write_rows(rows, REPORT_COLUMNS, out_dir, "report")
     for model, points in (roc_curves or {}).items():
         roc_path = os.path.join(out_dir, f"roc_{model}.csv")
         with open(roc_path, "w", newline="", encoding="utf-8") as fh:

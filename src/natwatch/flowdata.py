@@ -237,6 +237,8 @@ def chronological_split(
     test.
     """
     r1, r2, r3 = ratios
+    if not all(0.0 <= r <= 1.0 for r in ratios):  # also rejects inf and nan
+        raise ConfigError(f"split ratios must each be within [0, 1], got {ratios}")
     if abs((r1 + r2 + r3) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {ratios}")
 

@@ -37,6 +37,7 @@ F_FLOW_END_MS = 153
 _IP_FIELDS = {F_IPV4_SRC_ADDR, F_IPV4_DST_ADDR}
 
 PENDING_LIMIT = 10_000  # buffered data flowsets, over all keys
+TEMPLATE_LIMIT = 10_000  # cached templates, over all keys; oldest-registered evicted
 
 
 class NetflowDecodeError(ValueError):
@@ -72,11 +73,12 @@ class _PendingData:
 
 @dataclass
 class TemplateCache:
-    """Templates keyed by (source_id, template_id), plus data flowsets
-    buffered while their template is unknown (at most PENDING_LIMIT,
-    oldest dropped)."""
+    """Templates keyed by (source_id, template_id), in registration
+    order (at most TEMPLATE_LIMIT, oldest-registered evicted), plus data
+    flowsets buffered while their template is unknown (at most
+    PENDING_LIMIT, oldest dropped)."""
 
-    templates: dict[tuple[int, int], Template] = field(default_factory=dict)
+    templates: OrderedDict[tuple[int, int], Template] = field(default_factory=OrderedDict)
     pending: OrderedDict[tuple[int, int], deque] = field(default_factory=OrderedDict)
     _pending_count: int = 0
 
@@ -209,10 +211,13 @@ def decode_netflow_v9(datagram: bytes, cache: TemplateCache) -> list[FlowRecord]
         off += length
 
     # Commit: templates first, then data.
-    cache.templates.update(staged_templates)
+    for key, template in staged_templates.items():
+        cache.templates[key] = template
+        cache.templates.move_to_end(key)
+    while len(cache.templates) > TEMPLATE_LIMIT:
+        cache.templates.popitem(last=False)
     records: list[FlowRecord] = []
-    for key in staged_templates:
-        template = cache.templates[key]
+    for key, template in staged_templates.items():
         for item in cache.take_pending(key):
             records.extend(
                 _decode_records(template, item.payload, item.sys_uptime, item.unix_secs)
@@ -244,9 +249,12 @@ def collect_udp(
     """Receive NetFlow v9 over UDP until `stop` is set.
 
     Every datagram is decoded and its records handed to `sink` in
-    arrival order; malformed datagrams are counted, not fatal. Bind
-    failures propagate as OSError at startup.
+    arrival order; malformed datagrams are counted, not fatal. A port
+    outside 0-65535 raises ValueError and bind failures propagate as
+    OSError, both at startup.
     """
+    if not 0 <= port <= 65535:
+        raise ValueError(f"bad-port: {port} is outside 0-65535")
     stats = CollectorStats()
     cache = TemplateCache()
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

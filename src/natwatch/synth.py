@@ -254,41 +254,65 @@ def scenario_to_dict(s: ScenarioSpec) -> dict:
     }
 
 
+_REQUIRED = object()
+
+
+def _field(obj, key: str, convert=lambda v: v, default=_REQUIRED):
+    """convert(obj[key]), or convert(default) when the key is absent and
+    a default is given. A missing or malformed field raises ConfigError
+    naming it."""
+    try:
+        return convert(obj[key] if default is _REQUIRED or key in obj else default)
+    except KeyError:
+        raise ConfigError(f"scenario: missing field {key!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ConfigError(f"scenario: malformed field {key!r}: {exc}") from None
+
+
+def _weights(key_type):
+    return lambda w: {key_type(k): float(v) for k, v in w.items()}
+
+
+def _traffic_spec_from_dict(m) -> ModelTrafficSpec:
+    return ModelTrafficSpec(
+        label=_field(m, "label", parse_label),
+        port_weights=_field(m, "port_weights", _weights(int)),
+        protocol_weights=_field(m, "protocol_weights", _weights(int)),
+        l7_weights=_field(m, "l7_weights", _weights(str)),
+        src_tos=_field(m, "src_tos", int, 0),
+        dst_tos=_field(m, "dst_tos", int, 0),
+        in_bytes_lognorm=_field(m, "in_bytes_lognorm", tuple, (6.0, 0.6)),
+        out_bytes_lognorm=_field(m, "out_bytes_lognorm", tuple, (5.0, 0.6)),
+        duration_lognorm_ms=_field(m, "duration_lognorm_ms", tuple, (10.0, 0.5)),
+        mean_iat_s=_field(m, "mean_iat_s", float, 60.0),
+        macs=_field(m, "macs", list),
+    )
+
+
+def _dns_spec_from_dict(x) -> DnsModelSpec:
+    return DnsModelSpec(
+        label=_field(x, "label", parse_label),
+        slope_per_request=_field(x, "slope_per_request", float),
+        noise=_field(x, "noise", int, 0),
+        qnames=_field(x, "qnames", list),
+        mean_iat_s=_field(x, "mean_iat_s", float, 30.0),
+        resolver_ip=_field(x, "resolver_ip", str, "8.8.8.8"),
+        macs=_field(x, "macs", list, []),
+    )
+
+
 def scenario_from_dict(d: dict) -> ScenarioSpec:
+    """The scenario a scenario_to_dict document describes. A missing or
+    malformed field raises ConfigError naming the field; a spec that
+    fails a spec check is named by its list, "specs" or "dns"."""
     return ScenarioSpec(
-        name=d["name"],
-        flows_per_device=int(d.get("flows_per_device", 1000)),
-        seed=int(d.get("seed", 0)),
-        overlap_pairs=[tuple(p) for p in d.get("overlap_pairs", [])],
-        dns_events_per_device=int(d.get("dns_events_per_device", 200)),
-        specs=[
-            ModelTrafficSpec(
-                label=parse_label(m["label"]),
-                port_weights={int(k): float(v) for k, v in m["port_weights"].items()},
-                protocol_weights={int(k): float(v) for k, v in m["protocol_weights"].items()},
-                l7_weights={k: float(v) for k, v in m["l7_weights"].items()},
-                src_tos=int(m.get("src_tos", 0)),
-                dst_tos=int(m.get("dst_tos", 0)),
-                in_bytes_lognorm=tuple(m.get("in_bytes_lognorm", (6.0, 0.6))),
-                out_bytes_lognorm=tuple(m.get("out_bytes_lognorm", (5.0, 0.6))),
-                duration_lognorm_ms=tuple(m.get("duration_lognorm_ms", (10.0, 0.5))),
-                mean_iat_s=float(m.get("mean_iat_s", 60.0)),
-                macs=list(m["macs"]),
-            )
-            for m in d["specs"]
-        ],
-        dns=[
-            DnsModelSpec(
-                label=parse_label(x["label"]),
-                slope_per_request=float(x["slope_per_request"]),
-                noise=int(x.get("noise", 0)),
-                qnames=list(x["qnames"]),
-                mean_iat_s=float(x.get("mean_iat_s", 30.0)),
-                resolver_ip=str(x.get("resolver_ip", "8.8.8.8")),
-                macs=list(x.get("macs", [])),
-            )
-            for x in d.get("dns", [])
-        ],
+        name=_field(d, "name"),
+        flows_per_device=_field(d, "flows_per_device", int, 1000),
+        seed=_field(d, "seed", int, 0),
+        overlap_pairs=_field(d, "overlap_pairs", lambda ps: [tuple(p) for p in ps], []),
+        dns_events_per_device=_field(d, "dns_events_per_device", int, 200),
+        specs=_field(d, "specs", lambda ms: [_traffic_spec_from_dict(m) for m in ms]),
+        dns=_field(d, "dns", lambda xs: [_dns_spec_from_dict(x) for x in xs], []),
     )
 
 

@@ -343,9 +343,9 @@ def test_criterion_8_baselines():
         seed=3,
     )
     events = sorted(generate_dns(scenario), key=lambda e: e.timestamp_ms)
-    track = unwrap_ipid(events)
-    assert track.unwrapped_ids[-1] > 65536, "no wraparound exercised"
-    slope = fit_slope(track).slope_per_index
+    unwrapped = unwrap_ipid(events)
+    assert unwrapped[-1] > 65536, "no wraparound exercised"
+    slope = fit_slope(unwrapped).slope_per_index
     rel_err = abs(slope - 60.0) / 60.0
     assert rel_err < 0.01, f"slope {slope} relative error {rel_err:.4f}"
 

@@ -1,4 +1,5 @@
 import statistics
+from dataclasses import replace
 
 import pytest
 
@@ -47,20 +48,17 @@ def slope_events(slope, n=20, base=100, src_ip="10.0.0.2", label=None, noise=Non
 
 class TestUnwrap:
     def test_wraparound(self):
-        track = unwrap_ipid(events_from_ids([65530, 65534, 3]))
-        assert track.unwrapped_ids == [65530, 65534, 65539]
+        assert unwrap_ipid(events_from_ids([65530, 65534, 3])) == [65530, 65534, 65539]
 
     def test_no_wrap_unchanged(self):
-        track = unwrap_ipid(events_from_ids([5, 9, 9, 20]))
-        assert track.unwrapped_ids == [5, 9, 9, 20]
+        assert unwrap_ipid(events_from_ids([5, 9, 9, 20])) == [5, 9, 9, 20]
 
     def test_double_wrap(self):
-        track = unwrap_ipid(events_from_ids([65535, 2, 1]))
         # second drop forces another full modulus
-        assert track.unwrapped_ids == [65535, 65538, 131073]
+        assert unwrap_ipid(events_from_ids([65535, 2, 1])) == [65535, 65538, 131073]
 
     def test_empty(self):
-        assert unwrap_ipid([]).unwrapped_ids == []
+        assert unwrap_ipid([]) == []
 
 
 class TestFitSlope:
@@ -69,14 +67,11 @@ class TestFitSlope:
         assert sm.slope_per_index == pytest.approx(7.0)
 
     def test_robust_to_outlier(self):
-        from natwatch.baselines import IpIdTrack
-
         # one corrupted observation, injected post-unwrap so it stays a
         # transient spike rather than a wraparound step
         ys = [100 + 7 * i for i in range(15)]
         ys[7] += 5000
-        track = IpIdTrack(unwrapped_ids=ys)
-        sm = fit_slope(track)
+        sm = fit_slope(ys)
         ref = statistics.median(
             (ys[j] - ys[i]) / (j - i)
             for i in range(len(ys))
@@ -141,6 +136,17 @@ class TestIpIdEvaluation:
         assert by_model[CAM.canonical()]["fpr"] == 0.0
         assert by_model[PLUG.canonical()]["tpr"] == 1.0
         assert all(r["method"] == "dns-ipid-slope" for r in rows)
+
+    def test_rows_follow_first_appearance_in_unsorted_input(self):
+        # each stream is time-sorted on its own; the models keep the order
+        # in which they first appear, even when the input is out of time order
+        later = [replace(e, timestamp_ms=e.timestamp_ms + 10**6)
+                 for e in slope_events(3, label=PLUG, src_ip="10.0.0.3")]
+        train = later[::-1] + slope_events(7, label=CAM)
+        test = train[::-1]
+        rows = evaluate_ipid_baseline(train, test)
+        assert [r["model"] for r in rows] == [PLUG.canonical(), CAM.canonical()]
+        assert [(r["tpr"], r["fpr"]) for r in rows] == [(1.0, 0.0), (1.0, 0.0)]
 
     def test_unlabeled_training_events_ignored(self):
         train = slope_events(7, label=CAM) + slope_events(3, label=None, src_ip="10.0.0.9")

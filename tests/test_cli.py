@@ -209,6 +209,36 @@ class TestSplit:
         assert rc == 2
 
 
+_NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:01"]}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["collect", "--port", "70000", "--out", "{tmp}/c.csv"],
+    ["collect", "--port", "-1", "--out", "{tmp}/c.csv"],
+    ["detect", "--artifacts", "{artifact}", "--input", "udp:70000", "--audit", "{tmp}/a.jsonl"],
+    ["baseline", "domain", "--train", "{synth}/dns.jsonl", "--test", "{synth}/dns.jsonl",
+     "--out", "{tmp}/b", "--window", "0"],
+    ["split", "--data", "{synth}/flows.csv", "--ratios=inf,-inf,1", "--out-prefix", "{tmp}/p"],
+    ["split", "--data", "{synth}/flows.csv", "--ratios=1.5,-0.5,0", "--out-prefix", "{tmp}/p"],
+    ["synth", "--scenario", "{tmp}/empty.json", "--out", "{tmp}/s"],
+    ["synth", "--scenario", "{tmp}/list.json", "--out", "{tmp}/s"],
+    ["synth", "--scenario", "{tmp}/no_weights.json", "--out", "{tmp}/s"],
+], ids=["port-70000", "port-minus-1", "detect-udp-70000", "window-0", "ratios-inf",
+        "ratios-out-of-range", "scenario-empty", "scenario-list", "scenario-no-weights"])
+def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tmp_path, capsys):
+    (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "no_weights.json").write_text(json.dumps(_NO_WEIGHTS))
+    paths = {"tmp": tmp_path, "synth": synth_dir, "artifact": artifact_path}
+    rc = main([a.format(**paths) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert [line for line in err.splitlines() if line.startswith("data-error:")] == [
+        err.splitlines()[-1]
+    ]
+    assert "Traceback" not in err
+
+
 class TestUsageErrors:
     def test_no_command_exits_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -107,7 +107,7 @@ class TestTimeToDetect:
             make_labeled(flow_start_ms=20_000, flow_end_ms=23_000),
         )
         # mean IAT 10 s, mean duration 3 s, compute 0.5 s
-        assert time_to_detect(flows, 0.2, 0.3) == pytest.approx(13.5)
+        assert time_to_detect(flows, 0.5) == pytest.approx(13.5)
 
     def test_too_few_flows(self):
         with pytest.raises(InsufficientDataError):

@@ -165,6 +165,34 @@ class TestDecode:
         assert list(cache.pending) == newest
         assert [len(q) for q in cache.pending.values()] == [1] * netflow9.PENDING_LIMIT
 
+    def test_template_cache_evicts_oldest_registered(self, monkeypatch):
+        monkeypatch.setattr(netflow9, "TEMPLATE_LIMIT", 3)
+        cache = TemplateCache()
+
+        def register(source_id):
+            datagram = build_datagram([encode_template_flowset([(300, FIELDS)])],
+                                      source_id=source_id)
+            decode_netflow_v9(datagram, cache)
+
+        for source_id in (0, 1, 2):
+            register(source_id)
+        register(0)  # registering again makes it the newest
+        register(3)
+        assert list(cache.templates) == [(2, 300), (0, 300), (3, 300)]
+        # data for the evicted template waits for it again
+        data = build_datagram([encode_data_flowset(300, FIELDS, [RECORD])], source_id=1)
+        assert decode_netflow_v9(data, cache) == []
+        assert list(cache.pending) == [(1, 300)]
+
+    def test_spoofed_template_flood_is_bounded(self):
+        n = 20_000
+        templates = encode_template_flowset([(300, FIELDS), (301, FIELDS)])
+        cache = TemplateCache()
+        for s in range(n):
+            decode_netflow_v9(build_datagram([templates], source_id=s), cache)
+        newest = [(s, t) for s in range(n - netflow9.TEMPLATE_LIMIT // 2, n) for t in (300, 301)]
+        assert list(cache.templates) == newest
+
 
 def _flowset(flowset_id, body):
     return struct.pack("!HH", flowset_id, 4 + len(body)) + body
@@ -202,16 +230,18 @@ def _datagrams(draw):
 
 
 def _cache_state(cache):
-    return dict(cache.templates), [(k, list(q)) for k, q in cache.pending.items()]
+    return list(cache.templates.items()), [(k, list(q)) for k, q in cache.pending.items()]
 
 
 @given(datagrams=st.lists(_datagrams(), min_size=1, max_size=12),
        limit=st.sampled_from([1, netflow9.PENDING_LIMIT]))
 def test_decode_rejects_only_with_decode_error_and_atomically(datagrams, limit):
-    """Any datagram either decodes or raises NetflowDecodeError, and a
-    rejected one leaves the templates and the buffered data unchanged."""
+    """Any datagram either decodes or raises NetflowDecodeError, a
+    rejected one leaves the templates and the buffered data unchanged,
+    and both stay within their limits."""
     cache = TemplateCache()
-    with mock.patch.object(netflow9, "PENDING_LIMIT", limit):
+    with mock.patch.object(netflow9, "PENDING_LIMIT", limit), \
+            mock.patch.object(netflow9, "TEMPLATE_LIMIT", limit):
         for datagram in datagrams:
             before = _cache_state(cache)
             try:
@@ -220,6 +250,7 @@ def test_decode_rejects_only_with_decode_error_and_atomically(datagrams, limit):
                 assert _cache_state(cache) == before
             queued = [len(q) for q in cache.pending.values()]
             assert all(queued) and sum(queued) == cache._pending_count <= limit
+            assert len(cache.templates) <= netflow9.TEMPLATE_LIMIT
 
 
 class TestCollector:
