@@ -3,6 +3,7 @@ domain-profile detection over tumbling time windows."""
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
@@ -65,6 +66,8 @@ def slope_match(
     """Attribute an unwrapped test stream to the trained model with the
     closest per-index slope, within a relative tolerance. Ties are
     ambiguous and return None."""
+    if not (math.isfinite(rel_tolerance) and rel_tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and at least 0, got {rel_tolerance}")
     test = fit_slope(unwrapped_ids)
     candidates = []
     for sm in trained:
@@ -194,6 +197,8 @@ def domain_detect(
     """
     if window_s < 1:
         raise ValueError(f"window must be at least 1 s, got {window_s}")
+    if min_distinct < 1:
+        raise ValueError(f"min-distinct must be at least 1, got {min_distinct}")
     if not events:
         return []
     window_ms = window_s * 1000

@@ -66,6 +66,11 @@ def _load_artifacts(path: str) -> dict:
         raise DataError(f"artifact-error: {exc}") from exc
 
 
+def _or_na(rate) -> str:
+    """A rate or AUC for a summary line; None, when its class is absent, is n/a."""
+    return "n/a" if rate is None else str(rate)
+
+
 def cmd_synth(args) -> int:
     if os.path.exists(args.scenario):
         scenario = synth.load_scenario(args.scenario)
@@ -133,13 +138,8 @@ def cmd_evaluate(args) -> int:
     evaluation.emit_report(reports, args.out, curves)
     key = "p10" if args.threshold == "p10" else "default"
     for r in reports:
-        tpr = getattr(r, f"tpr_{key}")
-        fpr = getattr(r, f"fpr_{key}")
-        auc = r.roc_auc
-        print(
-            f"{r.model}: TPR={tpr if tpr is not None else 'n/a'} "
-            f"FPR={fpr if fpr is not None else 'n/a'} AUC={auc if auc is not None else 'n/a'}"
-        )
+        print(f"{r.model}: TPR={_or_na(getattr(r, f'tpr_{key}'))} "
+              f"FPR={_or_na(getattr(r, f'fpr_{key}'))} AUC={_or_na(r.roc_auc)}")
     print(f"report written to {args.out}")
     return 0
 
@@ -159,9 +159,11 @@ def cmd_detect(args) -> int:
         def sink(records):
             run_detector(records, artifacts, policy, selector, args.audit)
 
-        print(f"listening for NetFlow v9 on udp/{port}; Ctrl-C to stop", file=sys.stderr)
+        def ready():
+            print(f"listening for NetFlow v9 on udp/{port}; Ctrl-C to stop", file=sys.stderr)
+
         try:
-            netflow9.collect_udp(args.bind, port, sink, stop)
+            netflow9.collect_udp(args.bind, port, sink, stop, ready)
         except KeyboardInterrupt:
             stop.set()
         except OSError as exc:
@@ -215,7 +217,8 @@ def cmd_baseline(args) -> int:
     columns = sorted({k for row in rows for k in row})
     evaluation.write_rows(rows, columns, args.out, "baseline_report")
     for row in rows:
-        print(f"{row['model']}: TPR={row['tpr']} FPR={row['fpr']} ({row['method']})")
+        print(f"{row['model']}: TPR={_or_na(row['tpr'])} FPR={_or_na(row['fpr'])} "
+              f"({row['method']})")
     print(f"baseline report written to {args.out}")
     return 0
 

@@ -8,6 +8,7 @@ for thresholding is g = 0.5 - s (classify as the model iff g >= th).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -21,7 +22,7 @@ from natwatch.preprocess import FeatureSchema, InsufficientDataError
 
 EULER_GAMMA = 0.5772156649
 
-ARTIFACT_FORMAT_VERSION = 2
+ARTIFACT_FORMAT_VERSION = 3
 
 
 class ArtifactError(ValueError):
@@ -50,7 +51,7 @@ def c_factor(n: int) -> float:
     return 2.0 * _harmonic(n - 1) - 2.0 * (n - 1) / n
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """Internal node (split_dim >= 0) or external node (split_dim = -1).
     Only an external node has a `size`: the sample points that end in it."""
@@ -150,15 +151,18 @@ def path_length(tree: IsolationTree, x) -> float:
     return depth + c_factor(node.size)
 
 
-def _batch_paths(node: TreeNode, X: np.ndarray, idx: np.ndarray, depth: int, out: np.ndarray):
-    if idx.size == 0:
-        return
-    if node.is_leaf:
+def _batch_paths(node: TreeNode, cols: np.ndarray, idx: np.ndarray, depth: int, out: np.ndarray):
+    """Path lengths of the rows idx (not empty) of the column-major batch
+    cols, one row per feature, below node at depth."""
+    if node.split_dim < 0:
         out[idx] = depth + c_factor(node.size)
         return
-    mask = X[idx, node.split_dim] < node.split_value
-    _batch_paths(node.left, X, idx[mask], depth + 1, out)
-    _batch_paths(node.right, X, idx[~mask], depth + 1, out)
+    mask = cols[node.split_dim][idx] < node.split_value
+    left, right = idx[mask], idx[~mask]
+    if left.size:
+        _batch_paths(node.left, cols, left, depth + 1, out)
+    if right.size:
+        _batch_paths(node.right, cols, right, depth + 1, out)
 
 
 # Up to this many rows, each row walks each tree on Python floats (about
@@ -188,9 +192,9 @@ def anomaly_scores(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
                 h += path_length(tree, row)
             total[r] = h
     else:
-        paths, idx = np.empty(n), np.arange(n)
+        paths, idx, cols = np.empty(n), np.arange(n), np.ascontiguousarray(X.T)
         for tree in forest.trees:
-            _batch_paths(tree.root, X, idx, 0, paths)
+            _batch_paths(tree.root, cols, idx, 0, paths)
             total += paths
     mean_h = total / len(forest.trees)
     return np.power(2.0, -mean_h / c)
@@ -244,52 +248,59 @@ class ModelArtifact:
         return self.calibrated_thresholds[selector]
 
 
-def _node_to_preorder(node: TreeNode, out: list) -> list:
-    """Append the subtree's nodes in preorder: [dim, value] for an
-    internal node, [-1, size] for a leaf."""
-    if node.is_leaf:
-        out.append([-1, node.size])
-    else:
-        out.append([node.split_dim, node.split_value])
-        _node_to_preorder(node.left, out)
-        _node_to_preorder(node.right, out)
-    return out
-
-
-def _node_from_list(item, dimension: int, sample_count: int) -> TreeNode:
-    if type(item) is list and len(item) == 2:
-        dim, value = item
-        if dim == -1 and type(value) is int and 0 <= value <= sample_count:
-            return TreeNode(size=value)
-        if type(dim) is int and 0 <= dim < dimension and type(value) is float \
-                and math.isfinite(value):
-            return TreeNode(split_dim=dim, split_value=value)
-    raise ValueError(f"bad node {item!r:.60}")
-
-
-def _tree_from_preorder(nodes: list, dimension: int, sample_count: int) -> IsolationTree:
-    """Rebuild one tree from its preorder node list, rejecting any list
-    train_forest cannot write: a malformed node, a split on a dimension
-    the forest lacks, a leaf larger than the sample, a missing or extra
-    node, or a split at or below the height limit ceil(log2 psi)."""
-    height_limit = math.ceil(math.log2(sample_count))
-    root = None
-    waiting: list[tuple[TreeNode, int]] = []  # internal nodes short of a child, with depth
-    for item in nodes:
-        if root is not None and not waiting:
-            raise ValueError("nodes after the last leaf of a tree")
-        node = _node_from_list(item, dimension, sample_count)
-        depth = waiting[-1][1] + 1 if waiting else 0
-        if root is None:
-            root = node
-        elif waiting[-1][0].left is None:
-            waiting[-1][0].left = node
+def _tree_to_columns(root: TreeNode) -> list:
+    """The tree's nodes in preorder as two columns [dims, values]: a split
+    is its dim and value, a leaf is -1 and its size."""
+    dims, values, stack = [], [], [root]
+    while stack:
+        node = stack.pop()
+        if node.split_dim < 0:
+            dims.append(-1)
+            values.append(node.size)
         else:
-            waiting.pop()[0].right = node
-        if not node.is_leaf:
+            dims.append(node.split_dim)
+            values.append(node.split_value)
+            stack += (node.right, node.left)
+    return [dims, values]
+
+
+def _tree_from_columns(tree, dimension: int, sample_count: int, height_limit: int) -> IsolationTree:
+    """Rebuild one tree from its preorder columns [dims, values], rejecting
+    any tree train_forest cannot write: columns of another shape, a
+    malformed node, a split on a dimension the forest lacks, a leaf larger
+    than the sample, a missing or extra node, or a split at or below the
+    height limit."""
+    if type(tree) is not list or len(tree) != 2 or type(tree[0]) is not list \
+            or type(tree[1]) is not list or len(tree[0]) != len(tree[1]):
+        raise ValueError(f"a tree is not [dims, values] of equal length: {tree!r:.60}")
+    root = None
+    waiting: list[TreeNode] = []  # internal nodes short of a child
+    depths: list[int] = []  # the depth of each
+    for dim, value in zip(*tree):
+        if not waiting and root is not None:
+            raise ValueError("nodes after the last leaf of a tree")
+        # positional arguments: keywords double the cost of building a node
+        if dim == -1 and type(value) is int and 0 <= value <= sample_count:
+            node = TreeNode(-1, 0.0, value)
+        elif type(dim) is int and 0 <= dim < dimension and type(value) is float \
+                and math.isfinite(value):
+            node = TreeNode(dim, value)
+        else:
+            raise ValueError(f"bad node {[dim, value]!r:.60}")
+        if waiting:
+            depth = depths[-1] + 1
+            if waiting[-1].left is None:
+                waiting[-1].left = node
+            else:
+                waiting.pop().right = node
+                depths.pop()
+        else:
+            root, depth = node, 0
+        if dim != -1:
             if depth >= height_limit:
                 raise ValueError("a tree is deeper than its height limit")
-            waiting.append((node, depth))
+            waiting.append(node)
+            depths.append(depth)
     if root is None or waiting:
         raise ValueError("truncated node list")
     return IsolationTree(root)
@@ -300,7 +311,7 @@ def _forest_to_dict(forest: IsolationForest) -> dict:
         "sample_count": forest.sample_count,
         "master_seed": forest.master_seed,
         "dimension": forest.dimension,
-        "trees": [_node_to_preorder(t.root, []) for t in forest.trees],
+        "trees": [_tree_to_columns(t.root) for t in forest.trees],
     }
 
 
@@ -312,8 +323,9 @@ def _forest_from_dict(d: dict) -> IsolationForest:
         raise ValueError(f"sample_count {psi!r:.30} is not a row count")
     if type(trees) is not list or not trees:
         raise ValueError("a forest needs at least one tree")
+    height_limit = math.ceil(math.log2(psi))
     return IsolationForest(
-        trees=[_tree_from_preorder(nodes, dimension, psi) for nodes in trees],
+        trees=[_tree_from_columns(tree, dimension, psi, height_limit) for tree in trees],
         sample_count=psi,
         master_seed=int(d["master_seed"]),
         dimension=dimension,
@@ -373,6 +385,8 @@ def load_artifact(path) -> ModelArtifact:
         raise ArtifactError("corrupt-artifact: checksum mismatch")
     # A valid checksum shows the file is as written, not that a writer
     # with a working forest wrote it: every field is checked as decoded.
+    enabled = gc.isenabled()
+    gc.disable()  # the decode builds only acyclic trees, so a collection would find nothing
     try:
         return ModelArtifact(
             model=DeviceModelId.parse(payload["model"]),
@@ -387,3 +401,9 @@ def load_artifact(path) -> ModelArtifact:
         )
     except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         raise ArtifactError(f"corrupt-artifact: {type(exc).__name__}: {exc}") from exc
+    finally:
+        if enabled:
+            # the decoded nodes leave the young generation here, at the
+            # load's cost, not at the caller's next allocation
+            gc.collect(0)
+            gc.enable()

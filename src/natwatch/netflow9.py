@@ -244,14 +244,14 @@ def collect_udp(
     port: int,
     sink: Callable[[list[FlowRecord]], None],
     stop: threading.Event,
-    ready: Optional[threading.Event] = None,
+    ready: Optional[Callable[[], None]] = None,
 ) -> CollectorStats:
     """Receive NetFlow v9 over UDP until `stop` is set.
 
     Every datagram is decoded and its records handed to `sink` in
     arrival order; malformed datagrams are counted, not fatal. A port
     outside 0-65535 raises ValueError and bind failures propagate as
-    OSError, both at startup.
+    OSError, both at startup; `ready` is called once the socket is bound.
     """
     if not 0 <= port <= 65535:
         raise ValueError(f"bad-port: {port} is outside 0-65535")
@@ -262,7 +262,7 @@ def collect_udp(
         sock.bind((bind_addr, port))
         sock.settimeout(0.2)
         if ready is not None:
-            ready.set()
+            ready()
         while not stop.is_set():
             try:
                 datagram, _addr = sock.recvfrom(65535)

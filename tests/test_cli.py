@@ -187,6 +187,20 @@ class TestBaseline:
         rows = json.loads((out / "baseline_report.json").read_text())
         assert rows and all(r["method"] == "dns-domain" for r in rows)
 
+    def test_missing_rate_prints_as_n_a(self, synth_dir, tmp_path, capsys):
+        # a test set of one device has no positives for any other model
+        with open(synth_dir / "dns.jsonl") as fh:
+            lines = [line for line in fh if json.loads(line)["label"] == "speaker.Boomo.B_44"]
+        one = tmp_path / "one.jsonl"
+        one.write_text("".join(lines[:30]))
+        rc = main(["baseline", "domain", "--train", str(synth_dir / "dns.jsonl"),
+                   "--test", str(one), "--out", str(tmp_path / "domain")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "speaker.Boomo.B_44: TPR=1.0 FPR=n/a (dns-domain)" in out.splitlines()
+        assert "TPR=n/a FPR=0.0" in out
+        assert "None" not in out
+
 
 class TestSplit:
     def test_three_files_partition(self, synth_dir, tmp_path):
@@ -218,12 +232,19 @@ _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:
     ["detect", "--artifacts", "{artifact}", "--input", "udp:70000", "--audit", "{tmp}/a.jsonl"],
     ["baseline", "domain", "--train", "{synth}/dns.jsonl", "--test", "{synth}/dns.jsonl",
      "--out", "{tmp}/b", "--window", "0"],
+    ["baseline", "ipid", "--train", "{synth}/dns.jsonl", "--test", "{synth}/dns.jsonl",
+     "--out", "{tmp}/b", "--tolerance", "nan"],
+    ["baseline", "ipid", "--train", "{synth}/dns.jsonl", "--test", "{synth}/dns.jsonl",
+     "--out", "{tmp}/b", "--tolerance", "-0.1"],
+    ["baseline", "domain", "--train", "{synth}/dns.jsonl", "--test", "{synth}/dns.jsonl",
+     "--out", "{tmp}/b", "--min-distinct", "0"],
     ["split", "--data", "{synth}/flows.csv", "--ratios=inf,-inf,1", "--out-prefix", "{tmp}/p"],
     ["split", "--data", "{synth}/flows.csv", "--ratios=1.5,-0.5,0", "--out-prefix", "{tmp}/p"],
     ["synth", "--scenario", "{tmp}/empty.json", "--out", "{tmp}/s"],
     ["synth", "--scenario", "{tmp}/list.json", "--out", "{tmp}/s"],
     ["synth", "--scenario", "{tmp}/no_weights.json", "--out", "{tmp}/s"],
-], ids=["port-70000", "port-minus-1", "detect-udp-70000", "window-0", "ratios-inf",
+], ids=["port-70000", "port-minus-1", "detect-udp-70000", "window-0", "tolerance-nan",
+        "tolerance-negative", "min-distinct-0", "ratios-inf",
         "ratios-out-of-range", "scenario-empty", "scenario-list", "scenario-no-weights"])
 def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tmp_path, capsys):
     (tmp_path / "empty.json").write_text("{}")
@@ -237,6 +258,8 @@ def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tm
         err.splitlines()[-1]
     ]
     assert "Traceback" not in err
+    assert "listening" not in err  # nothing was bound
+    assert not (tmp_path / "b").exists()  # no baseline report was written
 
 
 class TestUsageErrors:

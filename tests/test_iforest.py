@@ -1,7 +1,10 @@
+import functools
+import gc
 import hashlib
 import json
 import math
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -214,11 +217,16 @@ def small_artifact():
 
 
 def _tree(payload) -> list:
+    """The first tree's preorder columns, [dims, values]."""
     return payload["forest"]["trees"][0]
 
 
+def _set_tree(payload, dims, values) -> None:
+    _tree(payload)[:] = [dims, values]
+
+
 def write_with_checksum(path, payload) -> None:
-    """Write payload as a format-2 artifact with a correct checksum, the
+    """Write payload as a format-3 artifact with a correct checksum, the
     way a tool that edits artifacts by hand would."""
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     doc = {"checksum": hashlib.sha256(body.encode()).hexdigest(),
@@ -266,6 +274,69 @@ def test_artifact_round_trip_keeps_g_and_bytes(train, queries, n_trees, subsampl
             normality_scores(forest, X).tolist()
 
 
+@functools.lru_cache(maxsize=1)
+def _saved_payload() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_artifact(small_artifact(), path)
+        with open(path) as fh:
+            return json.dumps(json.load(fh)["payload"])
+
+
+_COLUMN_EDITS = ["truncate", "extend", "swap-int-float", "dim-out-of-range", "not-a-list",
+                 "unequal-lengths"]
+
+
+def _edit_columns(data, tree: list, dimension: int) -> None:
+    """One random edit, in place, to a tree's preorder columns [dims, values]."""
+    dims, values = tree
+    edit = data.draw(st.sampled_from(_COLUMN_EDITS))
+    at = data.draw(st.integers(0, len(dims)))  # len(dims) only reached by truncate/extend
+    if edit == "truncate":
+        del dims[at:], values[at:]
+    elif edit == "extend":
+        dims.insert(at, data.draw(st.integers(-2, dimension + 1)))
+        values.insert(at, data.draw(st.one_of(st.integers(-1, 9), st.floats())))
+    elif at == len(dims):
+        return
+    elif edit == "swap-int-float":
+        column = data.draw(st.sampled_from(tree))
+        v = column[at]
+        column[at] = float(v) if type(v) is int else int(v) if math.isfinite(v) else 0
+    elif edit == "dim-out-of-range":
+        dims[at] = data.draw(st.one_of(st.integers(max_value=-2), st.integers(min_value=dimension)))
+    elif edit == "not-a-list":
+        junk = data.draw(st.sampled_from([None, 5, "x", {"k": 1}, [dims[at], values[at]]]))
+        if data.draw(st.booleans()):
+            tree[data.draw(st.integers(0, 1))] = junk  # a column
+        else:
+            dims[at] = junk  # a node
+    else:  # unequal lengths
+        data.draw(st.sampled_from(tree)).pop(at)
+
+
+@given(data=st.data())
+def test_edited_tree_columns_load_or_raise_artifact_error(data):
+    payload = json.loads(_saved_payload())
+    forest = payload["forest"]
+    tree = data.draw(st.sampled_from(forest["trees"]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not all(type(column) is list for column in tree):
+            break  # a column was replaced: nothing left to edit
+        _edit_columns(data, tree, forest["dimension"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "model.json")
+        write_with_checksum(path, payload)
+        try:
+            artifact = load_artifact(path)
+        except ArtifactError as exc:
+            assert str(exc).startswith("corrupt-artifact: ")
+            return
+    # an edit that keeps a tree train_forest could write still scores
+    X = np.zeros((ROW_WALK_MAX_ROWS + 1, forest["dimension"]))
+    assert np.all(np.isfinite(normality_scores(artifact.forest, X)))
+
+
 class TestArtifact:
     def test_round_trip_scores_identical(self, tmp_path):
         artifact = small_artifact()
@@ -307,7 +378,9 @@ class TestArtifact:
         path = tmp_path / "model.json"
         save_artifact(small_artifact(), path)
         doc = json.loads(path.read_text())
-        for version in (1, 99):  # format 1 stored fields scoring never read; retrain
+        # format 1 stored fields scoring never read, format 2 a list per
+        # node; retraining with the seed gives the same forest
+        for version in (1, 2, 99):
             doc["format_version"] = version
             path.write_text(json.dumps(doc))
             with pytest.raises(ArtifactError, match=f"unsupported-version:{version}"):
@@ -326,13 +399,17 @@ class TestArtifact:
     @pytest.mark.parametrize(
         "tamper, reason",
         [
-            (lambda p: _tree(p).pop(), "truncated node list"),
-            (lambda p: _tree(p).append([-1, 1]), "nodes after the last leaf"),
-            (lambda p: _tree(p).__setitem__(0, [999, 0.5]), "bad node"),
-            (lambda p: _tree(p).__setitem__(0, 5), "bad node"),
-            (lambda p: _tree(p).__setitem__(slice(None), [[-1, 4]]), "bad node"),  # 4 > psi
-            (lambda p: _tree(p).__setitem__(slice(None), [[0, 0.5], [-1, 1]] * 3 + [[-1, 0]]),
+            (lambda p: [column.pop() for column in _tree(p)], "truncated node list"),
+            (lambda p: [column.append(x) for column, x in zip(_tree(p), (-1, 1))],
+             "nodes after the last leaf"),
+            (lambda p: _tree(p)[0].__setitem__(0, 999), "bad node"),
+            # a format-2 node, [dim, value], standing in a column
+            (lambda p: _tree(p)[0].__setitem__(0, [0, 0.5]), "bad node"),
+            (lambda p: _set_tree(p, [-1], [4]), "bad node"),  # 4 > psi
+            (lambda p: _set_tree(p, [0, -1] * 3 + [-1], [0.5, 1] * 3 + [0]),
              "deeper than its height limit"),
+            (lambda p: _tree(p).append([]), r"not \[dims, values\]"),
+            (lambda p: _tree(p)[1].pop(), r"not \[dims, values\]"),
             (lambda p: p["forest"].update(trees=[]), "at least one tree"),
             (lambda p: p["forest"].update(sample_count=0), "sample_count"),
             (lambda p: p["schema"]["numeric_ranges"].pop("in_bytes"), "schema features"),
@@ -342,9 +419,9 @@ class TestArtifact:
             (lambda p: p.update(training_flow_count=float("inf")), "OverflowError"),
         ],
         ids=["truncated", "trailing-node", "split-dim-999", "node-not-a-list",
-             "leaf-over-sample", "too-deep", "no-trees", "sample-count-0",
-             "missing-numeric-range", "extra-categorical", "missing-model", "nan-threshold",
-             "inf-count"],
+             "leaf-over-sample", "too-deep", "three-columns", "unequal-columns", "no-trees",
+             "sample-count-0", "missing-numeric-range", "extra-categorical", "missing-model",
+             "nan-threshold", "inf-count"],
     )
     def test_checksum_valid_tampering_is_corrupt(self, tmp_path, tamper, reason):
         path = tmp_path / "model.json"
@@ -356,6 +433,49 @@ class TestArtifact:
         write_with_checksum(path, payload)
         with pytest.raises(ArtifactError, match=f"^corrupt-artifact: .*{reason}"):
             load_artifact(path)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["loads", "corrupt"])
+    def test_load_pauses_and_restores_the_collector(self, tmp_path, monkeypatch, enabled,
+                                                    corrupt):
+        artifact = small_artifact()
+        # thousands of nodes, more than the young generation's threshold
+        X = np.random.default_rng(13).uniform(size=(256, artifact.schema.dimension))
+        artifact.forest = train_forest(X, n_trees=20, subsample=256, master_seed=0)
+        path = tmp_path / "model.json"
+        save_artifact(artifact, path)
+        if corrupt:
+            payload = json.loads(path.read_text())["payload"]
+            _tree(payload)[0][-1] = 999
+            write_with_checksum(path, payload)
+        during = []
+        decode = iforest._forest_from_dict
+        monkeypatch.setattr(iforest, "_forest_from_dict",
+                            lambda d: during.append(gc.isenabled()) or decode(d))
+        collections = []
+
+        def record(phase, info):
+            collections.append(phase)
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if corrupt:
+                with pytest.raises(ArtifactError, match="corrupt-artifact"):
+                    load_artifact(path)
+            else:
+                loaded = load_artifact(path)  # kept, so its nodes stay tracked
+            assert gc.isenabled() is enabled
+            gc.callbacks.append(record)
+            try:
+                [[] for _ in range(3)]  # the caller's next allocations
+            finally:
+                gc.callbacks.remove(record)
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False]
+        assert collections == []  # no collection was left for the caller's allocations
+        assert corrupt or loaded.forest.trees
 
     def test_threshold_selectors(self):
         artifact = small_artifact()

@@ -261,7 +261,7 @@ class TestCollector:
         s.close()
 
     def _run_collector(self, port, sink, stop, ready):
-        return netflow9.collect_udp("127.0.0.1", port, sink, stop, ready=ready)
+        return netflow9.collect_udp("127.0.0.1", port, sink, stop, ready=ready.set)
 
     def test_delivery_order_and_malformed_counting(self):
         received = []
