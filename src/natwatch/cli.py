@@ -16,8 +16,20 @@ import threading
 import time
 
 from natwatch import baselines, evaluation, ingest, netflow9, synth
-from natwatch.detect import ActionPolicy, TrainConfig, run_detector, train_pipeline
-from natwatch.flowdata import DeviceModelId, FlowDataset, chronological_split
+from natwatch.detect import (
+    ActionPolicy,
+    TrainConfig,
+    calibrate_threshold,
+    run_detector,
+    train_pipeline,
+)
+from natwatch.flowdata import (
+    DeviceModelId,
+    FlowDataset,
+    LabeledFlow,
+    chronological_split,
+    filter_model,
+)
 from natwatch.iforest import ArtifactError, load_artifact, save_artifact
 
 
@@ -34,25 +46,26 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _load_dataset(path: str) -> FlowDataset:
+def _load(parse, path: str, kind: str, unit: str):
+    """What parse(path) accepts of the file. A missing file or one parse
+    refuses whole is a data error; the rejected count is one warning."""
     if not os.path.exists(path):
         raise DataError(f"no-such-file: {path}")
     try:
-        dataset, rejected = ingest.parse_flow_csv(path)
+        records, rejected = parse(path)
     except ValueError as exc:
-        raise DataError(f"csv-error: {exc}") from exc
+        raise DataError(f"{kind}-error: {exc}") from exc
     if rejected:
-        print(f"warning: {len(rejected)} rejected rows in {path}", file=sys.stderr)
-    return dataset
+        print(f"warning: {len(rejected)} rejected {unit} in {path}", file=sys.stderr)
+    return records
+
+
+def _load_dataset(path: str) -> FlowDataset:
+    return _load(ingest.parse_flow_csv, path, "csv", "rows")
 
 
 def _load_dns(path: str):
-    if not os.path.exists(path):
-        raise DataError(f"no-such-file: {path}")
-    events, rejected = ingest.parse_dns_jsonl(path)
-    if rejected:
-        print(f"warning: {len(rejected)} rejected lines in {path}", file=sys.stderr)
-    return events
+    return _load(ingest.parse_dns_jsonl, path, "dns", "lines")
 
 
 def _load_artifacts(path: str) -> dict:
@@ -111,9 +124,6 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     artifact = load_artifact(args.artifact)
     validation = _load_dataset(args.validation)
-    from natwatch.detect import calibrate_threshold
-    from natwatch.flowdata import filter_model
-
     model_flows = filter_model(validation, artifact.model)
     if len(model_flows) == 0:
         raise DataError(f"insufficient-data: no {artifact.model} flows in validation")
@@ -191,8 +201,6 @@ def cmd_collect(args) -> int:
         raise DataError(f"bind-error: {exc}") from exc
     finally:
         timer.cancel()  # a pending timer would keep the process alive until it fired
-    from natwatch.flowdata import LabeledFlow
-
     dataset = FlowDataset(
         [LabeledFlow(flow=f, label=None, source_mac=f.src_ip) for f in collected]
     )

@@ -375,7 +375,8 @@ def load_artifact(path) -> ModelArtifact:
     try:
         doc = json.loads(data)
         version, checksum, payload = doc["format_version"], doc["checksum"], doc["payload"]
-    except (ValueError, KeyError, TypeError) as exc:
+    # RecursionError: JSON nested deeper than the parser's stack
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ArtifactError(f"corrupt-artifact: {exc}") from exc
     if version != ARTIFACT_FORMAT_VERSION:
         raise ArtifactError(f"unsupported-version:{version}")

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Optional
+from operator import attrgetter
+from typing import Optional, get_type_hints
 
 from natwatch.flowdata import (
     DeviceInventory,
@@ -17,34 +19,36 @@ from natwatch.flowdata import (
     parse_label,
 )
 
-MANDATORY_COLUMNS = [
-    "INPUT_INTERFACE",
-    "SRC_IP",
-    "DST_IP",
-    "PROTOCOL",
-    "L4_SRC_PORT",
-    "L4_DST_PORT",
-    "IN_BYTES",
-    "OUT_BYTES",
-    "SRC_TOS",
-    "DST_TOS",
-    "L7_PROTO_NAME",
-    "FLOW_START_MILLISECONDS",
-    "FLOW_END_MILLISECONDS",
-]
+# The flow CSV columns in the order write_flow_csv writes them, each with
+# the FlowRecord field it holds. All are mandatory but the last, TOS,
+# which falls back to SRC_TOS.
+FLOW_COLUMNS = (
+    ("INPUT_INTERFACE", "ingress_interface"),
+    ("SRC_IP", "src_ip"),
+    ("DST_IP", "dst_ip"),
+    ("PROTOCOL", "ip_protocol"),
+    ("L4_SRC_PORT", "src_port"),
+    ("L4_DST_PORT", "dst_port"),
+    ("IN_BYTES", "in_bytes"),
+    ("OUT_BYTES", "out_bytes"),
+    ("SRC_TOS", "src_tos"),
+    ("DST_TOS", "dst_tos"),
+    ("L7_PROTO_NAME", "l7_proto_name"),
+    ("FLOW_START_MILLISECONDS", "flow_start_ms"),
+    ("FLOW_END_MILLISECONDS", "flow_end_ms"),
+    ("TOS", "tos"),
+)
+# Optional columns after the record's: the label, which falls back to the
+# inventory's model for SRC_IP, and the source MAC, which falls back to
+# the inventory's MAC, then to SRC_IP.
+LABEL_COLUMN, MAC_COLUMN = "LABEL", "SRC_MAC"
 
-_INT_COLUMNS = [
-    "INPUT_INTERFACE",
-    "PROTOCOL",
-    "L4_SRC_PORT",
-    "L4_DST_PORT",
-    "IN_BYTES",
-    "OUT_BYTES",
-    "SRC_TOS",
-    "DST_TOS",
-    "FLOW_START_MILLISECONDS",
-    "FLOW_END_MILLISECONDS",
-]
+MANDATORY_COLUMNS = [column for column, _ in FLOW_COLUMNS[:-1]]
+_TOS_COLUMN = FLOW_COLUMNS[-1][0]
+_FIELD_TYPES = get_type_hints(FlowRecord)
+_INT_COLUMNS = [(c, name) for c, name in FLOW_COLUMNS[:-1] if _FIELD_TYPES[name] is int]
+_TEXT_COLUMNS = [(c, name) for c, name in FLOW_COLUMNS[:-1] if _FIELD_TYPES[name] is str]
+_FLOW_CELLS = attrgetter(*(name for _, name in FLOW_COLUMNS))
 
 
 class MissingColumnError(ValueError):
@@ -73,65 +77,60 @@ def parse_flow_csv(
     rejected: list[RejectedRow] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        try:
+            header = reader.fieldnames
+        except csv.Error as exc:
+            raise ValueError(f"unreadable header: {exc}") from None
+        if header is None:
             return FlowDataset([]), []
         for col in MANDATORY_COLUMNS:
-            if col not in reader.fieldnames:
+            if col not in header:
                 raise MissingColumnError(col)
-        has_label = "LABEL" in reader.fieldnames
-        has_mac = "SRC_MAC" in reader.fieldnames
-        has_tos = "TOS" in reader.fieldnames
-        for line_no, row in enumerate(reader, start=2):
-            values: dict[str, int] = {}
-            bad = None
-            for col in _INT_COLUMNS:
-                try:
-                    values[col] = int(row[col])
-                except (TypeError, ValueError):
-                    bad = f"parse-error:{col}"
-                    break
-            if bad is not None:
-                rejected.append(RejectedRow(line_no, bad))
+        has_label = LABEL_COLUMN in header
+        has_mac = MAC_COLUMN in header
+        has_tos = _TOS_COLUMN in header
+        rows = iter(reader)
+        for line_no in itertools.count(2):
+            try:
+                row = next(rows)
+            except StopIteration:
+                break
+            except csv.Error as exc:  # a field over the size limit; the reader resumes after it
+                rejected.append(RejectedRow(line_no, f"csv-error:{exc}"))
                 continue
-            if values["FLOW_END_MILLISECONDS"] < values["FLOW_START_MILLISECONDS"]:
+            values: dict = {}
+            try:
+                for col, name in _INT_COLUMNS:
+                    values[name] = int(row[col])
+            except (TypeError, ValueError):
+                rejected.append(RejectedRow(line_no, f"parse-error:{col}"))
+                continue
+            if values["flow_end_ms"] < values["flow_start_ms"]:
                 rejected.append(RejectedRow(line_no, "negative-duration"))
                 continue
-            tos = values["SRC_TOS"]
-            if has_tos and row["TOS"]:
+            values["tos"] = values["src_tos"]
+            if has_tos and row[_TOS_COLUMN]:
                 try:
-                    tos = int(row["TOS"])
+                    values["tos"] = int(row[_TOS_COLUMN])
                 except ValueError:
-                    rejected.append(RejectedRow(line_no, "parse-error:TOS"))
+                    rejected.append(RejectedRow(line_no, f"parse-error:{_TOS_COLUMN}"))
                     continue
+            for col, name in _TEXT_COLUMNS:
+                values[name] = row[col]
             try:
-                flow = FlowRecord(
-                    ingress_interface=values["INPUT_INTERFACE"],
-                    src_ip=row["SRC_IP"],
-                    dst_ip=row["DST_IP"],
-                    ip_protocol=values["PROTOCOL"],
-                    src_port=values["L4_SRC_PORT"],
-                    dst_port=values["L4_DST_PORT"],
-                    tos=tos,
-                    in_bytes=values["IN_BYTES"],
-                    out_bytes=values["OUT_BYTES"],
-                    src_tos=values["SRC_TOS"],
-                    dst_tos=values["DST_TOS"],
-                    l7_proto_name=row["L7_PROTO_NAME"],
-                    flow_start_ms=values["FLOW_START_MILLISECONDS"],
-                    flow_end_ms=values["FLOW_END_MILLISECONDS"],
-                )
+                flow = FlowRecord(**values)
             except ValueError as exc:
                 rejected.append(RejectedRow(line_no, f"invalid-field:{exc}"))
                 continue
 
             label: Optional[Label] = None
-            mac = row.get("SRC_MAC", "") if has_mac else ""
+            mac = row[MAC_COLUMN] if has_mac else ""
             entry = inventory.by_ip(flow.src_ip) if inventory is not None else None
-            if has_label and row["LABEL"]:
+            if has_label and row[LABEL_COLUMN]:
                 try:
-                    label = parse_label(row["LABEL"])
+                    label = parse_label(row[LABEL_COLUMN])
                 except ValueError:
-                    rejected.append(RejectedRow(line_no, "parse-error:LABEL"))
+                    rejected.append(RejectedRow(line_no, f"parse-error:{LABEL_COLUMN}"))
                     continue
             elif entry is not None:
                 label = entry.model
@@ -143,32 +142,12 @@ def parse_flow_csv(
 
 def write_flow_csv(dataset: FlowDataset, path) -> None:
     """Write a FlowDataset in the same CSV schema parse_flow_csv reads."""
-    columns = MANDATORY_COLUMNS + ["TOS", "LABEL", "SRC_MAC"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow([column for column, _ in FLOW_COLUMNS] + [LABEL_COLUMN, MAC_COLUMN])
         for lf in dataset.flows:
-            f = lf.flow
-            writer.writerow(
-                [
-                    f.ingress_interface,
-                    f.src_ip,
-                    f.dst_ip,
-                    f.ip_protocol,
-                    f.src_port,
-                    f.dst_port,
-                    f.in_bytes,
-                    f.out_bytes,
-                    f.src_tos,
-                    f.dst_tos,
-                    f.l7_proto_name,
-                    f.flow_start_ms,
-                    f.flow_end_ms,
-                    f.tos,
-                    format_label(lf.label) if lf.label is not None else "",
-                    lf.source_mac,
-                ]
-            )
+            label = format_label(lf.label) if lf.label is not None else ""
+            writer.writerow(_FLOW_CELLS(lf.flow) + (label, lf.source_mac))
 
 
 @dataclass(frozen=True)
@@ -193,6 +172,18 @@ def normalize_qname(qname: str) -> str:
     return qname.lower().rstrip(".")
 
 
+# The DNS JSONL keys in the order write_dns_jsonl writes them: (key,
+# DnsEvent field, converter from the parsed JSON value). An optional
+# "label" key follows them.
+_DNS_KEYS = (
+    ("ts_ms", "timestamp_ms", int),
+    ("src_ip", "observed_src_ip", str),
+    ("ip_id", "ip_id", int),
+    ("resolver_ip", "resolver_ip", str),
+    ("qname", "qname", lambda qname: normalize_qname(str(qname))),
+)
+
+
 def parse_dns_jsonl(path) -> tuple[list[DnsEvent], list[RejectedRow]]:
     """Parse DNS events from a JSONL file, one object per line.
 
@@ -212,14 +203,11 @@ def parse_dns_jsonl(path) -> tuple[list[DnsEvent], list[RejectedRow]]:
                 obj = json.loads(line)
                 label = parse_label(obj["label"]) if obj.get("label") else None
                 event = DnsEvent(
-                    timestamp_ms=int(obj["ts_ms"]),
-                    observed_src_ip=str(obj["src_ip"]),
-                    ip_id=int(obj["ip_id"]),
-                    resolver_ip=str(obj["resolver_ip"]),
-                    qname=normalize_qname(str(obj["qname"])),
-                    label=label,
+                    **{name: convert(obj[key]) for key, name, convert in _DNS_KEYS}, label=label
                 )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            # RecursionError: JSON nested deeper than the parser's stack
+            except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
+                    ValueError) as exc:
                 rejected.append(RejectedRow(line_no, f"malformed:{exc}"))
                 continue
             events.append(event)
@@ -229,13 +217,7 @@ def parse_dns_jsonl(path) -> tuple[list[DnsEvent], list[RejectedRow]]:
 def write_dns_jsonl(events: list[DnsEvent], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for e in events:
-            obj = {
-                "ts_ms": e.timestamp_ms,
-                "src_ip": e.observed_src_ip,
-                "ip_id": e.ip_id,
-                "resolver_ip": e.resolver_ip,
-                "qname": e.qname,
-            }
+            obj = {key: getattr(e, name) for key, name, _ in _DNS_KEYS}
             if e.label is not None:
                 obj["label"] = format_label(e.label)
             fh.write(json.dumps(obj) + "\n")

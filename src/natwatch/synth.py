@@ -4,7 +4,7 @@ DNS event streams for desk-scale testing of the whole pipeline."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -43,13 +43,13 @@ class ModelTrafficSpec:
     port_weights: dict[int, float]
     protocol_weights: dict[int, float]
     l7_weights: dict[str, float]
+    macs: list[str]
     src_tos: int = 0
     dst_tos: int = 0
     in_bytes_lognorm: tuple[float, float] = (6.0, 0.6)
     out_bytes_lognorm: tuple[float, float] = (5.0, 0.6)
     duration_lognorm_ms: tuple[float, float] = (10.0, 0.5)
     mean_iat_s: float = 60.0
-    macs: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         name = format_label(self.label)
@@ -71,8 +71,8 @@ class DnsModelSpec:
 
     label: Label
     slope_per_request: float
-    noise: int
     qnames: list[str]
+    noise: int = 0
     mean_iat_s: float = 30.0
     resolver_ip: str = "8.8.8.8"
     macs: list[str] = field(default_factory=list)
@@ -216,104 +216,80 @@ def generate_dns(scenario: ScenarioSpec) -> list[DnsEvent]:
 # ---------------------------------------------------------------------------
 # Scenario (de)serialization and built-in presets
 
+def _encode(value):
+    """value as JSON data: a dataclass as an object of its fields in
+    declaration order, a label in canonical form, and map keys as
+    strings."""
+    if isinstance(value, DeviceModelId):
+        return value.canonical()
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _encode(v) for k, v in value.items()}
+    return value
+
+
 def scenario_to_dict(s: ScenarioSpec) -> dict:
-    return {
-        "name": s.name,
-        "flows_per_device": s.flows_per_device,
-        "seed": s.seed,
-        "overlap_pairs": [list(p) for p in s.overlap_pairs],
-        "dns_events_per_device": s.dns_events_per_device,
-        "specs": [
-            {
-                "label": format_label(m.label),
-                "port_weights": {str(k): v for k, v in m.port_weights.items()},
-                "protocol_weights": {str(k): v for k, v in m.protocol_weights.items()},
-                "l7_weights": m.l7_weights,
-                "src_tos": m.src_tos,
-                "dst_tos": m.dst_tos,
-                "in_bytes_lognorm": list(m.in_bytes_lognorm),
-                "out_bytes_lognorm": list(m.out_bytes_lognorm),
-                "duration_lognorm_ms": list(m.duration_lognorm_ms),
-                "mean_iat_s": m.mean_iat_s,
-                "macs": m.macs,
-            }
-            for m in s.specs
-        ],
-        "dns": [
-            {
-                "label": format_label(d.label),
-                "slope_per_request": d.slope_per_request,
-                "noise": d.noise,
-                "qnames": d.qnames,
-                "mean_iat_s": d.mean_iat_s,
-                "resolver_ip": d.resolver_ip,
-                "macs": d.macs,
-            }
-            for d in s.dns
-        ],
-    }
+    return _encode(s)
 
 
-_REQUIRED = object()
-
-
-def _field(obj, key: str, convert=lambda v: v, default=_REQUIRED):
-    """convert(obj[key]), or convert(default) when the key is absent and
-    a default is given. A missing or malformed field raises ConfigError
-    naming it."""
-    try:
-        return convert(obj[key] if default is _REQUIRED or key in obj else default)
-    except KeyError:
-        raise ConfigError(f"scenario: missing field {key!r}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ConfigError(f"scenario: malformed field {key!r}: {exc}") from None
+def _decode(cls, obj):
+    """The cls that obj, a scenario_to_dict object, describes: each field
+    present passes through its converter in _DECODERS, and each absent
+    one takes the dataclass default. A missing or malformed field raises
+    ConfigError naming it."""
+    kwargs = {}
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        try:
+            if required or f.name in obj:
+                kwargs[f.name] = _DECODERS[f.name](obj[f.name])
+        except KeyError:
+            raise ConfigError(f"scenario: missing field {f.name!r}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ConfigError(f"scenario: malformed field {f.name!r}: {exc}") from None
+    return cls(**kwargs)
 
 
 def _weights(key_type):
     return lambda w: {key_type(k): float(v) for k, v in w.items()}
 
 
-def _traffic_spec_from_dict(m) -> ModelTrafficSpec:
-    return ModelTrafficSpec(
-        label=_field(m, "label", parse_label),
-        port_weights=_field(m, "port_weights", _weights(int)),
-        protocol_weights=_field(m, "protocol_weights", _weights(int)),
-        l7_weights=_field(m, "l7_weights", _weights(str)),
-        src_tos=_field(m, "src_tos", int, 0),
-        dst_tos=_field(m, "dst_tos", int, 0),
-        in_bytes_lognorm=_field(m, "in_bytes_lognorm", tuple, (6.0, 0.6)),
-        out_bytes_lognorm=_field(m, "out_bytes_lognorm", tuple, (5.0, 0.6)),
-        duration_lognorm_ms=_field(m, "duration_lognorm_ms", tuple, (10.0, 0.5)),
-        mean_iat_s=_field(m, "mean_iat_s", float, 60.0),
-        macs=_field(m, "macs", list),
-    )
-
-
-def _dns_spec_from_dict(x) -> DnsModelSpec:
-    return DnsModelSpec(
-        label=_field(x, "label", parse_label),
-        slope_per_request=_field(x, "slope_per_request", float),
-        noise=_field(x, "noise", int, 0),
-        qnames=_field(x, "qnames", list),
-        mean_iat_s=_field(x, "mean_iat_s", float, 30.0),
-        resolver_ip=_field(x, "resolver_ip", str, "8.8.8.8"),
-        macs=_field(x, "macs", list, []),
-    )
+# One converter from JSON data per field name of the scenario dataclasses;
+# a name shared by two of them means the same thing in both.
+_DECODERS = {
+    "name": str,
+    "specs": lambda specs: [_decode(ModelTrafficSpec, m) for m in specs],
+    "flows_per_device": int,
+    "seed": int,
+    "overlap_pairs": lambda pairs: [tuple(p) for p in pairs],
+    "dns": lambda specs: [_decode(DnsModelSpec, x) for x in specs],
+    "dns_events_per_device": int,
+    "label": parse_label,
+    "port_weights": _weights(int),
+    "protocol_weights": _weights(int),
+    "l7_weights": _weights(str),
+    "macs": list,
+    "src_tos": int,
+    "dst_tos": int,
+    "in_bytes_lognorm": tuple,
+    "out_bytes_lognorm": tuple,
+    "duration_lognorm_ms": tuple,
+    "mean_iat_s": float,
+    "slope_per_request": float,
+    "qnames": list,
+    "noise": int,
+    "resolver_ip": str,
+}
 
 
 def scenario_from_dict(d: dict) -> ScenarioSpec:
     """The scenario a scenario_to_dict document describes. A missing or
     malformed field raises ConfigError naming the field; a spec that
     fails a spec check is named by its list, "specs" or "dns"."""
-    return ScenarioSpec(
-        name=_field(d, "name"),
-        flows_per_device=_field(d, "flows_per_device", int, 1000),
-        seed=_field(d, "seed", int, 0),
-        overlap_pairs=_field(d, "overlap_pairs", lambda ps: [tuple(p) for p in ps], []),
-        dns_events_per_device=_field(d, "dns_events_per_device", int, 200),
-        specs=_field(d, "specs", lambda ms: [_traffic_spec_from_dict(m) for m in ms]),
-        dns=_field(d, "dns", lambda xs: [_dns_spec_from_dict(x) for x in xs], []),
-    )
+    return _decode(ScenarioSpec, d)
 
 
 def save_scenario(scenario: ScenarioSpec, path) -> None:
@@ -323,7 +299,11 @@ def save_scenario(scenario: ScenarioSpec, path) -> None:
 
 def load_scenario(path) -> ScenarioSpec:
     with open(path, encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:  # JSON nested deeper than the parser's stack
+            raise ConfigError(f"scenario: {exc}") from None
+    return scenario_from_dict(doc)
 
 
 _DEVICE_TYPES = [

@@ -243,10 +243,15 @@ _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:
     ["synth", "--scenario", "{tmp}/empty.json", "--out", "{tmp}/s"],
     ["synth", "--scenario", "{tmp}/list.json", "--out", "{tmp}/s"],
     ["synth", "--scenario", "{tmp}/no_weights.json", "--out", "{tmp}/s"],
+    ["synth", "--scenario", "{tmp}/deep.json", "--out", "{tmp}/s"],
+    ["evaluate", "--artifacts", "{tmp}/deep.json", "--test", "{synth}/flows.csv",
+     "--out", "{tmp}/e"],
 ], ids=["port-70000", "port-minus-1", "detect-udp-70000", "window-0", "tolerance-nan",
         "tolerance-negative", "min-distinct-0", "ratios-inf",
-        "ratios-out-of-range", "scenario-empty", "scenario-list", "scenario-no-weights"])
+        "ratios-out-of-range", "scenario-empty", "scenario-list", "scenario-no-weights",
+        "scenario-deep", "artifact-deep"])
 def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tmp_path, capsys):
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "no_weights.json").write_text(json.dumps(_NO_WEIGHTS))

@@ -365,6 +365,12 @@ class TestArtifact:
         with pytest.raises(ArtifactError, match="corrupt-artifact"):
             load_artifact(path)
 
+    def test_deeply_nested_json_is_corrupt(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ArtifactError, match="^corrupt-artifact: "):
+            load_artifact(path)
+
     def test_tampered_payload_fails_checksum(self, tmp_path):
         path = tmp_path / "model.json"
         save_artifact(small_artifact(), path)

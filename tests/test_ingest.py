@@ -1,10 +1,24 @@
+import csv
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from natwatch.flowdata import NON_IOT, DeviceInventory, InventoryEntry
+from natwatch.flowdata import (
+    NON_IOT,
+    DeviceInventory,
+    DeviceModelId,
+    FlowDataset,
+    FlowRecord,
+    InventoryEntry,
+    LabeledFlow,
+)
 from natwatch.ingest import (
     MissingColumnError,
+    normalize_qname,
     parse_dns_jsonl,
     parse_flow_csv,
     write_dns_jsonl,
@@ -116,6 +130,19 @@ class TestParseFlowCsv:
         ds, rejected = parse_flow_csv(path)
         assert len(ds) + len(rejected) == len(rows)
 
+    def test_oversized_field_is_one_rejection_and_the_next_row_parses(self, tmp_path):
+        valid = "1,192.168.1.5,8.8.8.8,17,40000,53,812,0,0,0,DNS,1000,4000"
+        long = valid.replace("DNS", "x" * (csv.field_size_limit() + 1))
+        path = write_csv(tmp_path, [long, valid])
+        ds, rejected = parse_flow_csv(path)
+        assert [(r.line_no, r.reason.split(":")[0]) for r in rejected] == [(2, "csv-error")]
+        assert [lf.flow.l7_proto_name for lf in ds] == ["DNS"]
+
+    def test_oversized_header_is_value_error(self, tmp_path):
+        path = write_csv(tmp_path, [], header=HEADER + "," + "x" * (csv.field_size_limit() + 1))
+        with pytest.raises(ValueError, match="unreadable header"):
+            parse_flow_csv(path)
+
     def test_round_trip_through_writer(self, tmp_path):
         original = dataset(
             make_labeled(label=WEBCAM),
@@ -163,6 +190,14 @@ class TestParseDnsJsonl:
         events, rejected = parse_dns_jsonl(path)
         assert events == [] and len(rejected) == 1
 
+    def test_deeply_nested_line_is_one_rejection(self, tmp_path):
+        path = tmp_path / "dns.jsonl"
+        valid = '{"ts_ms":1,"src_ip":"a","ip_id":7,"resolver_ip":"b","qname":"x.com"}'
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n" + valid + "\n")
+        events, rejected = parse_dns_jsonl(path)
+        assert [e.qname for e in events] == ["x.com"]
+        assert [(r.line_no, r.reason.split(":")[0]) for r in rejected] == [(1, "malformed")]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "dns.jsonl"
         path.write_text("")
@@ -178,3 +213,118 @@ class TestParseDnsJsonl:
         parsed, rejected = parse_dns_jsonl(path)
         assert rejected == []
         assert parsed == events
+
+
+_text = st.text(st.characters(codec="utf-8"), max_size=10)
+_segment = _text.filter(lambda s: s and "." not in s)
+_labels = st.one_of(st.none(), st.just(NON_IOT), st.builds(DeviceModelId, _segment, _segment,
+                                                              _segment))
+_byte = st.integers(0, 255)
+_port = st.integers(0, 65535)
+_count = st.integers(0, 2**64)
+_ms = st.integers(-(2**62), 2**62)
+
+
+@st.composite
+def _labeled_flows(draw):
+    start = draw(_ms)
+    flow = FlowRecord(
+        ingress_interface=draw(st.integers(-(2**63), 2**63)), src_ip=draw(_text),
+        dst_ip=draw(_text), ip_protocol=draw(_byte), src_port=draw(_port),
+        dst_port=draw(_port), tos=draw(_byte), in_bytes=draw(_count), out_bytes=draw(_count),
+        src_tos=draw(_byte), dst_tos=draw(_byte), l7_proto_name=draw(_text),
+        flow_start_ms=start, flow_end_ms=start + draw(st.integers(0, 2**40)),
+    )
+    return LabeledFlow(flow=flow, label=draw(_labels), source_mac=draw(_text.filter(bool)))
+
+
+@given(flows=st.lists(_labeled_flows(), max_size=8))
+def test_written_flows_parse_back_unchanged(flows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "flows.csv")
+        write_flow_csv(FlowDataset(flows), path)
+        parsed, rejected = parse_flow_csv(path)
+    assert rejected == []
+    assert parsed.flows == flows
+
+
+_cells = st.one_of(_text, st.integers(-10, 70_000).map(str), st.sampled_from(["", NON_IOT, "a.b.c"]))
+
+
+@given(
+    flows=st.lists(_labeled_flows(), max_size=5),
+    edits=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), _cells), max_size=8),
+    extra=st.lists(st.lists(_cells, min_size=1, max_size=18), max_size=5),
+)
+def test_any_written_rows_parse_or_are_rejected(flows, edits, extra):
+    """Valid rows with some cells replaced, then rows of arbitrary cells:
+    each data row becomes a flow or a rejection, and nothing raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "flows.csv")
+        write_flow_csv(FlowDataset(flows), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        for row_at, cell_at, cell in edits:
+            if rows:
+                row = rows[row_at % len(rows)]
+                row[cell_at % len(row)] = cell
+        rows += extra
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        parsed, rejected = parse_flow_csv(path)
+    assert len(parsed) + len(rejected) == len(rows)
+
+
+_qnames = _text.map(normalize_qname).filter(lambda q: q and normalize_qname(q) == q)
+_dns_events = st.builds(
+    DnsEvent, timestamp_ms=_ms, observed_src_ip=_text, ip_id=_port, resolver_ip=_text,
+    qname=_qnames, label=_labels,
+)
+
+
+@given(events=st.lists(_dns_events, max_size=8))
+def test_written_dns_events_parse_back_unchanged(events):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dns.jsonl")
+        write_dns_jsonl(events, path)
+        parsed, rejected = parse_dns_jsonl(path)
+    assert rejected == []
+    assert parsed == events
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=6,
+)
+_DNS_KEYS = ["ts_ms", "src_ip", "ip_id", "resolver_ip", "qname", "label"]
+
+
+@st.composite
+def _dns_lines(draw):
+    """A line of any text, of any JSON, or of a valid event with one key
+    dropped or given any JSON value."""
+    kind = draw(st.sampled_from(["text", "json", "edited"]))
+    if kind == "text":
+        return draw(st.text(st.characters(codec="utf-8", exclude_characters="\r\n")))
+    if kind == "json":
+        return json.dumps(draw(_json))
+    event = draw(_dns_events)
+    obj = {"ts_ms": event.timestamp_ms, "src_ip": event.observed_src_ip, "ip_id": event.ip_id,
+           "resolver_ip": event.resolver_ip, "qname": event.qname, "label": "a.b.c"}
+    key = draw(st.sampled_from(_DNS_KEYS))
+    if draw(st.booleans()):
+        del obj[key]
+    else:
+        obj[key] = draw(_json)
+    return json.dumps(obj)
+
+
+@given(lines=st.lists(_dns_lines(), max_size=10))
+def test_any_lines_parse_or_are_rejected(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dns.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        events, rejected = parse_dns_jsonl(path)
+    assert len(events) + len(rejected) == sum(1 for line in lines if line.strip())

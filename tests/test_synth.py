@@ -179,6 +179,12 @@ class TestSerialization:
         b = generate_flows(restored)
         assert [lf.flow for lf in a] == [lf.flow for lf in b]
 
+    def test_deeply_nested_json_is_config_error(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ConfigError, match="^scenario: "):
+            load_scenario(path)
+
     def test_dict_round_trip_preserves_overlap(self):
         scenario = builtin_scenario("overlap-pair", flows_per_device=10)
         restored = scenario_from_dict(scenario_to_dict(scenario))
