@@ -12,6 +12,7 @@ import gc
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -72,25 +73,20 @@ class IsolationTree:
     root: TreeNode
 
 
-def _build_node(X: np.ndarray, idx: np.ndarray, depth: int, height_limit: int, rng) -> TreeNode:
-    n = idx.size
-    if n <= 1 or depth >= height_limit:
-        return TreeNode(size=n)
-    sub = X[idx]
-    lo = sub.min(axis=0)
-    hi = sub.max(axis=0)
-    splittable = np.flatnonzero(hi > lo)
-    if splittable.size == 0:
-        return TreeNode(size=n)
-    dim = int(splittable[rng.integers(splittable.size)])
-    value = float(rng.uniform(lo[dim], hi[dim]))
-    mask = sub[:, dim] < value
-    return TreeNode(
-        split_dim=dim,
-        split_value=value,
-        left=_build_node(X, idx[mask], depth + 1, height_limit, rng),
-        right=_build_node(X, idx[~mask], depth + 1, height_limit, rng),
-    )
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector over work that builds many objects and
+    no cycles, where a collection would find nothing. If the caller had it
+    on, the young generation is collected once at the end, at the work's
+    cost rather than at the caller's next allocation, and it is on again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.collect(0)
+            gc.enable()
 
 
 def _tree_rng(master_seed: int, tree_index: int) -> np.random.Generator:
@@ -122,7 +118,9 @@ def train_forest(
 
     Fully deterministic for a given master_seed; each tree draws its
     subsample and splits from an independent derived stream, so forests
-    sharing a seed share their first k trees regardless of n_trees.
+    sharing a seed share their first k trees regardless of n_trees. The
+    trees grow together (_grow_trees), each from its own stream, which
+    gives each the same draws as growing it alone.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be at least 1, got {n_trees}")
@@ -131,13 +129,104 @@ def train_forest(
         raise InsufficientDataError("insufficient-data: empty training matrix")
     n, d = X.shape
     psi = min(subsample, n)
+    rngs = [_tree_rng(master_seed, t) for t in range(n_trees)]
+    with _collector_paused():  # the trees are acyclic
+        roots = _grow_trees(X.T, rngs, psi)
+    return IsolationForest(trees=[IsolationTree(root) for root in roots], sample_count=psi,
+                           master_seed=master_seed, dimension=d)
+
+
+# A numpy pass of _grow_trees takes the next nodes of consecutive trees up
+# to this many rows in all, or one node if it alone holds more, so that
+# its temporaries stay small however many trees grow together.
+PASS_ROWS = 4096
+
+
+def _grow_trees(cols: np.ndarray, rngs: list, psi: int) -> list[TreeNode]:
+    """The roots of one tree per stream in rngs, grown on the columns cols
+    of the training matrix.
+
+    A tree draws its subsample of psi rows (choice). Then, depth first from
+    the root, it splits each node of two or more rows above the height
+    limit whose rows differ somewhere: on a dimension among those where
+    they differ (integers), at a value between their least and greatest
+    (uniform); the rows below the value go left. The trees grow in rounds,
+    in which each tree splits its next node, so each draws from its own
+    stream in the order it would alone.
+    """
+    n = cols.shape[1]
     height_limit = math.ceil(math.log2(psi))
-    trees = []
-    for t in range(n_trees):
-        rng = _tree_rng(master_seed, t)
-        idx = rng.choice(n, size=psi, replace=False)
-        trees.append(IsolationTree(_build_node(X, idx, 0, height_limit, rng)))
-    return IsolationForest(trees=trees, sample_count=psi, master_seed=master_seed, dimension=d)
+    # Every tree's subsample, end to end: a node is a slice [a, b) of rows,
+    # and its split orders the slice as its left child's rows, then its right's.
+    rows = np.empty(len(rngs) * psi, dtype=np.intp)
+    for t, rng in enumerate(rngs):  # one at a time: choice returns a view of all n rows
+        rows[t * psi:(t + 1) * psi] = rng.choice(n, size=psi, replace=False)
+    roots = [TreeNode(-1, 0.0, psi) for _ in rngs]
+    # Each growing tree's stream and its nodes to split, the next on top,
+    # as (node, a, b, depth).
+    growing = [(rng, [(root, t * psi, (t + 1) * psi, 0)])
+               for t, (rng, root) in enumerate(zip(rngs, roots))] if height_limit else []
+    while growing:
+        first = held = 0
+        for last, (_, todo) in enumerate(growing):
+            _, a, b, _ = todo[-1]
+            if held + b - a > PASS_ROWS and last > first:
+                _split_next(cols, rows, growing[first:last], height_limit)
+                first, held = last, 0
+            held += b - a
+        _split_next(cols, rows, growing[first:], height_limit)
+        growing = [tree for tree in growing if tree[1]]
+    return roots
+
+
+def _split_next(cols: np.ndarray, rows: np.ndarray, trees: list, height_limit: int) -> None:
+    """Split the next node of each of trees, (stream, nodes to split) as in
+    _grow_trees, in one numpy pass, and push the children left to split."""
+    nodes, a, b, depth = zip(*[todo.pop() for _, todo in trees])
+    a = np.array(a)
+    size = np.array(b) - a
+    taken, at = rows[_slices(a, size)], _starts(size)
+    lo, hi = np.empty((len(cols), len(a))), np.empty((len(cols), len(a)))
+    for j, col in enumerate(cols):  # one column at a time, not a d x rows block
+        values = col[taken]
+        lo[j] = np.minimum.reduceat(values, at)
+        hi[j] = np.maximum.reduceat(values, at)
+    splittable = hi > lo
+    picks = [rng.integers(m) if m else -1
+             for (rng, _), m in zip(trees, splittable.sum(axis=0).tolist())]
+    dim = (np.cumsum(splittable, axis=0) <= picks).sum(axis=0)  # the picks-th splittable
+    node_no = np.arange(len(a))
+    split = [rng.uniform(low, high) if pick >= 0 else math.nan  # nan: all rows go right
+             for (rng, _), low, high, pick in zip(
+                 trees, lo[dim, node_no].tolist(), hi[dim, node_no].tolist(), picks)]
+    goes_left = cols[np.repeat(dim, size), taken] < np.repeat(split, size)
+    n_left = np.add.reduceat(goes_left, at, dtype=np.intp)
+    rows[_slices(a, n_left)] = taken[goes_left]
+    rows[_slices(a + n_left, size - n_left)] = taken[~goes_left]
+    for (_, todo), node, pick, node_dim, value, start, end, left_size, node_depth in zip(
+            trees, nodes, picks, dim.tolist(), split, a.tolist(), b, n_left.tolist(), depth):
+        if pick < 0:
+            continue  # its rows are all alike: it stays a leaf
+        mid = start + left_size
+        node.split_dim, node.split_value, node.size = node_dim, value, 0
+        node.left = left = TreeNode(-1, 0.0, left_size)
+        node.right = right = TreeNode(-1, 0.0, end - mid)
+        if node_depth + 1 < height_limit:
+            if end - mid > 1:
+                todo.append((right, mid, end, node_depth + 1))
+            if left_size > 1:
+                todo.append((left, start, mid, node_depth + 1))
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Where each of slices of these sizes starts, laid end to end."""
+    return np.cumsum(sizes) - sizes
+
+
+def _slices(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The positions in the slices [starts[i], starts[i] + sizes[i]), laid
+    end to end."""
+    return np.repeat(starts - _starts(sizes), sizes) + np.arange(sizes.sum())
 
 
 def path_length(tree: IsolationTree, x) -> float:
@@ -386,25 +475,18 @@ def load_artifact(path) -> ModelArtifact:
         raise ArtifactError("corrupt-artifact: checksum mismatch")
     # A valid checksum shows the file is as written, not that a writer
     # with a working forest wrote it: every field is checked as decoded.
-    enabled = gc.isenabled()
-    gc.disable()  # the decode builds only acyclic trees, so a collection would find nothing
     try:
-        return ModelArtifact(
-            model=DeviceModelId.parse(payload["model"]),
-            schema=FeatureSchema.from_dict(payload["schema"]),
-            forest=_forest_from_dict(payload["forest"]),
-            default_threshold=_finite_threshold(payload["default_threshold"]),
-            calibrated_thresholds={
-                int(k): _finite_threshold(v) for k, v in payload["calibrated_thresholds"].items()
-            },
-            trained_at=str(payload["trained_at"]),
-            training_flow_count=int(payload["training_flow_count"]),
-        )
+        with _collector_paused():  # the decode builds only acyclic trees
+            return ModelArtifact(
+                model=DeviceModelId.parse(payload["model"]),
+                schema=FeatureSchema.from_dict(payload["schema"]),
+                forest=_forest_from_dict(payload["forest"]),
+                default_threshold=_finite_threshold(payload["default_threshold"]),
+                calibrated_thresholds={
+                    int(k): _finite_threshold(v) for k, v in payload["calibrated_thresholds"].items()
+                },
+                trained_at=str(payload["trained_at"]),
+                training_flow_count=int(payload["training_flow_count"]),
+            )
     except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         raise ArtifactError(f"corrupt-artifact: {type(exc).__name__}: {exc}") from exc
-    finally:
-        if enabled:
-            # the decoded nodes leave the young generation here, at the
-            # load's cost, not at the caller's next allocation
-            gc.collect(0)
-            gc.enable()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from dataclasses import dataclass
 from operator import attrgetter
@@ -76,47 +75,47 @@ def parse_flow_csv(
     flows: list[LabeledFlow] = []
     rejected: list[RejectedRow] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            header = reader.fieldnames
+            header = next(reader)
+        except StopIteration:
+            return FlowDataset([]), []
         except csv.Error as exc:
             raise ValueError(f"unreadable header: {exc}") from None
-        if header is None:
-            return FlowDataset([]), []
         for col in MANDATORY_COLUMNS:
             if col not in header:
                 raise MissingColumnError(col)
-        has_label = LABEL_COLUMN in header
-        has_mac = MAC_COLUMN in header
-        has_tos = _TOS_COLUMN in header
-        rows = iter(reader)
-        for line_no in itertools.count(2):
+        while True:
+            line_no = reader.line_num + 1  # where the next row starts
             try:
-                row = next(rows)
+                cells = next(reader)
             except StopIteration:
                 break
             except csv.Error as exc:  # a field over the size limit; the reader resumes after it
                 rejected.append(RejectedRow(line_no, f"csv-error:{exc}"))
                 continue
+            if not cells:
+                continue  # a blank line
+            row = dict(zip(header, cells))
             values: dict = {}
             try:
                 for col, name in _INT_COLUMNS:
                     values[name] = int(row[col])
-            except (TypeError, ValueError):
+                for col, name in _TEXT_COLUMNS:
+                    values[name] = row[col]
+            except (KeyError, ValueError):  # a cell the row is short of, or not an integer
                 rejected.append(RejectedRow(line_no, f"parse-error:{col}"))
                 continue
             if values["flow_end_ms"] < values["flow_start_ms"]:
                 rejected.append(RejectedRow(line_no, "negative-duration"))
                 continue
             values["tos"] = values["src_tos"]
-            if has_tos and row[_TOS_COLUMN]:
+            if row.get(_TOS_COLUMN):
                 try:
                     values["tos"] = int(row[_TOS_COLUMN])
                 except ValueError:
                     rejected.append(RejectedRow(line_no, f"parse-error:{_TOS_COLUMN}"))
                     continue
-            for col, name in _TEXT_COLUMNS:
-                values[name] = row[col]
             try:
                 flow = FlowRecord(**values)
             except ValueError as exc:
@@ -124,9 +123,9 @@ def parse_flow_csv(
                 continue
 
             label: Optional[Label] = None
-            mac = row[MAC_COLUMN] if has_mac else ""
+            mac = row.get(MAC_COLUMN, "")
             entry = inventory.by_ip(flow.src_ip) if inventory is not None else None
-            if has_label and row[LABEL_COLUMN]:
+            if row.get(LABEL_COLUMN):
                 try:
                     label = parse_label(row[LABEL_COLUMN])
                 except ValueError:
@@ -194,12 +193,12 @@ def parse_dns_jsonl(path) -> tuple[list[DnsEvent], list[RejectedRow]]:
     """
     events: list[DnsEvent] = []
     rejected: list[RejectedRow] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # bytes, so that a line that is not UTF-8 is one rejection
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
                 label = parse_label(obj["label"]) if obj.get("label") else None
                 event = DnsEvent(

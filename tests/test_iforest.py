@@ -44,6 +44,74 @@ def exact_c(n):
     return 2.0 * harmonic - 2.0 * (n - 1) / n
 
 
+def reference_tree(X, subsample, master_seed, t) -> TreeNode:
+    """Independent recursive oracle for tree t of train_forest(X, ...,
+    subsample, master_seed): from its own stream, a subsample, then depth
+    first one dimension (integers) and one value (uniform) per split."""
+    n = X.shape[0]
+    psi = min(subsample, n)
+    rng = iforest._tree_rng(master_seed, t)
+    idx = rng.choice(n, size=psi, replace=False)
+    return _reference_node(X, idx, 0, math.ceil(math.log2(psi)), rng)
+
+
+def _reference_node(X, idx, depth, height_limit, rng) -> TreeNode:
+    n = idx.size
+    if n <= 1 or depth >= height_limit:
+        return TreeNode(size=n)
+    sub = X[idx]
+    lo = sub.min(axis=0)
+    hi = sub.max(axis=0)
+    splittable = np.flatnonzero(hi > lo)
+    if splittable.size == 0:
+        return TreeNode(size=n)
+    dim = int(splittable[rng.integers(splittable.size)])
+    value = float(rng.uniform(lo[dim], hi[dim]))
+    mask = sub[:, dim] < value
+    return TreeNode(
+        split_dim=dim,
+        split_value=value,
+        left=_reference_node(X, idx[mask], depth + 1, height_limit, rng),
+        right=_reference_node(X, idx[~mask], depth + 1, height_limit, rng),
+    )
+
+
+@st.composite
+def training_matrices(draw):
+    """An (n, d) matrix, n in 1..300 and d in 1..8, of real, integer-valued,
+    one-hot and constant columns, with rows drawn from 1..n distinct ones."""
+    n, d = draw(st.integers(1, 300)), draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from(["real", "integer", "one-hot", "constant"]),
+                          min_size=d, max_size=d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, n))
+    hot = rng.integers(0, max(1, kinds.count("one-hot")), distinct)  # each row's hot column
+    X, one_hot = np.empty((distinct, d)), 0
+    for j, kind in enumerate(kinds):
+        if kind == "real":
+            X[:, j] = rng.normal(size=distinct) * 10.0 ** rng.integers(-3, 4)
+        elif kind == "integer":
+            X[:, j] = rng.integers(0, rng.integers(1, 6), distinct)
+        elif kind == "one-hot":
+            X[:, j], one_hot = hot == one_hot, one_hot + 1
+        else:
+            X[:, j] = rng.normal()
+    return X[rng.integers(0, distinct, n)]
+
+
+@given(X=training_matrices(), subsample=st.integers(1, 300), n_trees=st.integers(1, 7),
+       seed=st.integers(min_value=0), pass_rows=st.integers(1, 600))
+def test_train_forest_grows_the_reference_trees(X, subsample, n_trees, seed, pass_rows):
+    default, iforest.PASS_ROWS = iforest.PASS_ROWS, pass_rows  # so that rounds take many passes
+    try:
+        forest = train_forest(X, n_trees, subsample, seed)
+    finally:
+        iforest.PASS_ROWS = default
+    columns = iforest._tree_to_columns
+    assert [columns(tree.root) for tree in forest.trees] == \
+        [columns(reference_tree(X, subsample, seed, t)) for t in range(n_trees)]
+
+
 class TestCFactor:
     def test_known_values(self):
         assert c_factor(2) == pytest.approx(1.0)  # 2*H(1) - 2*(1/2)
@@ -441,23 +509,26 @@ class TestArtifact:
             load_artifact(path)
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-    @pytest.mark.parametrize("corrupt", [False, True], ids=["loads", "corrupt"])
-    def test_load_pauses_and_restores_the_collector(self, tmp_path, monkeypatch, enabled,
-                                                    corrupt):
+    @pytest.mark.parametrize("call", ["loads", "corrupt", "trains"])
+    def test_load_pauses_and_restores_the_collector(self, tmp_path, monkeypatch, enabled, call):
+        """load_artifact (of a good or a corrupt file) and train_forest build
+        their nodes with the collector off, then restore the caller's setting
+        and leave no collection to the caller's next allocations."""
         artifact = small_artifact()
         # thousands of nodes, more than the young generation's threshold
         X = np.random.default_rng(13).uniform(size=(256, artifact.schema.dimension))
         artifact.forest = train_forest(X, n_trees=20, subsample=256, master_seed=0)
         path = tmp_path / "model.json"
         save_artifact(artifact, path)
-        if corrupt:
+        if call == "corrupt":
             payload = json.loads(path.read_text())["payload"]
             _tree(payload)[0][-1] = 999
             write_with_checksum(path, payload)
         during = []
-        decode = iforest._forest_from_dict
-        monkeypatch.setattr(iforest, "_forest_from_dict",
-                            lambda d: during.append(gc.isenabled()) or decode(d))
+        builder = "_grow_trees" if call == "trains" else "_forest_from_dict"
+        build = getattr(iforest, builder)
+        monkeypatch.setattr(iforest, builder,
+                            lambda *args: during.append(gc.isenabled()) or build(*args))
         collections = []
 
         def record(phase, info):
@@ -466,11 +537,13 @@ class TestArtifact:
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
-            if corrupt:
+            if call == "corrupt":
                 with pytest.raises(ArtifactError, match="corrupt-artifact"):
                     load_artifact(path)
+            elif call == "trains":
+                forest = train_forest(X, n_trees=20, subsample=256, master_seed=0)
             else:
-                loaded = load_artifact(path)  # kept, so its nodes stay tracked
+                forest = load_artifact(path).forest  # kept, so its nodes stay tracked
             assert gc.isenabled() is enabled
             gc.callbacks.append(record)
             try:
@@ -481,7 +554,7 @@ class TestArtifact:
             (gc.enable if was else gc.disable)()
         assert during == [False]
         assert collections == []  # no collection was left for the caller's allocations
-        assert corrupt or loaded.forest.trees
+        assert call == "corrupt" or forest.trees
 
     def test_threshold_selectors(self):
         artifact = small_artifact()

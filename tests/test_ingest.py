@@ -18,6 +18,7 @@ from natwatch.flowdata import (
 )
 from natwatch.ingest import (
     MissingColumnError,
+    RejectedRow,
     normalize_qname,
     parse_dns_jsonl,
     parse_flow_csv,
@@ -138,6 +139,21 @@ class TestParseFlowCsv:
         assert [(r.line_no, r.reason.split(":")[0]) for r in rejected] == [(2, "csv-error")]
         assert [lf.flow.l7_proto_name for lf in ds] == ["DNS"]
 
+    def test_row_short_of_a_text_cell_is_rejected(self, tmp_path):
+        header = HEADER.replace("L7_PROTO_NAME,", "") + ",L7_PROTO_NAME"
+        path = write_csv(tmp_path, ["1,a,b,17,1,2,3,4,0,0,1000,2000"], header=header)
+        ds, rejected = parse_flow_csv(path)
+        assert list(ds) == []
+        assert rejected == [RejectedRow(2, "parse-error:L7_PROTO_NAME")]
+
+    def test_line_number_is_the_line_the_row_starts_on(self, tmp_path):
+        valid = "1,192.168.1.5,8.8.8.8,17,40000,53,812,0,0,0,DNS,1000,4000"
+        two_lines = valid.replace("DNS", '"D\nNS"')
+        path = write_csv(tmp_path, [two_lines, "", valid.replace("53", "bad")])
+        ds, rejected = parse_flow_csv(path)
+        assert [lf.flow.l7_proto_name for lf in ds] == ["D\nNS"]
+        assert rejected == [RejectedRow(5, "parse-error:L4_DST_PORT")]
+
     def test_oversized_header_is_value_error(self, tmp_path):
         path = write_csv(tmp_path, [], header=HEADER + "," + "x" * (csv.field_size_limit() + 1))
         with pytest.raises(ValueError, match="unreadable header"):
@@ -197,6 +213,14 @@ class TestParseDnsJsonl:
         events, rejected = parse_dns_jsonl(path)
         assert [e.qname for e in events] == ["x.com"]
         assert [(r.line_no, r.reason.split(":")[0]) for r in rejected] == [(1, "malformed")]
+
+    def test_line_that_is_not_utf8_is_one_rejection(self, tmp_path):
+        path = tmp_path / "dns.jsonl"
+        valid = b'{"ts_ms":1,"src_ip":"a","ip_id":7,"resolver_ip":"b","qname":"x.com"}'
+        path.write_bytes(valid + b"\n\xff\n" + valid + b"\n")
+        events, rejected = parse_dns_jsonl(path)
+        assert [e.qname for e in events] == ["x.com", "x.com"]
+        assert [(r.line_no, r.reason.split(":")[0]) for r in rejected] == [(2, "malformed")]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "dns.jsonl"
