@@ -6,7 +6,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Optional, Union
@@ -109,9 +111,9 @@ class DetectionEvent:
         """The one decision rule: "M" iff g >= threshold, else "non-M"."""
         return "M" if self.normality_g >= self.threshold else "non-M"
 
-    def to_dict(self) -> dict:
+    def to_dict(self, timestamp: str) -> dict:
         return {
-            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "timestamp": timestamp,
             "model": self.model.canonical(),
             "g": self.normality_g,
             "threshold": self.threshold,
@@ -142,6 +144,15 @@ def classify(
     )
 
 
+# What each stub action records: the policy's path for its file, and
+# what its line holds besides the timestamp and the model.
+STUB_LINES = {
+    "notify_stub": (lambda policy: policy.notify_path,
+                    lambda flow: {"message": "possible vulnerable device detected"}),
+    "block_stub": (lambda policy: policy.block_path, lambda flow: {"flow_key": list(flow.key)}),
+}
+
+
 @dataclass
 class ActionPolicy:
     """Ordered reactions to a positive detection.
@@ -155,11 +166,9 @@ class ActionPolicy:
     notify_path: Optional[str] = None
     block_path: Optional[str] = None
 
-    KNOWN = ("log", "notify_stub", "block_stub")
-
     def __post_init__(self):
         for a in self.on_positive:
-            if a not in self.KNOWN:
+            if a not in ("log", *STUB_LINES):
                 raise ValueError(f"unknown action: {a}")
         if "notify_stub" in self.on_positive and not self.notify_path:
             raise ValueError("notify_stub needs a notify path")
@@ -167,28 +176,6 @@ class ActionPolicy:
             raise ValueError("block_stub needs a block path")
         if "log" not in self.on_positive:
             self.on_positive = ["log"] + list(self.on_positive)
-
-    def apply(self, event: DetectionEvent) -> str:
-        """Run the configured actions; returns the last action applied."""
-        for action in self.on_positive:
-            if action == "notify_stub":
-                path, detail = self.notify_path, {"message": "possible vulnerable device detected"}
-            elif action == "block_stub":
-                path, detail = self.block_path, {"flow_key": list(event.flow.key)}
-            else:
-                continue  # "log": the audit log records every event
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "timestamp": datetime.now(timezone.utc).isoformat(),
-                            "model": event.model.canonical(),
-                            **detail,
-                        }
-                    )
-                    + "\n"
-                )
-        return self.on_positive[-1]
 
 
 def run_detector(
@@ -201,9 +188,11 @@ def run_detector(
     """Score the flows against every artifact, one batch per artifact,
     and emit events in arrival order, each flow's in artifact order.
 
-    Positive decisions trigger the policy actions; every event is
-    appended to the JSONL audit log when a path is given. An event's
-    wall_time_s is its artifact's batch time over the batch's rows.
+    A positive writes a line to each stub action's file, in policy
+    order; every event then writes its line to the JSONL audit log when
+    a path is given. All lines of a call carry one timestamp, and each
+    file is opened once, the stub files only if some flow is positive.
+    An event's wall_time_s is its artifact's batch time over the batch's rows.
     """
     if not artifacts:
         raise ValueError("at least one artifact required")
@@ -216,18 +205,29 @@ def run_detector(
         g = normality_scores(artifact.forest, transform_many(artifact.schema, flows))
         wall = (time.perf_counter() - t0) / max(1, len(flows))
         scored.append((artifact.model, th, g.tolist(), wall))
+    positive = any(v >= th for _, th, g, _ in scored for v in g)
+    actions = [STUB_LINES[a] for a in policy.on_positive if a in STUB_LINES] if positive else []
+    timestamp = datetime.now(timezone.utc).isoformat()
     events: list[DetectionEvent] = []
-    audit = open(audit_path, "a", encoding="utf-8") if audit_path else None
-    try:
+    with ExitStack() as stack:
+        files = {}  # (device, inode) -> write: two spellings of one file share one handle
+
+        def writer(path: str):
+            fh = stack.enter_context(open(path, "a", encoding="utf-8"))
+            st = os.fstat(fh.fileno())
+            return files.setdefault((st.st_dev, st.st_ino), fh.write)
+
+        stubs = [(writer(path_of(policy)), detail) for path_of, detail in actions]
+        audit = writer(audit_path) if audit_path else None
         for i, flow in enumerate(flows):
             for model, th, g, wall in scored:
                 event = DetectionEvent(flow, model, g[i], th, wall_time_s=wall)
                 if event.decision == "M":
-                    event.action_taken = policy.apply(event)
+                    for stub, detail in stubs:
+                        line = {"timestamp": timestamp, "model": model.canonical(), **detail(flow)}
+                        stub(json.dumps(line) + "\n")
+                    event.action_taken = policy.on_positive[-1]
                 events.append(event)
                 if audit is not None:
-                    audit.write(json.dumps(event.to_dict()) + "\n")
-    finally:
-        if audit is not None:
-            audit.close()
+                    audit(json.dumps(event.to_dict(timestamp)) + "\n")
     return events

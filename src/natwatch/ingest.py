@@ -74,8 +74,17 @@ def parse_flow_csv(
     """
     flows: list[LabeledFlow] = []
     rejected: list[RejectedRow] = []
+    lines_read = quotes = 0  # quotes: quote characters in the lines of the row being read
+
+    def lines(fh):
+        nonlocal lines_read, quotes
+        for lines_read, line in enumerate(fh, start=1):
+            quotes += line.count('"')
+            yield line
+
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        source = lines(fh)
+        reader = csv.reader(source)
         try:
             header = next(reader)
         except StopIteration:
@@ -86,13 +95,17 @@ def parse_flow_csv(
             if col not in header:
                 raise MissingColumnError(col)
         while True:
-            line_no = reader.line_num + 1  # where the next row starts
+            line_no = lines_read + 1  # where the next row starts
+            quotes = 0
             try:
                 cells = next(reader)
             except StopIteration:
                 break
-            except csv.Error as exc:  # a field over the size limit; the reader resumes after it
+            except csv.Error as exc:  # a field over the size limit
                 rejected.append(RejectedRow(line_no, f"csv-error:{exc}"))
+                # the reader resumes on the next line: skip any rest of an open quoted field
+                while quotes % 2 and next(source, None) is not None:
+                    pass
                 continue
             if not cells:
                 continue  # a blank line

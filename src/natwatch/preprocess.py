@@ -85,19 +85,13 @@ def fit_schema(training: FlowDataset, m: DeviceModelId) -> FeatureSchema:
         if lf.label != m:
             raise ValueError(f"training flow labeled {lf.label}, expected {m}")
 
-    numerics = np.array([_numeric_values(lf.flow) for lf in training])
-    numeric_ranges = {
-        name: (float(numerics[:, i].min()), float(numerics[:, i].max()))
-        for i, name in enumerate(NUMERIC_FEATURES)
-    }
-    categories: dict[str, list] = {name: [] for name in CATEGORICAL_FEATURES}
-    seen: dict[str, set] = {name: set() for name in CATEGORICAL_FEATURES}
-    for lf in training:
-        for name, value in zip(CATEGORICAL_FEATURES, _categorical_values(lf.flow)):
-            if value not in seen[name]:
-                seen[name].add(value)
-                categories[name].append(value)
-    return FeatureSchema(model=m, numeric_ranges=numeric_ranges, categories=categories)
+    numerics = zip(NUMERIC_FEATURES, zip(*(_numeric_values(lf.flow) for lf in training)))
+    categories = zip(CATEGORICAL_FEATURES, zip(*(_categorical_values(lf.flow) for lf in training)))
+    return FeatureSchema(
+        model=m,
+        numeric_ranges={name: (min(v), max(v)) for name, v in numerics},
+        categories={name: list(dict.fromkeys(v)) for name, v in categories},
+    )
 
 
 def transform(schema: FeatureSchema, flow: FlowRecord) -> np.ndarray:

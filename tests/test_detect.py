@@ -1,10 +1,12 @@
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from natwatch import detect
 from natwatch.detect import (
     ActionPolicy,
     TrainConfig,
@@ -229,11 +231,12 @@ def test_g_is_bit_identical_through_every_scoring_call(train, queries, n_trees, 
     assert [classify(artifact, f).normality_g for f in queries] == batch
 
 
-class TestActionPolicy:
-    def _positive_event(self):
-        artifact = trained_artifact()
-        return classify(artifact, make_flow(in_bytes=800, out_bytes=120), "p10")
+POSITIVE_FLOW = make_flow(in_bytes=800, out_bytes=120)
+NEGATIVE_FLOW = make_flow(in_bytes=70_000, out_bytes=30_000, dst_port=443, ip_protocol=6,
+                          l7_proto_name="SSL")
 
+
+class TestActionPolicy:
     def test_unknown_action_rejected(self):
         with pytest.raises(ValueError):
             ActionPolicy(on_positive=["drop_table"])
@@ -252,8 +255,7 @@ class TestActionPolicy:
     def test_notify_stub_appends_jsonl(self, tmp_path):
         path = tmp_path / "notify.jsonl"
         policy = ActionPolicy(on_positive=["notify_stub"], notify_path=str(path))
-        policy.apply(self._positive_event())
-        policy.apply(self._positive_event())
+        run_detector([POSITIVE_FLOW, POSITIVE_FLOW], [trained_artifact()], policy, "p10")
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["model"] == WEBCAM.canonical()
@@ -261,8 +263,7 @@ class TestActionPolicy:
     def test_block_stub_records_flow_key(self, tmp_path):
         path = tmp_path / "block.jsonl"
         policy = ActionPolicy(on_positive=["block_stub"], block_path=str(path))
-        event = self._positive_event()
-        policy.apply(event)
+        [event] = run_detector([POSITIVE_FLOW], [trained_artifact()], policy, "p10")
         entry = json.loads(path.read_text())
         assert tuple(entry["flow_key"]) == tuple(event.flow.key)
 
@@ -303,6 +304,62 @@ class TestRunDetector:
         assert [rec["g"] for rec in lines] == g
         th = artifact.threshold("p10")
         assert [rec["decision"] for rec in lines] == ["M" if v >= th else "non-M" for v in g]
+
+    @staticmethod
+    def _all_stubs(tmp_path):
+        return ActionPolicy(on_positive=["log", "notify_stub", "block_stub"],
+                            notify_path=str(tmp_path / "notify.jsonl"),
+                            block_path=str(tmp_path / "block.jsonl"))
+
+    def test_one_timestamp_per_call(self, tmp_path):
+        audit = tmp_path / "audit.jsonl"
+        events = run_detector([POSITIVE_FLOW, NEGATIVE_FLOW, POSITIVE_FLOW], [trained_artifact()],
+                              self._all_stubs(tmp_path), "p10", str(audit))
+        assert [e.decision for e in events] == ["M", "non-M", "M"]
+        assert [e.action_taken for e in events] == ["block_stub", "log", "block_stub"]
+        lines = [json.loads(line) for name in ("audit", "notify", "block")
+                 for line in (tmp_path / f"{name}.jsonl").read_text().splitlines()]
+        assert len(lines) == 3 + 2 + 2
+        assert len({line["timestamp"] for line in lines}) == 1
+
+    def test_no_positive_creates_no_stub_file(self, tmp_path):
+        events = run_detector([NEGATIVE_FLOW], [trained_artifact()], self._all_stubs(tmp_path),
+                              "p10", str(tmp_path / "audit.jsonl"))
+        assert [e.decision for e in events] == ["non-M"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.jsonl"]
+
+    def test_unopenable_stub_file_fails_before_any_line(self, tmp_path):
+        audit = tmp_path / "audit.jsonl"
+        policy = ActionPolicy(on_positive=["notify_stub"],
+                              notify_path=str(tmp_path / "missing" / "notify.jsonl"))
+        with pytest.raises(OSError):
+            run_detector([NEGATIVE_FLOW, POSITIVE_FLOW], [trained_artifact()], policy, "p10",
+                         str(audit))
+        assert not audit.exists() or audit.read_text() == ""
+
+    def test_each_file_is_opened_once_per_call(self, tmp_path, monkeypatch):
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(detect, "open", counting_open, raising=False)
+        events = run_detector([POSITIVE_FLOW] * 3, [trained_artifact()], self._all_stubs(tmp_path),
+                              "p10", str(tmp_path / "audit.jsonl"))
+        assert [e.decision for e in events] == ["M"] * 3
+        assert sorted(opened) == ["audit.jsonl", "block.jsonl", "notify.jsonl"]
+
+    def test_a_file_named_twice_gets_its_lines_whole_and_in_order(self, tmp_path, monkeypatch):
+        """Two spellings of one path write through one handle, so the
+        notify and block lines of each positive stay whole and in turn."""
+        monkeypatch.chdir(tmp_path)
+        policy = ActionPolicy(on_positive=["log", "notify_stub", "block_stub"],
+                              notify_path="x.jsonl", block_path="./x.jsonl")
+        run_detector([POSITIVE_FLOW] * 3, [trained_artifact()], policy, "p10")
+        lines = [json.loads(line) for line in (tmp_path / "x.jsonl").read_text().splitlines()]
+        assert [sorted(line) for line in lines] == [
+            ["message", "model", "timestamp"], ["flow_key", "model", "timestamp"]] * 3
 
     def test_no_artifacts_rejected(self):
         with pytest.raises(ValueError):

@@ -139,6 +139,25 @@ class TestParseFlowCsv:
         assert [(r.line_no, r.reason.split(":")[0]) for r in rejected] == [(2, "csv-error")]
         assert [lf.flow.l7_proto_name for lf in ds] == ["DNS"]
 
+    def test_oversized_field_spanning_lines_is_one_rejection(self, tmp_path):
+        valid = "1,192.168.1.5,8.8.8.8,17,40000,53,812,0,0,0,DNS,1000,4000"
+        long = valid.replace("DNS", '"' + "x" * (csv.field_size_limit() + 1) + '\nmore"')
+        path = write_csv(tmp_path, [long, valid, valid.replace("53", "bad")])
+        ds, rejected = parse_flow_csv(path)
+        assert [(r.line_no, r.reason.split(":")[0]) for r in rejected] == [
+            (2, "csv-error"), (5, "parse-error")]
+        assert [lf.flow.l7_proto_name for lf in ds] == ["DNS"]
+
+    def test_values_no_exporter_sends_are_rejected(self, tmp_path):
+        valid = "1,192.168.1.5,8.8.8.8,17,40000,53,812,0,0,0,DNS,1000,4000"
+        rows = [valid.replace(",812,", ",99999999999999999999999,"),
+                valid.replace(",1000,", ",-1,"),
+                valid.replace(",812,", f",{2**64 - 1},")]
+        ds, rejected = parse_flow_csv(write_csv(tmp_path, rows))
+        assert [(r.line_no, r.reason.split(":")[0]) for r in rejected] == [
+            (2, "invalid-field"), (3, "invalid-field")]
+        assert [lf.flow.in_bytes for lf in ds] == [2**64 - 1]
+
     def test_row_short_of_a_text_cell_is_rejected(self, tmp_path):
         header = HEADER.replace("L7_PROTO_NAME,", "") + ",L7_PROTO_NAME"
         path = write_csv(tmp_path, ["1,a,b,17,1,2,3,4,0,0,1000,2000"], header=header)
@@ -245,13 +264,14 @@ _labels = st.one_of(st.none(), st.just(NON_IOT), st.builds(DeviceModelId, _segme
                                                               _segment))
 _byte = st.integers(0, 255)
 _port = st.integers(0, 65535)
-_count = st.integers(0, 2**64)
+_count = st.integers(0, 2**64 - 1)
 _ms = st.integers(-(2**62), 2**62)
+_flow_ms = st.integers(0, 2**62)
 
 
 @st.composite
 def _labeled_flows(draw):
-    start = draw(_ms)
+    start = draw(_flow_ms)
     flow = FlowRecord(
         ingress_interface=draw(st.integers(-(2**63), 2**63)), src_ip=draw(_text),
         dst_ip=draw(_text), ip_protocol=draw(_byte), src_port=draw(_port),

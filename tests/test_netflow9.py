@@ -135,6 +135,22 @@ class TestDecode:
         assert records[0].flow_start_ms == 100_000 - 1000 + 500
         assert records[0].flow_end_ms == 100_000 - 1000 + 1500
 
+    def test_record_starting_before_the_epoch_is_dropped(self):
+        fields = FIELDS[:10] + [(22, 4), (21, 4)]  # FIRST/LAST_SWITCHED
+        record = {k: v for k, v in RECORD.items() if k not in (152, 153)}
+        early = {**record, 22: 500, 21: 1500}  # starts 500 ms before unix_secs=0
+        late = {**record, 22: 1500, 21: 2500}
+        datagram = build_datagram(
+            [
+                encode_template_flowset([(301, fields)]),
+                encode_data_flowset(301, fields, [early, late]),
+            ],
+            sys_uptime=1000,
+            unix_secs=0,
+        )
+        records = decode_netflow_v9(datagram, TemplateCache())
+        assert [(r.flow_start_ms, r.flow_end_ms) for r in records] == [(500, 1500)]
+
     def test_pending_buffer_bounded(self, monkeypatch):
         monkeypatch.setattr(netflow9, "PENDING_LIMIT", 5)
         cache = TemplateCache()
