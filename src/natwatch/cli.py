@@ -84,6 +84,23 @@ def _or_na(rate) -> str:
     return "n/a" if rate is None else str(rate)
 
 
+def _collect(bind: str, port: int, sink, duration=None, ready=None):
+    """Run the v9 collector into `sink` until Ctrl-C or `duration`
+    seconds: its stats, or None after Ctrl-C. A failed bind is a data error."""
+    stop = threading.Event()
+    timer = threading.Timer(duration, stop.set)
+    if duration is not None:
+        timer.start()
+    try:
+        return netflow9.collect_udp(bind, port, sink, stop, ready)
+    except KeyboardInterrupt:
+        return None
+    except OSError as exc:
+        raise DataError(f"bind-error: {exc}") from exc
+    finally:
+        timer.cancel()  # a pending timer would keep the process alive until it fired
+
+
 def cmd_synth(args) -> int:
     if os.path.exists(args.scenario):
         scenario = synth.load_scenario(args.scenario)
@@ -164,20 +181,13 @@ def cmd_detect(args) -> int:
     selector = args.threshold
     if args.input.startswith("udp:"):
         port = int(args.input.split(":", 1)[1])
-        stop = threading.Event()
-
-        def sink(records):
-            run_detector(records, artifacts, policy, selector, args.audit)
 
         def ready():
             print(f"listening for NetFlow v9 on udp/{port}; Ctrl-C to stop", file=sys.stderr)
 
-        try:
-            netflow9.collect_udp(args.bind, port, sink, stop, ready)
-        except KeyboardInterrupt:
-            stop.set()
-        except OSError as exc:
-            raise DataError(f"bind-error: {exc}") from exc
+        _collect(args.bind, port,
+                 lambda records: run_detector(records, artifacts, policy, selector, args.audit),
+                 ready=ready)
     else:
         dataset = _load_dataset(args.input)
         events = run_detector(dataset, artifacts, policy, selector, args.audit)
@@ -188,27 +198,16 @@ def cmd_detect(args) -> int:
 
 def cmd_collect(args) -> int:
     collected = []
-    stop = threading.Event()
-    timer = threading.Timer(args.duration, stop.set)
-    if args.duration is not None:
-        timer.start()
-    try:
-        stats = netflow9.collect_udp(args.bind, args.port, collected.extend, stop)
-    except KeyboardInterrupt:
-        stop.set()
-        stats = None
-    except OSError as exc:
-        raise DataError(f"bind-error: {exc}") from exc
-    finally:
-        timer.cancel()  # a pending timer would keep the process alive until it fired
+    stats = _collect(args.bind, args.port, collected.extend, args.duration)
     dataset = FlowDataset(
         [LabeledFlow(flow=f, label=None, source_mac=f.src_ip) for f in collected]
     )
     ingest.write_flow_csv(dataset, args.out)
     if stats is not None:
+        drops = "".join(f", {n} {reason}" for reason, n in sorted(stats.drops.items()) if n)
         print(
             f"{stats.datagrams} datagrams, {stats.records} records, "
-            f"{stats.malformed} malformed -> {args.out}"
+            f"{stats.malformed} malformed{drops} -> {args.out}"
         )
     return 0
 

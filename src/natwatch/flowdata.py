@@ -124,9 +124,10 @@ class FlowRecord:
         for t in (self.tos, self.src_tos, self.dst_tos):
             if not 0 <= t <= 255:
                 raise ValueError(f"tos out of range: {t}")
-        for n in (self.in_bytes, self.out_bytes, self.flow_start_ms, self.flow_end_ms):
+        for n in (self.ingress_interface, self.in_bytes, self.out_bytes, self.flow_start_ms,
+                  self.flow_end_ms):
             if not 0 <= n < 2**64:  # RFC 3954 fields are at most 8 bytes
-                raise ValueError(f"byte count or timestamp out of range: {n}")
+                raise ValueError(f"interface, byte count or timestamp out of range: {n}")
         if self.flow_end_ms < self.flow_start_ms:
             raise ValueError("flow_end_ms earlier than flow_start_ms")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -18,23 +18,30 @@ from natwatch.flowdata import FlowRecord
 
 V9_HEADER = struct.Struct("!HHIIII")  # version, count, sysuptime, unix_secs, seq, source_id
 
-# Field type numbers (RFC 3954) this decoder understands.
-F_IN_BYTES = 1
-F_PROTOCOL = 4
-F_SRC_TOS = 5
-F_L4_SRC_PORT = 7
-F_IPV4_SRC_ADDR = 8
-F_INPUT_INTERFACE = 10
-F_L4_DST_PORT = 11
-F_IPV4_DST_ADDR = 12
-F_LAST_SWITCHED = 21
-F_FIRST_SWITCHED = 22
-F_OUT_BYTES = 23
-F_DST_TOS = 55
-F_FLOW_START_MS = 152
-F_FLOW_END_MS = 153
-
-_IP_FIELDS = {F_IPV4_SRC_ADDR, F_IPV4_DST_ADDR}
+# The field types (RFC 3954) this decoder reads, and the FlowRecord field
+# each one fills. 21/22 are relative to the exporter's sysuptime and are
+# read only when a template lacks the absolute 153/152.
+V9_FIELDS = {
+    1: "in_bytes",  # IN_BYTES
+    4: "ip_protocol",  # PROTOCOL
+    5: "src_tos",  # SRC_TOS
+    7: "src_port",  # L4_SRC_PORT
+    8: "src_ip",  # IPV4_SRC_ADDR
+    10: "ingress_interface",  # INPUT_SNMP
+    11: "dst_port",  # L4_DST_PORT
+    12: "dst_ip",  # IPV4_DST_ADDR
+    21: "flow_end_ms",  # LAST_SWITCHED
+    22: "flow_start_ms",  # FIRST_SWITCHED
+    23: "out_bytes",  # OUT_BYTES
+    55: "dst_tos",  # DST_TOS
+    152: "flow_start_ms",  # flowStartMilliseconds
+    153: "flow_end_ms",  # flowEndMilliseconds
+}
+_INT, _IP, _UPTIME = range(3)  # how a field's bytes become its value
+_KINDS = {8: _IP, 12: _IP, 21: _UPTIME, 22: _UPTIME}
+_ABSOLUTE = {21: 153, 22: 152}  # the field that replaces a sysuptime-relative one
+# What a record holds for a field its template does not carry.
+_ABSENT = {name: 0 for name in V9_FIELDS.values()} | {"src_ip": "0.0.0.0", "dst_ip": "0.0.0.0"}
 
 PENDING_LIMIT = 10_000  # buffered data flowsets, over all keys
 TEMPLATE_LIMIT = 10_000  # cached templates, over all keys; oldest-registered evicted
@@ -45,30 +52,25 @@ class NetflowDecodeError(ValueError):
 
 
 @dataclass(frozen=True)
-class TemplateField:
-    field_type: int
-    length: int
-
-
-@dataclass(frozen=True)
 class Template:
-    template_id: int
-    fields: tuple[TemplateField, ...]
+    """A template's (field type, length) pairs as sent, the length of one
+    record, and its layout: (FlowRecord field, start, end, kind) for each
+    field the decoder reads, a repeated type at its last occurrence."""
 
-    def __post_init__(self):
-        if self.template_id < 256:
-            raise ValueError(f"template_id must be >= 256, got {self.template_id}")
+    fields: tuple[tuple[int, int], ...]
+    record_length: int
+    layout: tuple[tuple[str, int, int, int], ...]
 
-    @property
-    def record_length(self) -> int:
-        return sum(f.length for f in self.fields)
-
-
-@dataclass
-class _PendingData:
-    payload: bytes
-    sys_uptime: int
-    unix_secs: int
+    @classmethod
+    def of(cls, fields: tuple[tuple[int, int], ...]) -> Template:
+        types = {t for t, _ in fields}
+        spans: dict[str, tuple[str, int, int, int]] = {}
+        off = 0
+        for t, length in fields:
+            if t in V9_FIELDS and _ABSOLUTE.get(t) not in types:
+                spans[V9_FIELDS[t]] = (V9_FIELDS[t], off, off + length, _KINDS.get(t, _INT))
+            off += length
+        return cls(fields, off, tuple(spans.values()))
 
 
 @dataclass
@@ -76,87 +78,61 @@ class TemplateCache:
     """Templates keyed by (source_id, template_id), in registration
     order (at most TEMPLATE_LIMIT, oldest-registered evicted), plus data
     flowsets buffered while their template is unknown (at most
-    PENDING_LIMIT, oldest dropped)."""
+    PENDING_LIMIT, oldest dropped), as (payload, sys_uptime, unix_secs).
+    `drops` counts what was dropped, by reason."""
 
     templates: OrderedDict[tuple[int, int], Template] = field(default_factory=OrderedDict)
     pending: OrderedDict[tuple[int, int], deque] = field(default_factory=OrderedDict)
     _pending_count: int = 0
+    drops: Counter = field(default_factory=Counter, init=False)
 
-    def buffer(self, key: tuple[int, int], item: _PendingData) -> None:
-        q = self.pending.setdefault(key, deque())
-        q.append(item)
+    def register(self, key: tuple[int, int], template: Template) -> deque:
+        """Cache `template` as the newest, evicting past TEMPLATE_LIMIT,
+        and return the flowsets that were waiting for `key`."""
+        self.templates[key] = template
+        self.templates.move_to_end(key)
+        while len(self.templates) > TEMPLATE_LIMIT:
+            self.templates.popitem(last=False)
+            self.drops["template-evicted"] += 1
+        waiting = self.pending.pop(key, deque())
+        self._pending_count -= len(waiting)
+        return waiting
+
+    def buffer(self, key: tuple[int, int], item: tuple[bytes, int, int]) -> None:
+        self.pending.setdefault(key, deque()).append(item)
         self._pending_count += 1
         while self._pending_count > PENDING_LIMIT:
-            self._drop_oldest()
-
-    def _drop_oldest(self) -> None:
-        # no queue is kept empty, so the first key's head goes; an
-        # OrderedDict reaches its first key without scanning deleted slots
-        key, q = next(iter(self.pending.items()))
-        q.popleft()
-        self._pending_count -= 1
-        if not q:
-            del self.pending[key]
-
-    def take_pending(self, key: tuple[int, int]) -> list[_PendingData]:
-        q = self.pending.pop(key, None)
-        if q is None:
-            return []
-        self._pending_count -= len(q)
-        return list(q)
-
-
-def _field_value(data: bytes, is_ip: bool):
-    if is_ip:
-        return socket.inet_ntoa(data[-4:].rjust(4, b"\x00"))
-    return int.from_bytes(data, "big")
+            # no queue is kept empty, so the first key's head goes; an
+            # OrderedDict reaches its first key without scanning deleted slots
+            oldest, q = next(iter(self.pending.items()))
+            q.popleft()
+            self._pending_count -= 1
+            self.drops["pending-dropped"] += 1
+            if not q:
+                del self.pending[oldest]
 
 
 def _decode_records(
-    template: Template, payload: bytes, sys_uptime: int, unix_secs: int
+    template: Template, payload: bytes, sys_uptime: int, unix_secs: int, drops: Counter
 ) -> list[FlowRecord]:
     rec_len = template.record_length
     if rec_len == 0:
         return []
+    boot_ms = unix_secs * 1000 - sys_uptime
     records: list[FlowRecord] = []
-    n = len(payload) // rec_len  # trailing padding ignored
-    for i in range(n):
-        chunk = payload[i * rec_len : (i + 1) * rec_len]
-        values: dict[int, object] = {}
-        off = 0
-        for f in template.fields:
-            values[f.field_type] = _field_value(
-                chunk[off : off + f.length], f.field_type in _IP_FIELDS
-            )
-            off += f.length
-        start_ms = values.get(F_FLOW_START_MS)
-        end_ms = values.get(F_FLOW_END_MS)
-        if start_ms is None and F_FIRST_SWITCHED in values:
-            start_ms = unix_secs * 1000 - sys_uptime + values[F_FIRST_SWITCHED]
-        if end_ms is None and F_LAST_SWITCHED in values:
-            end_ms = unix_secs * 1000 - sys_uptime + values[F_LAST_SWITCHED]
-        src_tos = int(values.get(F_SRC_TOS, 0))
+    for base in range(0, len(payload) - rec_len + 1, rec_len):  # trailing padding ignored
+        values = dict(_ABSENT)
+        for name, start, end, kind in template.layout:
+            data = payload[base + start : base + end]
+            if kind == _IP:
+                values[name] = socket.inet_ntoa(data[-4:].rjust(4, b"\x00"))
+            else:
+                values[name] = int.from_bytes(data, "big") + (boot_ms if kind == _UPTIME else 0)
         try:
-            records.append(
-                FlowRecord(
-                    ingress_interface=int(values.get(F_INPUT_INTERFACE, 0)),
-                    src_ip=values.get(F_IPV4_SRC_ADDR, "0.0.0.0"),
-                    dst_ip=values.get(F_IPV4_DST_ADDR, "0.0.0.0"),
-                    ip_protocol=int(values.get(F_PROTOCOL, 0)),
-                    src_port=int(values.get(F_L4_SRC_PORT, 0)),
-                    dst_port=int(values.get(F_L4_DST_PORT, 0)),
-                    tos=src_tos,
-                    in_bytes=int(values.get(F_IN_BYTES, 0)),
-                    out_bytes=int(values.get(F_OUT_BYTES, 0)),
-                    src_tos=src_tos,
-                    dst_tos=int(values.get(F_DST_TOS, 0)),
-                    l7_proto_name="unknown",  # not carried on the wire
-                    flow_start_ms=int(start_ms or 0),
-                    flow_end_ms=int(end_ms or 0),
-                )
-            )
+            # ToS is the source's; L7 is not carried on the wire
+            records.append(FlowRecord(**values, tos=values["src_tos"], l7_proto_name="unknown"))
         except ValueError:
-            continue  # out-of-range field content; skip the record
+            drops["invalid-record"] += 1
     return records
 
 
@@ -196,39 +172,28 @@ def decode_netflow_v9(datagram: bytes, cache: TemplateCache) -> list[FlowRecord]
                     break
                 if p + 4 * field_count > len(payload):
                     raise NetflowDecodeError("truncated-template")
-                fields = tuple(
-                    TemplateField(*struct.unpack_from("!HH", payload, p + 4 * j))
-                    for j in range(field_count)
-                )
                 if tid < 256:
                     raise NetflowDecodeError(f"bad-template-id:{tid}")
-                staged_templates[(source_id, tid)] = Template(tid, fields)
+                pairs = struct.unpack_from(f"!{2 * field_count}H", payload, p)
+                fields = tuple(zip(pairs[::2], pairs[1::2]))
+                staged_templates[(source_id, tid)] = Template.of(fields)
                 p += 4 * field_count
-        elif flowset_id == 1:
-            pass  # options templates not needed
-        elif flowset_id >= 256:
+        elif flowset_id >= 256:  # 1 is an options template, not needed
             data_sets.append((flowset_id, payload))
         off += length
 
-    # Commit: templates first, then data.
-    for key, template in staged_templates.items():
-        cache.templates[key] = template
-        cache.templates.move_to_end(key)
-    while len(cache.templates) > TEMPLATE_LIMIT:
-        cache.templates.popitem(last=False)
+    # Commit: templates and the data that waited for them, then data.
     records: list[FlowRecord] = []
     for key, template in staged_templates.items():
-        for item in cache.take_pending(key):
-            records.extend(
-                _decode_records(template, item.payload, item.sys_uptime, item.unix_secs)
-            )
+        for item in cache.register(key, template):
+            records += _decode_records(template, *item, cache.drops)
     for flowset_id, payload in data_sets:
         key = (source_id, flowset_id)
         template = cache.templates.get(key)
         if template is None:
-            cache.buffer(key, _PendingData(payload, sys_uptime, unix_secs))
-            continue
-        records.extend(_decode_records(template, payload, sys_uptime, unix_secs))
+            cache.buffer(key, (payload, sys_uptime, unix_secs))
+        else:
+            records += _decode_records(template, payload, sys_uptime, unix_secs, cache.drops)
     return records
 
 
@@ -237,6 +202,7 @@ class CollectorStats:
     datagrams: int = 0
     records: int = 0
     malformed: int = 0
+    drops: Counter = field(default_factory=Counter, init=False)  # the cache's, by reason
 
 
 def collect_udp(
@@ -257,6 +223,7 @@ def collect_udp(
         raise ValueError(f"bad-port: {port} is outside 0-65535")
     stats = CollectorStats()
     cache = TemplateCache()
+    stats.drops = cache.drops
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
         sock.bind((bind_addr, port))

@@ -1,12 +1,17 @@
 import csv
 import json
 import os
+import shutil
 import socket
 import threading
 
 import pytest
 
+from natwatch import netflow9
 from natwatch.cli import main
+from natwatch.ingest import parse_flow_csv
+
+from util import make_flow
 
 MODEL = "webcam.Alphacam.AC_100"
 
@@ -111,6 +116,32 @@ class TestEvaluate:
         assert rc == 2
 
 
+def _fake_collector(records, then=None):
+    """A stand-in for netflow9.collect_udp that hands `records` to the
+    sink one datagram each, then raises `then` or returns its stats."""
+
+    def collect_udp(bind_addr, port, sink, stop, ready=None):
+        if ready is not None:
+            ready()
+        stats = netflow9.CollectorStats(datagrams=len(records), records=len(records))
+        for record in records:
+            sink([record])
+            if then is not None:
+                raise then
+        stats.drops["invalid-record"] = 2
+        stats.drops["template-evicted"] = 0  # a zero count is not named
+        return stats
+
+    return collect_udp
+
+
+def _no_live_timer():
+    timers = [t for t in threading.enumerate() if isinstance(t, threading.Timer)]
+    for t in timers:
+        t.join(timeout=5)
+    return not any(t.is_alive() for t in timers)
+
+
 class TestDetect:
     def test_csv_input_writes_audit(self, synth_dir, artifact_path, tmp_path):
         audit = tmp_path / "audit.jsonl"
@@ -145,6 +176,23 @@ class TestDetect:
                    "--audit", str(tmp_path / "a.jsonl"), "--policy", "explode"])
         assert rc == 2
 
+    def test_udp_input_audits_each_record_against_each_artifact(self, artifact_path, tmp_path,
+                                                                 monkeypatch, capsys):
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("a.json", "b.json"):
+            shutil.copy(artifact_path, models / name)
+        flows = [make_flow(dst_port=p) for p in (53, 443, 8080)]
+        monkeypatch.setattr(netflow9, "collect_udp", _fake_collector(flows))
+        audit = tmp_path / "audit.jsonl"
+        rc = main(["detect", "--artifacts", str(models), "--input", "udp:2055",
+                   "--audit", str(audit)])
+        assert rc == 0
+        lines = [json.loads(line) for line in audit.read_text().splitlines()]
+        assert len(lines) == len(flows) * 2
+        assert all(line["model"] == MODEL for line in lines)
+        assert "listening for NetFlow v9 on udp/2055" in capsys.readouterr().err
+
     def test_block_stub_without_block_out_is_data_error(self, synth_dir, artifact_path,
                                                         tmp_path, capsys):
         rc = main(["detect", "--artifacts", str(artifact_path),
@@ -156,6 +204,29 @@ class TestDetect:
 
 
 class TestCollect:
+    def test_duration_run_writes_flows_and_summary(self, tmp_path, monkeypatch, capsys):
+        flows = [make_flow(dst_port=53), make_flow(dst_port=443)]
+        monkeypatch.setattr(netflow9, "collect_udp", _fake_collector(flows))
+        out = tmp_path / "c.csv"
+        rc = main(["collect", "--port", "2055", "--out", str(out), "--duration", "5"])
+        assert rc == 0
+        parsed, rejected = parse_flow_csv(str(out))
+        assert rejected == [] and [lf.flow for lf in parsed] == flows
+        assert capsys.readouterr().out == (
+            f"2 datagrams, 2 records, 0 malformed, 2 invalid-record -> {out}\n")
+        assert _no_live_timer()
+
+    def test_ctrl_c_keeps_what_was_collected(self, tmp_path, monkeypatch, capsys):
+        flows = [make_flow(dst_port=53), make_flow(dst_port=443)]
+        monkeypatch.setattr(netflow9, "collect_udp", _fake_collector(flows, KeyboardInterrupt))
+        out = tmp_path / "c.csv"
+        rc = main(["collect", "--port", "2055", "--out", str(out)])
+        assert rc == 0
+        parsed, _ = parse_flow_csv(str(out))
+        assert [lf.flow.dst_port for lf in parsed] == [53]
+        assert capsys.readouterr().out == ""
+        assert _no_live_timer()
+
     def test_bind_error_leaves_no_timer(self, tmp_path):
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
             taken.bind(("127.0.0.1", 0))
@@ -163,10 +234,7 @@ class TestCollect:
             rc = main(["collect", "--port", str(port), "--bind", "127.0.0.1",
                        "--out", str(tmp_path / "c.csv"), "--duration", "30"])
         assert rc == 2
-        timers = [t for t in threading.enumerate() if isinstance(t, threading.Timer)]
-        for t in timers:
-            t.join(timeout=5)
-        assert not any(t.is_alive() for t in timers)
+        assert _no_live_timer()
 
 
 class TestBaseline:

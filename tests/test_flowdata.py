@@ -78,7 +78,8 @@ class TestFlowRecord:
         with pytest.raises(ValueError):
             make_flow(dst_port=70000)
 
-    @pytest.mark.parametrize("field", ["in_bytes", "out_bytes", "flow_start_ms", "flow_end_ms"])
+    @pytest.mark.parametrize("field", ["in_bytes", "out_bytes", "flow_start_ms", "flow_end_ms",
+                                       "ingress_interface"])
     def test_counters_and_timestamps_bounded_to_64_bits(self, field):
         top = {"flow_end_ms": 2**64 - 1} if field == "flow_start_ms" else {}
         make_flow(**top, **{field: 2**64 - 1})

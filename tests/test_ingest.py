@@ -152,11 +152,16 @@ class TestParseFlowCsv:
         valid = "1,192.168.1.5,8.8.8.8,17,40000,53,812,0,0,0,DNS,1000,4000"
         rows = [valid.replace(",812,", ",99999999999999999999999,"),
                 valid.replace(",1000,", ",-1,"),
-                valid.replace(",812,", f",{2**64 - 1},")]
+                valid.replace(",812,", f",{2**64 - 1},"),
+                f"99999999999999999999999{valid[1:]}",
+                f"-7{valid[1:]}",
+                f"{2**64 - 1}{valid[1:]}"]
         ds, rejected = parse_flow_csv(write_csv(tmp_path, rows))
         assert [(r.line_no, r.reason.split(":")[0]) for r in rejected] == [
-            (2, "invalid-field"), (3, "invalid-field")]
-        assert [lf.flow.in_bytes for lf in ds] == [2**64 - 1]
+            (2, "invalid-field"), (3, "invalid-field"), (5, "invalid-field"),
+            (6, "invalid-field")]
+        assert [(lf.flow.ingress_interface, lf.flow.in_bytes) for lf in ds] == [
+            (1, 2**64 - 1), (2**64 - 1, 812)]
 
     def test_row_short_of_a_text_cell_is_rejected(self, tmp_path):
         header = HEADER.replace("L7_PROTO_NAME,", "") + ",L7_PROTO_NAME"
@@ -273,7 +278,7 @@ _flow_ms = st.integers(0, 2**62)
 def _labeled_flows(draw):
     start = draw(_flow_ms)
     flow = FlowRecord(
-        ingress_interface=draw(st.integers(-(2**63), 2**63)), src_ip=draw(_text),
+        ingress_interface=draw(_count), src_ip=draw(_text),
         dst_ip=draw(_text), ip_protocol=draw(_byte), src_port=draw(_port),
         dst_port=draw(_port), tos=draw(_byte), in_bytes=draw(_count), out_bytes=draw(_count),
         src_tos=draw(_byte), dst_tos=draw(_byte), l7_proto_name=draw(_text),

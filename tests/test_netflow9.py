@@ -2,6 +2,7 @@ import socket
 import struct
 import threading
 import time
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -148,8 +149,10 @@ class TestDecode:
             sys_uptime=1000,
             unix_secs=0,
         )
-        records = decode_netflow_v9(datagram, TemplateCache())
+        cache = TemplateCache()
+        records = decode_netflow_v9(datagram, cache)
         assert [(r.flow_start_ms, r.flow_end_ms) for r in records] == [(500, 1500)]
+        assert cache.drops == Counter({"invalid-record": 1})
 
     def test_pending_buffer_bounded(self, monkeypatch):
         monkeypatch.setattr(netflow9, "PENDING_LIMIT", 5)
@@ -164,6 +167,7 @@ class TestDecode:
         )
         assert len(records) == 5
         assert [r.dst_port for r in records] == [5, 6, 7, 8, 9]  # oldest dropped
+        assert cache.drops == Counter({"pending-dropped": 5})
 
     def test_spoofed_sources_evict_in_constant_time(self):
         """Templates, and the data waiting for them, are keyed by source_id
@@ -180,6 +184,7 @@ class TestDecode:
         newest = [(s, 300) for s in range(n - netflow9.PENDING_LIMIT, n)]
         assert list(cache.pending) == newest
         assert [len(q) for q in cache.pending.values()] == [1] * netflow9.PENDING_LIMIT
+        assert cache.drops == Counter({"pending-dropped": n - netflow9.PENDING_LIMIT})
 
     def test_template_cache_evicts_oldest_registered(self, monkeypatch):
         monkeypatch.setattr(netflow9, "TEMPLATE_LIMIT", 3)
@@ -195,6 +200,7 @@ class TestDecode:
         register(0)  # registering again makes it the newest
         register(3)
         assert list(cache.templates) == [(2, 300), (0, 300), (3, 300)]
+        assert cache.drops == Counter({"template-evicted": 1})
         # data for the evicted template waits for it again
         data = build_datagram([encode_data_flowset(300, FIELDS, [RECORD])], source_id=1)
         assert decode_netflow_v9(data, cache) == []
@@ -208,10 +214,71 @@ class TestDecode:
             decode_netflow_v9(build_datagram([templates], source_id=s), cache)
         newest = [(s, t) for s in range(n - netflow9.TEMPLATE_LIMIT // 2, n) for t in (300, 301)]
         assert list(cache.templates) == newest
+        assert cache.drops == Counter({"template-evicted": 2 * n - netflow9.TEMPLATE_LIMIT})
 
 
 def _flowset(flowset_id, body):
     return struct.pack("!HH", flowset_id, 4 + len(body)) + body
+
+
+def _one_record(fields, record_bytes, sys_uptime=0, unix_secs=0):
+    """Decode one data record written byte for byte against `fields`."""
+    datagram = build_datagram(
+        [encode_template_flowset([(300, fields)]), _flowset(300, record_bytes)],
+        sys_uptime=sys_uptime, unix_secs=unix_secs,
+    )
+    return decode_netflow_v9(datagram, TemplateCache())
+
+
+class TestLayout:
+    @pytest.mark.parametrize("absolute_first", [True, False])
+    def test_absolute_timestamps_win_over_sysuptime_ones(self, absolute_first):
+        absolute = [((152, 8), 7_000), ((153, 8), 9_000)]
+        relative = [((22, 4), 100), ((21, 4), 200)]
+        pairs = absolute + relative if absolute_first else relative + absolute
+        fields = [f for f, _ in pairs]
+        body = b"".join(v.to_bytes(f[1], "big") for f, v in pairs)
+        [r] = _one_record(fields, body, sys_uptime=1000, unix_secs=100)
+        assert (r.flow_start_ms, r.flow_end_ms) == (7_000, 9_000)
+
+    def test_repeated_field_type_takes_its_last_value(self):
+        fields = [(11, 2), (7, 2), (11, 2)]
+        [r] = _one_record(fields, struct.pack("!HHH", 53, 40000, 443))
+        assert (r.src_port, r.dst_port) == (40000, 443)
+
+    def test_short_ip_is_left_padded_and_long_ip_keeps_its_last_4_bytes(self):
+        fields = [(8, 2), (12, 6)]
+        [r] = _one_record(fields, bytes([1, 2]) + bytes([0xAA, 0xBB, 10, 0, 0, 1]))
+        assert (r.src_ip, r.dst_ip) == ("0.0.1.2", "10.0.0.1")
+
+    def test_options_template_flowset_is_ignored(self):
+        # id 300, one scope field (system, 4 bytes), one option (INPUT_SNMP, 4 bytes)
+        options = _flowset(1, struct.pack("!7H", 300, 4, 4, 1, 4, 10, 4))
+        cache = TemplateCache()
+        data = encode_data_flowset(300, FIELDS, [RECORD])
+        assert decode_netflow_v9(build_datagram([options, data]), cache) == []
+        assert cache.templates == {}
+        template = build_datagram([encode_template_flowset([(300, FIELDS)])])
+        assert decode_netflow_v9(template, cache) == decode_netflow_v9(
+            template_then_data(), TemplateCache())
+
+    def test_template_of_zero_length_yields_no_records(self):
+        cache = TemplateCache()
+        fields = [(10, 0), (8, 0)]
+        datagram = build_datagram(
+            [encode_template_flowset([(300, fields)]), _flowset(300, bytes(8))])
+        assert decode_netflow_v9(datagram, cache) == []
+        assert cache.pending == {}
+        assert cache.drops == Counter()
+
+    def test_interface_index_beyond_64_bits_is_dropped_and_counted(self):
+        fields = [(10, 9)] + FIELDS[1:]
+        records = [{**RECORD, 10: 2**64}, {**RECORD, 10: 2**64 - 1}]
+        cache = TemplateCache()
+        datagram = build_datagram([encode_template_flowset([(300, fields)]),
+                                   encode_data_flowset(300, fields, records)])
+        assert [r.ingress_interface for r in decode_netflow_v9(datagram, cache)] == [2**64 - 1]
+        assert cache.drops == Counter({"invalid-record": 1})
 
 
 _fields = st.lists(
@@ -246,15 +313,16 @@ def _datagrams(draw):
 
 
 def _cache_state(cache):
-    return list(cache.templates.items()), [(k, list(q)) for k, q in cache.pending.items()]
+    return (list(cache.templates.items()), [(k, list(q)) for k, q in cache.pending.items()],
+            dict(cache.drops))
 
 
 @given(datagrams=st.lists(_datagrams(), min_size=1, max_size=12),
        limit=st.sampled_from([1, netflow9.PENDING_LIMIT]))
 def test_decode_rejects_only_with_decode_error_and_atomically(datagrams, limit):
     """Any datagram either decodes or raises NetflowDecodeError, a
-    rejected one leaves the templates and the buffered data unchanged,
-    and both stay within their limits."""
+    rejected one leaves the templates, the buffered data and the drop
+    counts unchanged, and both stay within their limits."""
     cache = TemplateCache()
     with mock.patch.object(netflow9, "PENDING_LIMIT", limit), \
             mock.patch.object(netflow9, "TEMPLATE_LIMIT", limit):
@@ -297,7 +365,8 @@ class TestCollector:
             [
                 template_then_data(records=[{**RECORD, 11: 1}]),
                 b"garbage",
-                template_then_data(records=[{**RECORD, 11: 2}, {**RECORD, 11: 3}]),
+                template_then_data(records=[{**RECORD, 11: 2}, {**RECORD, 11: 3},
+                                            {**RECORD, 11: 4, 152: 5000}]),  # ends before it starts
             ],
         )
         deadline = time.time() + 2
@@ -309,6 +378,7 @@ class TestCollector:
         assert [r.dst_port for r in received] == [1, 2, 3]
         assert result["stats"].malformed == 1
         assert result["stats"].datagrams == 3
+        assert result["stats"].drops == Counter({"invalid-record": 1})
 
     def test_bind_failure_raises(self):
         stop = threading.Event()
