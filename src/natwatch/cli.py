@@ -9,6 +9,7 @@ machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import glob
 import os
 import sys
@@ -69,14 +70,20 @@ def _load_dns(path: str):
 
 
 def _load_artifacts(path: str) -> dict:
-    """{file path: artifact} for an artifact file or a directory of them."""
+    """{file path: artifact} for an artifact file or a directory of them.
+    The artifacts are frozen out of the cyclic collector's walks (main
+    thaws them): they live for the whole command and hold no cycles, and
+    13 forests are about 266k tracked objects, whose walks by the collector
+    took 0.2 s of a detect over 600 flows."""
     paths = sorted(glob.glob(os.path.join(path, "*.json"))) if os.path.isdir(path) else [path]
     if not paths:
         raise DataError(f"no-artifacts: {path}")
     try:
-        return {p: load_artifact(p) for p in paths}
+        artifacts = {p: load_artifact(p) for p in paths}
     except ArtifactError as exc:
         raise DataError(f"artifact-error: {exc}") from exc
+    gc.freeze()
+    return artifacts
 
 
 def _or_na(rate) -> str:
@@ -324,11 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # thaw what _load_artifacts froze, so that an in-process caller gets the
+    # collector back as it was; a caller that froze objects itself keeps
+    # them frozen, and the artifacts with them
+    thawed = gc.get_freeze_count() == 0
     try:
         return args.func(args)
     except (DataError, ValueError, OSError) as exc:
         print(f"data-error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if thawed:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import shutil
@@ -7,7 +8,7 @@ import threading
 
 import pytest
 
-from natwatch import netflow9
+from natwatch import cli, netflow9
 from natwatch.cli import main
 from natwatch.ingest import parse_flow_csv
 
@@ -201,6 +202,35 @@ class TestDetect:
         assert rc == 2
         assert capsys.readouterr().err.startswith("data-error: block_stub")
         assert list(tmp_path.iterdir()) == []  # no audit line claims a block
+
+
+class TestFrozenArtifacts:
+    """detect and evaluate freeze their loaded artifacts out of the cyclic
+    collector's walks and thaw them when main returns, however it ends."""
+
+    @pytest.mark.parametrize("command", ["detect", "evaluate", "detect-missing-input"])
+    def test_main_leaves_nothing_frozen(self, command, synth_dir, artifact_path, tmp_path):
+        flows = synth_dir / ("none.csv" if command == "detect-missing-input" else "flows.csv")
+        if command == "evaluate":
+            argv = ["evaluate", "--artifacts", str(artifact_path), "--test", str(flows),
+                    "--out", str(tmp_path / "report")]
+        else:
+            argv = ["detect", "--artifacts", str(artifact_path), "--input", str(flows),
+                    "--audit", str(tmp_path / "a.jsonl")]
+        assert gc.get_freeze_count() == 0
+        assert main(argv) == (2 if command == "detect-missing-input" else 0)
+        assert gc.get_freeze_count() == 0
+
+    def test_detector_runs_with_the_artifacts_frozen(self, synth_dir, artifact_path, tmp_path,
+                                                     monkeypatch):
+        frozen = []
+        monkeypatch.setattr(cli, "run_detector",
+                            lambda *args: frozen.append(gc.get_freeze_count()) or [])
+        rc = main(["detect", "--artifacts", str(artifact_path),
+                   "--input", str(synth_dir / "flows.csv"), "--audit", str(tmp_path / "a.jsonl")])
+        assert rc == 0
+        assert len(frozen) == 1 and frozen[0] > 0
+        assert gc.get_freeze_count() == 0
 
 
 class TestCollect:

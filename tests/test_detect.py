@@ -17,7 +17,7 @@ from natwatch.detect import (
 )
 from natwatch.flowdata import NON_IOT, FlowDataset, LabeledFlow, chronological_split, filter_model
 from natwatch.iforest import (
-    ROW_WALK_MAX_ROWS,
+    TABLE_MAX_ROWS,
     ModelArtifact,
     normality_score,
     normality_scores,
@@ -224,8 +224,8 @@ def test_g_is_bit_identical_through_every_scoring_call(train, queries, n_trees, 
     artifact = ModelArtifact(model=WEBCAM, schema=schema, forest=forest)
     Q = transform_many(schema, queries)
     batch = normality_scores(forest, Q).tolist()
-    # repeated past ROW_WALK_MAX_ROWS, so the other tree walk scores it too
-    repeats = ROW_WALK_MAX_ROWS // len(queries) + 1
+    # repeated past TABLE_MAX_ROWS, so the other tree walk scores it too
+    repeats = TABLE_MAX_ROWS // len(queries) + 1
     assert normality_scores(forest, np.tile(Q, (repeats, 1))).tolist() == batch * repeats
     assert [normality_score(forest, transform(schema, f)) for f in queries] == batch
     assert [classify(artifact, f).normality_g for f in queries] == batch

@@ -17,8 +17,8 @@ from natwatch.iforest import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactError,
     IsolationTree,
-    ROW_WALK_MAX_ROWS,
     ModelArtifact,
+    TABLE_MAX_ROWS,
     TreeNode,
     anomaly_scores,
     c_factor,
@@ -110,6 +110,41 @@ def test_train_forest_grows_the_reference_trees(X, subsample, n_trees, seed, pas
     columns = iforest._tree_to_columns
     assert [columns(tree.root) for tree in forest.trees] == \
         [columns(reference_tree(X, subsample, seed, t)) for t in range(n_trees)]
+
+
+@given(X=training_matrices(), subsample=st.integers(1, 300), n_trees=st.integers(1, 7),
+       seed=st.integers(min_value=0), rows=st.integers(0, TABLE_MAX_ROWS),
+       query_seed=st.integers(0, 2**32 - 1))
+def test_node_table_adds_every_trees_path_length(X, subsample, n_trees, seed, rows, query_seed):
+    """A batch of up to TABLE_MAX_ROWS rows, NaN and +-inf cells among
+    them, scores bit for bit as the partition walk scores it and as the
+    path lengths of the linked trees add up in forest order; the forest
+    builds its table once."""
+    forest = train_forest(X, n_trees, subsample, seed)
+    rng = np.random.default_rng(query_seed)
+    # training rows, some moved off the values the trees split between
+    Q = X[rng.integers(0, len(X), rows)] + rng.normal(size=(rows, X.shape[1])) \
+        * rng.integers(0, 2, (rows, X.shape[1]))
+    cells = rng.random(Q.shape)
+    Q[cells < 0.1], Q[(0.1 <= cells) & (cells < 0.15)] = math.nan, math.inf
+    Q[(0.15 <= cells) & (cells < 0.2)] = -math.inf
+    if rows:  # the same rows repeated past the cut are partitioned, and build no table
+        partitioned = anomaly_scores(forest, np.tile(Q, (TABLE_MAX_ROWS // rows + 1, 1)))[:rows]
+        assert forest._table is None
+    scores = anomaly_scores(forest, Q)
+    table = forest._table
+    c = c_factor(forest.sample_count)
+    mean_h = []
+    for row in Q.tolist():
+        h = 0.0
+        for tree in forest.trees:
+            h += path_length(tree, row)
+        mean_h.append(h / len(forest.trees))
+    expected = np.full(rows, 0.5) if c == 0.0 else np.power(2.0, -np.array(mean_h) / c)
+    assert scores.shape == (rows,) and scores.tobytes() == expected.tobytes()
+    assert rows == 0 or partitioned.tobytes() == scores.tobytes()
+    assert anomaly_scores(forest, Q[:0]).shape == (0,)
+    assert forest._table is table
 
 
 class TestCFactor:
@@ -253,8 +288,8 @@ class TestScoring:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(300, 3))
         forest = train_forest(X, n_trees=25, master_seed=0)
-        # both tree walks: the row walk up to ROW_WALK_MAX_ROWS, partitioning above
-        for n in (1, ROW_WALK_MAX_ROWS, ROW_WALK_MAX_ROWS + 1, 1000):
+        # both tree walks: the node table up to TABLE_MAX_ROWS, partitioning above
+        for n in (1, TABLE_MAX_ROWS, TABLE_MAX_ROWS + 1, 1000):
             q = rng.normal(size=(n, 3))
             batch = normality_scores(forest, q).tolist()
             assert [normality_score(forest, row) for row in q] == batch, n
@@ -334,9 +369,9 @@ def test_artifact_round_trip_keeps_g_and_bytes(train, queries, n_trees, subsampl
         save_artifact(restored, second)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
-    # one row at a time (row walk) and ROW_WALK_MAX_ROWS + 1 rows (partitioning)
+    # one row at a time (node table) and TABLE_MAX_ROWS + 1 rows (partitioning)
     Q = transform_many(schema, queries)
-    big = np.tile(Q, (ROW_WALK_MAX_ROWS // len(queries) + 1, 1))[: ROW_WALK_MAX_ROWS + 1]
+    big = np.tile(Q, (TABLE_MAX_ROWS // len(queries) + 1, 1))[: TABLE_MAX_ROWS + 1]
     for X in [Q[i : i + 1] for i in range(len(Q))] + [big]:
         assert normality_scores(restored.forest, X).tolist() == \
             normality_scores(forest, X).tolist()
@@ -401,7 +436,7 @@ def test_edited_tree_columns_load_or_raise_artifact_error(data):
             assert str(exc).startswith("corrupt-artifact: ")
             return
     # an edit that keeps a tree train_forest could write still scores
-    X = np.zeros((ROW_WALK_MAX_ROWS + 1, forest["dimension"]))
+    X = np.zeros((TABLE_MAX_ROWS + 1, forest["dimension"]))
     assert np.all(np.isfinite(normality_scores(artifact.forest, X)))
 
 
