@@ -14,6 +14,8 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, repeat
 from typing import Optional, Union
 
 import numpy as np
@@ -63,10 +65,6 @@ class TreeNode:
     left: Optional["TreeNode"] = None
     right: Optional["TreeNode"] = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.split_dim < 0
-
 
 @dataclass
 class IsolationTree:
@@ -98,12 +96,12 @@ def _tree_rng(master_seed: int, tree_index: int) -> np.random.Generator:
 
 @dataclass
 class IsolationForest:
-    trees: list[IsolationTree]
+    table: "NodeTable"  # every tree, as scoring walks it and an artifact stores it
     sample_count: int  # psi, the subsample each tree was built on
     master_seed: int
     dimension: int
-    # the trees as one NodeTable, built when a batch first needs it
-    _table: Optional["NodeTable"] = field(default=None, init=False, repr=False, compare=False)
+    # train_forest's linked trees, kept for bench/spans to count; a loaded forest has none
+    trees: list[IsolationTree] = field(default_factory=list, repr=False, compare=False)
 
 
 DEFAULT_TREES = 100
@@ -134,8 +132,8 @@ def train_forest(
     rngs = [_tree_rng(master_seed, t) for t in range(n_trees)]
     with _collector_paused():  # the trees are acyclic
         roots = _grow_trees(X.T, rngs, psi)
-    return IsolationForest(trees=[IsolationTree(root) for root in roots], sample_count=psi,
-                           master_seed=master_seed, dimension=d)
+    table = _table_from_trees([_tree_to_columns(root) for root in roots], d, psi)
+    return IsolationForest(table, psi, master_seed, d, [IsolationTree(root) for root in roots])
 
 
 # A numpy pass of _grow_trees takes the next nodes of consecutive trees up
@@ -231,31 +229,6 @@ def _slices(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - _starts(sizes), sizes) + np.arange(sizes.sum())
 
 
-def path_length(tree: IsolationTree, x) -> float:
-    """Edges traversed to the external node reached by row x, plus
-    c(external size)."""
-    node = tree.root
-    depth = 0
-    while node.split_dim >= 0:
-        node = node.left if x[node.split_dim] < node.split_value else node.right
-        depth += 1
-    return depth + c_factor(node.size)
-
-
-def _batch_paths(node: TreeNode, cols: np.ndarray, idx: np.ndarray, depth: int, out: np.ndarray):
-    """Path lengths of the rows idx (not empty) of the column-major batch
-    cols, one row per feature, below node at depth."""
-    if node.split_dim < 0:
-        out[idx] = depth + c_factor(node.size)
-        return
-    mask = cols[node.split_dim][idx] < node.split_value
-    left, right = idx[mask], idx[~mask]
-    if left.size:
-        _batch_paths(node.left, cols, left, depth + 1, out)
-    if right.size:
-        _batch_paths(node.right, cols, right, depth + 1, out)
-
-
 @dataclass(frozen=True)
 class NodeTable:
     """A forest's trees as rows of one table: each tree's nodes in preorder,
@@ -267,46 +240,118 @@ class NodeTable:
     value: np.ndarray  # float64, -inf at a leaf
     right: np.ndarray  # int32
     leaf: np.ndarray  # float64, depth + c(size) at a leaf, 0 at a split
-    roots: np.ndarray  # each tree's first row
+    size: np.ndarray  # int64, the leaves' sizes in row order, which format 3 stores
+    roots: np.ndarray  # intp, each tree's first row (the walk's node indices)
     steps: int  # the depth of the deepest leaf
 
 
-def _node_table(trees) -> NodeTable:
-    """The NodeTable of trees given as preorder columns [dims, values]
-    (_tree_to_columns), read one tree at a time."""
-    columns, roots, at, steps = ([], [], [], []), [], 0, 0  # dim, value, right, leaf
-    for dims, values in trees:
-        right = list(range(at, at + len(dims)))  # a leaf is its own right child
-        leaf = [0.0] * len(dims)
-        depth, waiting = -1, []  # the splits, with their depth, still short of a right child
-        for i, dim in enumerate(dims):
-            if i and dims[i - 1] < 0:  # after a leaf: the right child of the last split waiting
-                parent, depth = waiting.pop()
-                right[parent] = at + i
-            depth += 1
-            if dim >= 0:
-                waiting.append((i, depth))
-            else:
-                leaf[i] = depth + c_factor(values[i])  # as path_length adds them
-                steps = max(steps, depth)
-        dim, value = np.array(dims, dtype=np.int32), np.array(values, dtype=float)
-        is_leaf = dim < 0
-        dim[is_leaf], value[is_leaf] = 0, -math.inf
-        for column, part in zip(columns, (dim, value, np.array(right, dtype=np.int32),
-                                          np.array(leaf))):
-            column.append(part)
-        roots.append(at)
-        at += len(dims)
-    dim, value, right, leaf = map(_joined, columns)
-    return NodeTable(dim, value, right, leaf, np.array(roots, dtype=np.intp), steps)
+def _table_from_trees(trees: list, dimension: int, psi: int) -> NodeTable:
+    """The NodeTable of trees given as format 3's preorder columns
+    [dims, values], refusing (ValueError) any tree train_forest cannot
+    write: columns of another shape, a malformed node, a split on a
+    dimension the forest lacks, a leaf larger than the sample, a missing or
+    extra node, or a split at or below the height limit. Of several faults
+    the one named is the first met reading the trees node by node."""
+    shaped = next((t for t, tree in enumerate(trees) if type(tree) is not list or len(tree) != 2
+                   or type(tree[0]) is not list or type(tree[1]) is not list
+                   or len(tree[0]) != len(tree[1])), len(trees))
+    columns = trees[:shaped]
+    lengths = np.array([len(tree[0]) for tree in columns], dtype=np.intp)
+    ends = np.cumsum(lengths)
+    n, grown = int(ends[-1]) if shaped else 0, lengths > 0
+    split, bad, dim, value = _checked_nodes(columns, n, dimension, psi)
+    roots, lasts = (ends - lengths)[grown], ends[grown] - 1
+    # Each node fills the first subtree its tree has pending, and a split
+    # leaves two: the count pending after each node. It, the right children
+    # and the depths hold up to the first fault, all that naming it needs. A
+    # fault ranks by where a node-by-node read meets it: 4 x node + check.
+    after = 2 * split.astype(np.int32) - 1
+    after[roots] += 1
+    np.cumsum(after, out=after)
+    faults, early, short = [], after == 0, ~grown
+    early[lasts], short[grown] = False, after[lasts] > 0
+    if early.any():
+        faults.append((4 * int(early.argmax()) + 4, "nodes after the last leaf of a tree"))
+    if bad.any():
+        at = int(bad.argmax())
+        tree = int(np.searchsorted(ends, at, side="right"))
+        node = [column[at - ends[tree] + lengths[tree]] for column in columns[tree]]
+        faults.append((4 * at + 1, f"bad node {node!r:.60}"))
+    if short.any():
+        faults.append((4 * int(ends[short.argmax()]) - 1, "truncated node list"))
+    del early, bad
+    # A split's right child is the next node with as many subtrees pending
+    # before it (n: none). Up to the first fault a split is above the height
+    # limit, and no node has more pending than its depth + 1.
+    before = after - split - split + 1
+    del after
+    right = np.arange(n, dtype=np.int32)
+    right[split] = n
+    height_limit = math.ceil(math.log2(psi))
+    for count in range(1, height_limit + 1):
+        at = np.flatnonzero(before == count)
+        forks = split[at[:-1]]
+        right[at[:-1][forks]] = at[1:][forks]
+    del before
+    depth = np.full(n, -1, dtype=np.int32)
+    level, reached = 0, roots
+    while reached.size:
+        depth[reached] = level
+        forks = reached[split[reached]]
+        if level == height_limit and forks.size:
+            faults.append((4 * int(forks.min()) + 2, "a tree is deeper than its height limit"))
+            break
+        children = np.zeros(n + 1, dtype=bool)
+        children[forks + 1] = children[right[forks]] = True
+        reached = np.flatnonzero(children[:n] & (depth < 0))
+        level += 1
+    if faults:
+        raise ValueError(min(faults)[1])
+    if shaped < len(trees):
+        raise ValueError(f"a tree is not [dims, values] of equal length: {trees[shaped]!r:.60}")
+    leaves = ~split
+    size, leaf_depth = value[leaves].astype(np.int64), depth[leaves]
+    del depth
+    value[leaves] = -math.inf
+    # each distinct size once, without np.unique (it imports numpy.ma: about
+    # 1.7 MB more resident) or np.sort (its SIMD sorts: about 0.4 MB)
+    sizes = sorted(set(size.tolist()))
+    path = np.array([c_factor(m) for m in sizes])[np.searchsorted(sizes, size)]
+    path += leaf_depth  # c(size) + depth: addition commutes, bit for bit
+    leaf = np.zeros(n)
+    leaf[leaves] = path
+    return NodeTable(dim, value, right, leaf, size, roots, int(leaf_depth.max()))
 
 
-def _joined(parts: list) -> np.ndarray:
-    """The arrays parts end to end. The parts are dropped once joined, so
-    that a table being built holds at most one of its columns twice."""
-    joined = np.concatenate(parts)
-    parts.clear()
-    return joined
+def _checked_nodes(trees: list, n: int, dimension: int, psi: int) -> tuple:
+    """Of the n nodes of trees, [dims, values] each: which are splits (an int
+    dim in [0, dimension) and a finite float), which are bad (neither that
+    nor a leaf, -1 and an int size in [0, psi]), each split's dim (int32,
+    else 0) and each value (float64, exact for a size below 2^53)."""
+    def cells(k):  # column k of every tree, end to end
+        return chain.from_iterable(tree[k] for tree in trees)
+
+    if set(map(type, cells(0))) <= {int} and set(map(type, cells(1))) <= {int, float}:
+        try:
+            return _node_checks(cells, n, dimension, psi)
+        except OverflowError:  # an int past int64 or float64
+            pass
+    # node by node, as Python compares (a dim of -1.0 is -1, and True is no
+    # int), with any node the checks cannot read made one they refuse
+    plain = ([-1 if d == -1 else d if type(d) is int and 0 <= d < dimension else -2
+              for d in cells(0)],
+             [v if type(v) is int and 0 <= v <= psi or type(v) is float and math.isfinite(v)
+              else math.nan for v in cells(1)])
+    return _node_checks(plain.__getitem__, n, dimension, psi)
+
+
+def _node_checks(cells, n: int, dimension: int, psi: int) -> tuple:
+    dim, value = np.fromiter(cells(0), np.int64, n), np.fromiter(cells(1), np.float64, n)
+    is_float = np.fromiter(map(isinstance, cells(1), repeat(float)), bool, n)
+    split = is_float & (dim >= 0) & (dim < dimension) & np.isfinite(value)
+    leaf = (dim == -1) & ~is_float & (value >= 0) & (value <= psi)
+    dim[~split] = 0
+    return split, ~(split | leaf), dim.astype(np.int32), value
 
 
 def _table_paths(table: NodeTable, X: np.ndarray) -> np.ndarray:
@@ -322,13 +367,9 @@ def _table_paths(table: NodeTable, X: np.ndarray) -> np.ndarray:
     return table.leaf.take(node)
 
 
-# Up to this many rows, a batch is scored on the forest's NodeTable, which
-# the first such batch builds (about 15 ms for 100 trees of psi 256) and
-# the forest keeps. Larger batches are partitioned down the linked trees
-# (_batch_paths) and never need a table, so a forest that only scores
-# large batches (calibration, evaluation, a CSV) pays nothing for one.
-# Both add the same path lengths in the same order.
-TABLE_MAX_ROWS = 96
+# A batch is walked this many rows at a time, so that the walk's
+# (trees x rows) arrays stay small however large the batch is.
+CHUNK_ROWS = 128
 
 
 def anomaly_scores(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
@@ -342,19 +383,13 @@ def anomaly_scores(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     if c == 0.0:
         # psi <= 1 or unsplittable data: 0/0 pinned to the midpoint
         return np.full(X.shape[0], 0.5)
-    n = X.shape[0]
-    if n <= TABLE_MAX_ROWS:
-        if forest._table is None:
-            forest._table = _node_table(_tree_to_columns(tree.root) for tree in forest.trees)
-        # accumulate adds tree after tree, as the loop below does; sum(axis=0)
-        # may add pairwise, which changes the last bit
-        total = np.add.accumulate(_table_paths(forest._table, X), axis=0)[-1]
-    else:
-        total, paths, idx, cols = np.zeros(n), np.empty(n), np.arange(n), np.ascontiguousarray(X.T)
-        for tree in forest.trees:
-            _batch_paths(tree.root, cols, idx, 0, paths)
-            total += paths
-    mean_h = total / len(forest.trees)
+    # accumulate adds tree after tree (sum(axis=0) may add pairwise: another
+    # last bit); only its last row outlives the chunk
+    total = np.empty(len(X))
+    for a in range(0, len(X), CHUNK_ROWS):
+        total[a:a + CHUNK_ROWS] = np.add.accumulate(
+            _table_paths(forest.table, X[a:a + CHUNK_ROWS]), axis=0)[-1]
+    mean_h = total / len(forest.table.roots)
     return np.power(2.0, -mean_h / c)
 
 
@@ -422,72 +457,32 @@ def _tree_to_columns(root: TreeNode) -> list:
     return [dims, values]
 
 
-def _tree_from_columns(tree, dimension: int, sample_count: int, height_limit: int) -> IsolationTree:
-    """Rebuild one tree from its preorder columns [dims, values], rejecting
-    any tree train_forest cannot write: columns of another shape, a
-    malformed node, a split on a dimension the forest lacks, a leaf larger
-    than the sample, a missing or extra node, or a split at or below the
-    height limit."""
-    if type(tree) is not list or len(tree) != 2 or type(tree[0]) is not list \
-            or type(tree[1]) is not list or len(tree[0]) != len(tree[1]):
-        raise ValueError(f"a tree is not [dims, values] of equal length: {tree!r:.60}")
-    root = None
-    waiting: list[TreeNode] = []  # internal nodes short of a child
-    depths: list[int] = []  # the depth of each
-    for dim, value in zip(*tree):
-        if not waiting and root is not None:
-            raise ValueError("nodes after the last leaf of a tree")
-        # positional arguments: keywords double the cost of building a node
-        if dim == -1 and type(value) is int and 0 <= value <= sample_count:
-            node = TreeNode(-1, 0.0, value)
-        elif type(dim) is int and 0 <= dim < dimension and type(value) is float \
-                and math.isfinite(value):
-            node = TreeNode(dim, value)
-        else:
-            raise ValueError(f"bad node {[dim, value]!r:.60}")
-        if waiting:
-            depth = depths[-1] + 1
-            if waiting[-1].left is None:
-                waiting[-1].left = node
-            else:
-                waiting.pop().right = node
-                depths.pop()
-        else:
-            root, depth = node, 0
-        if dim != -1:
-            if depth >= height_limit:
-                raise ValueError("a tree is deeper than its height limit")
-            waiting.append(node)
-            depths.append(depth)
-    if root is None or waiting:
-        raise ValueError("truncated node list")
-    return IsolationTree(root)
-
-
 def _forest_to_dict(forest: IsolationForest) -> dict:
+    """Format 3, written from the table: each tree's _tree_to_columns."""
+    table = forest.table
+    leaf = table.right == np.arange(len(table.right))
+    dims = np.where(leaf, -1, table.dim)
+    values = np.empty(len(dims), dtype=object)  # Python floats, and ints for the sizes
+    values[~leaf], values[leaf] = table.value[~leaf], table.size
+    bounds = table.roots.tolist() + [len(dims)]
     return {
         "sample_count": forest.sample_count,
         "master_seed": forest.master_seed,
         "dimension": forest.dimension,
-        "trees": [_tree_to_columns(t.root) for t in forest.trees],
+        "trees": [[dims[a:b].tolist(), values[a:b].tolist()] for a, b in zip(bounds, bounds[1:])],
     }
 
 
 def _forest_from_dict(d: dict) -> IsolationForest:
     psi, dimension, trees = d["sample_count"], d["dimension"], d["trees"]
-    # psi rows came from one numpy array, so psi fits its index type; that
-    # also keeps trees, and the recursion of _batch_paths, under 64 levels
-    if type(psi) is not int or not 1 <= psi <= np.iinfo(np.intp).max:
+    # psi, and so every leaf size, is read as a float64, exact below 2^53;
+    # that also keeps trees under 53 levels
+    if type(psi) is not int or not 1 <= psi < 2**53:
         raise ValueError(f"sample_count {psi!r:.30} is not a row count")
     if type(trees) is not list or not trees:
         raise ValueError("a forest needs at least one tree")
-    height_limit = math.ceil(math.log2(psi))
-    return IsolationForest(
-        trees=[_tree_from_columns(tree, dimension, psi, height_limit) for tree in trees],
-        sample_count=psi,
-        master_seed=int(d["master_seed"]),
-        dimension=dimension,
-    )
+    return IsolationForest(_table_from_trees(trees, dimension, psi), psi, int(d["master_seed"]),
+                           dimension)
 
 
 def _finite_threshold(value) -> float:
@@ -511,18 +506,24 @@ def save_artifact(artifact: ModelArtifact, path) -> None:
     Identical trained models serialize byte-identically across
     platforms (timestamps live in metadata only).
     """
+    forest = _forest_to_dict(artifact.forest)
+    trees, forest["trees"] = forest["trees"], []
     payload = {
         "model": artifact.model.canonical(),
         "schema": artifact.schema.to_dict(),
-        "forest": _forest_to_dict(artifact.forest),
+        "forest": forest,
         "default_threshold": artifact.default_threshold,
         "calibrated_thresholds": {str(k): v for k, v in artifact.calibrated_thresholds.items()},
         "trained_at": artifact.trained_at,
         "training_flow_count": artifact.training_flow_count,
     }
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    # json.dumps holds a string per number until it returns (2.7 MB for 100 trees
+    # of psi 256): the trees are encoded one by one, for the payload's "trees":[]
+    dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    body = dumps(payload).replace('"trees":[]', '"trees":[' + ",".join(map(dumps, trees)) + "]", 1)
+    body = body.encode()
     with open(path, "wb") as fh:
-        fh.write(_head(hashlib.sha256(body).hexdigest()) + body + b"}")
+        fh.writelines((_head(hashlib.sha256(body).hexdigest()), body, b"}"))  # no joined copy
 
 
 def load_artifact(path) -> ModelArtifact:
@@ -545,7 +546,7 @@ def load_artifact(path) -> ModelArtifact:
     # A valid checksum shows the file is as written, not that a writer
     # with a working forest wrote it: every field is checked as decoded.
     try:
-        with _collector_paused():  # the decode builds only acyclic trees
+        with _collector_paused():  # the decode builds no cycles
             return ModelArtifact(
                 model=DeviceModelId.parse(payload["model"]),
                 schema=FeatureSchema.from_dict(payload["schema"]),

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from natwatch import iforest
 from natwatch.baselines import (
     evaluate_domain_baseline,
     fit_slope,
@@ -29,7 +30,6 @@ from natwatch.iforest import (
     anomaly_scores,
     c_factor,
     normality_score,
-    path_length,
     save_artifact,
     train_forest,
 )
@@ -71,7 +71,7 @@ class Budget:
 
 def reference_path_length(node, x, depth=0):
     """Independent recursive oracle for the per-tree path length."""
-    if node.is_leaf:
+    if node.split_dim < 0:
         return depth + c_factor(node.size)
     child = node.left if x[node.split_dim] < node.split_value else node.right
     return reference_path_length(child, x, depth + 1)
@@ -87,7 +87,8 @@ def test_criterion_1_isolation_forest_correctness():
             max_err = max(max_err, abs(c_factor(n) - exact))
         assert max_err < 0.01
 
-        # path_length vs the recursive oracle on tiny trees (psi <= 8, dim <= 2)
+        # the scoring walk's path lengths vs the recursive oracle on the linked
+        # trees, on tiny trees (psi <= 8, dim <= 2)
         rng = np.random.default_rng(0)
         checked = 0
         for trial in range(200):
@@ -95,9 +96,12 @@ def test_criterion_1_isolation_forest_correctness():
             d = int(rng.integers(1, 3))
             X = rng.uniform(size=(n, d))
             forest = train_forest(X, n_trees=4, subsample=8, master_seed=trial)
-            for tree in forest.trees:
-                for q in rng.uniform(-0.5, 1.5, size=(10, d)):
-                    assert path_length(tree, q) == pytest.approx(
+            for t, tree in enumerate(forest.trees):
+                queries = rng.uniform(-0.5, 1.5, size=(10, d))
+                # the tree's row of the walk that scores every batch
+                walked = iforest._table_paths(forest.table, queries)[t]
+                for q, table_path in zip(queries, walked):
+                    assert table_path == pytest.approx(
                         reference_path_length(tree.root, q), abs=1e-12
                     )
                     checked += 1

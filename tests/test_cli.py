@@ -84,6 +84,26 @@ class TestCalibrate:
         assert "20" in doc["payload"]["calibrated_thresholds"]
         assert "P20 threshold" in capsys.readouterr().out
 
+    def test_rewrites_only_the_thresholds(self, synth_dir, artifact_path, tmp_path):
+        """calibrate saves the forest it loaded, which has no linked trees,
+        byte for byte as the file held it."""
+        path = tmp_path / "model.json"
+        path.write_bytes(artifact_path.read_bytes())
+
+        def forest_bytes(data: bytes) -> bytes:  # the payload's keys are sorted
+            return data[data.index(b'"forest":'):data.index(b',"model":')]
+
+        before = path.read_bytes()
+        rc = main(["calibrate", "--artifact", str(path),
+                   "--validation", str(synth_dir / "flows.csv"), "--percentile", "25"])
+        assert rc == 0
+        after = path.read_bytes()
+        assert len(forest_bytes(before)) > 1000 and forest_bytes(after) == forest_bytes(before)
+        old, new = json.loads(before)["payload"], json.loads(after)["payload"]
+        added = new.pop("calibrated_thresholds")
+        assert added.pop("25") <= 0.5 and added == old.pop("calibrated_thresholds")
+        assert new == old
+
     def test_directory_is_data_error(self, synth_dir, artifact_path, tmp_path):
         models = tmp_path / "models"
         models.mkdir()

@@ -17,7 +17,7 @@ from natwatch.detect import (
 )
 from natwatch.flowdata import NON_IOT, FlowDataset, LabeledFlow, chronological_split, filter_model
 from natwatch.iforest import (
-    TABLE_MAX_ROWS,
+    CHUNK_ROWS,
     ModelArtifact,
     normality_score,
     normality_scores,
@@ -224,9 +224,10 @@ def test_g_is_bit_identical_through_every_scoring_call(train, queries, n_trees, 
     artifact = ModelArtifact(model=WEBCAM, schema=schema, forest=forest)
     Q = transform_many(schema, queries)
     batch = normality_scores(forest, Q).tolist()
-    # repeated past TABLE_MAX_ROWS, so the other tree walk scores it too
-    repeats = TABLE_MAX_ROWS // len(queries) + 1
-    assert normality_scores(forest, np.tile(Q, (repeats, 1))).tolist() == batch * repeats
+    # repeated up to and past one or more chunks of the walk
+    for rows in (CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 1):
+        again = np.arange(rows) % len(queries)
+        assert normality_scores(forest, Q[again]).tolist() == [batch[i] for i in again]
     assert [normality_score(forest, transform(schema, f)) for f in queries] == batch
     assert [classify(artifact, f).normality_g for f in queries] == batch
 

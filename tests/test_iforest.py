@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import sys
 import tempfile
 
 import numpy as np
@@ -16,16 +17,15 @@ from natwatch import iforest
 from natwatch.iforest import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactError,
+    CHUNK_ROWS,
     IsolationTree,
     ModelArtifact,
-    TABLE_MAX_ROWS,
     TreeNode,
     anomaly_scores,
     c_factor,
     load_artifact,
     normality_score,
     normality_scores,
-    path_length,
     save_artifact,
     train_forest,
 )
@@ -112,15 +112,46 @@ def test_train_forest_grows_the_reference_trees(X, subsample, n_trees, seed, pas
         [columns(reference_tree(X, subsample, seed, t)) for t in range(n_trees)]
 
 
+def linked_path_length(tree: IsolationTree, x) -> float:
+    """Edges from the root of a linked tree to the leaf row x reaches,
+    plus c(leaf size)."""
+    node, depth = tree.root, 0
+    while node.split_dim >= 0:
+        node = node.left if x[node.split_dim] < node.split_value else node.right
+        depth += 1
+    return depth + c_factor(node.size)
+
+
+def reference_scores(trees: list, sample_count: int, Q: np.ndarray) -> np.ndarray:
+    """Anomaly scores of the rows of Q from linked trees: each row's path
+    lengths (linked_path_length) added tree after tree in forest order."""
+    c = c_factor(sample_count)
+    if c == 0.0:
+        return np.full(len(Q), 0.5)
+    mean_h = []
+    for row in Q.tolist():
+        h = 0.0
+        for tree in trees:
+            h += linked_path_length(tree, row)
+        mean_h.append(h / len(trees))
+    return np.power(2.0, -np.array(mean_h) / c)
+
+
+CHUNK_EDGES = [1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 1]
+
+
 @given(X=training_matrices(), subsample=st.integers(1, 300), n_trees=st.integers(1, 7),
-       seed=st.integers(min_value=0), rows=st.integers(0, TABLE_MAX_ROWS),
+       seed=st.integers(min_value=0),
+       rows=st.one_of(st.sampled_from(CHUNK_EDGES), st.integers(0, 3 * CHUNK_ROWS + 1)),
        query_seed=st.integers(0, 2**32 - 1))
 def test_node_table_adds_every_trees_path_length(X, subsample, n_trees, seed, rows, query_seed):
-    """A batch of up to TABLE_MAX_ROWS rows, NaN and +-inf cells among
-    them, scores bit for bit as the partition walk scores it and as the
-    path lengths of the linked trees add up in forest order; the forest
-    builds its table once."""
+    """A batch of one or more chunks of rows, NaN and +-inf cells among
+    them, scores bit for bit as the path lengths of the linked trees add
+    up in forest order, and as its rows score in a batch of another size;
+    the trained forest's table holds the linked trees node for node."""
     forest = train_forest(X, n_trees, subsample, seed)
+    assert iforest._forest_to_dict(forest)["trees"] == \
+        [iforest._tree_to_columns(tree.root) for tree in forest.trees]
     rng = np.random.default_rng(query_seed)
     # training rows, some moved off the values the trees split between
     Q = X[rng.integers(0, len(X), rows)] + rng.normal(size=(rows, X.shape[1])) \
@@ -128,23 +159,13 @@ def test_node_table_adds_every_trees_path_length(X, subsample, n_trees, seed, ro
     cells = rng.random(Q.shape)
     Q[cells < 0.1], Q[(0.1 <= cells) & (cells < 0.15)] = math.nan, math.inf
     Q[(0.15 <= cells) & (cells < 0.2)] = -math.inf
-    if rows:  # the same rows repeated past the cut are partitioned, and build no table
-        partitioned = anomaly_scores(forest, np.tile(Q, (TABLE_MAX_ROWS // rows + 1, 1)))[:rows]
-        assert forest._table is None
     scores = anomaly_scores(forest, Q)
-    table = forest._table
-    c = c_factor(forest.sample_count)
-    mean_h = []
-    for row in Q.tolist():
-        h = 0.0
-        for tree in forest.trees:
-            h += path_length(tree, row)
-        mean_h.append(h / len(forest.trees))
-    expected = np.full(rows, 0.5) if c == 0.0 else np.power(2.0, -np.array(mean_h) / c)
+    expected = reference_scores(forest.trees, forest.sample_count, Q)
     assert scores.shape == (rows,) and scores.tobytes() == expected.tobytes()
-    assert rows == 0 or partitioned.tobytes() == scores.tobytes()
+    if rows:  # the same rows repeated past the next chunk boundary
+        tiled = anomaly_scores(forest, np.tile(Q, (CHUNK_ROWS // rows + 1, 1)))[:rows]
+        assert tiled.tobytes() == scores.tobytes()
     assert anomaly_scores(forest, Q[:0]).shape == (0,)
-    assert forest._table is table
 
 
 class TestCFactor:
@@ -161,41 +182,29 @@ class TestCFactor:
         assert c_factor(1) == 0.0
 
 
+def table_path_length(tree: list, psi: int, x: list) -> float:
+    """The path length of row x down one tree, given as its preorder
+    columns [dims, values], on the NodeTable loading builds from them."""
+    table = iforest._table_from_trees([tree], len(x), psi)
+    return float(iforest._table_paths(table, np.array([x], dtype=float))[0, 0])
+
+
 class TestPathLength:
     def test_singleton_leaf(self):
-        tree = IsolationTree(TreeNode(size=1))
-        assert path_length(tree, np.array([0.0])) == 0.0
+        assert table_path_length([[-1], [1]], 1, [0.0]) == 0.0
 
     def test_two_point_leaf(self):
-        root = TreeNode(
-            split_dim=0,
-            split_value=0.5,
-            left=TreeNode(size=2),
-            right=TreeNode(size=2),
-        )
-        tree = IsolationTree(root)
-        assert path_length(tree, np.array([0.1])) == pytest.approx(1 + c_factor(2))
+        tree = [[0, -1, -1], [0.5, 2, 2]]
+        assert table_path_length(tree, 4, [0.1]) == pytest.approx(1 + c_factor(2))
 
     def test_uneven_leaf(self):
-        root = TreeNode(
-            split_dim=0,
-            split_value=0.5,
-            left=TreeNode(size=1),
-            right=TreeNode(size=3),
-        )
-        tree = IsolationTree(root)
-        assert path_length(tree, np.array([0.9])) == pytest.approx(1 + c_factor(3))
-        assert path_length(tree, np.array([0.1])) == 1.0
+        tree = [[0, -1, -1], [0.5, 1, 3]]
+        assert table_path_length(tree, 4, [0.9]) == pytest.approx(1 + c_factor(3))
+        assert table_path_length(tree, 4, [0.1]) == 1.0
 
     def test_boundary_goes_right(self):
-        root = TreeNode(
-            split_dim=0,
-            split_value=0.5,
-            left=TreeNode(size=1),
-            right=TreeNode(size=1),
-        )
-        tree = IsolationTree(root)
-        assert path_length(tree, np.array([0.5])) == 1.0  # x >= v goes right
+        tree = [[0, -1, -1], [0.5, 1, 1]]
+        assert table_path_length(tree, 2, [0.5]) == 1.0  # x >= v goes right
 
 
 class TestTrainForest:
@@ -212,9 +221,10 @@ class TestTrainForest:
         X = rng.normal(size=(300, 4))
         small = train_forest(X, n_trees=5, subsample=64, master_seed=7)
         big = train_forest(X, n_trees=20, subsample=64, master_seed=7)
-        q = np.zeros(4)
-        for t_small, t_big in zip(small.trees, big.trees):
-            assert path_length(t_small, q) == path_length(t_big, q)
+        q = np.zeros((1, 4))
+        small_paths, big_paths = (iforest._table_paths(f.table, q)[:, 0] for f in (small, big))
+        assert small_paths.tolist() == big_paths[:5].tolist()
+        assert iforest._forest_to_dict(small)["trees"] == iforest._forest_to_dict(big)["trees"][:5]
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(2)
@@ -236,7 +246,7 @@ class TestTrainForest:
             deepest, stack = 0, [(tree.root, 0)]
             while stack:
                 node, depth = stack.pop()
-                if node.is_leaf:
+                if node.split_dim < 0:
                     deepest = max(deepest, depth)
                 else:
                     stack += [(node.left, depth + 1), (node.right, depth + 1)]
@@ -288,8 +298,8 @@ class TestScoring:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(300, 3))
         forest = train_forest(X, n_trees=25, master_seed=0)
-        # both tree walks: the node table up to TABLE_MAX_ROWS, partitioning above
-        for n in (1, TABLE_MAX_ROWS, TABLE_MAX_ROWS + 1, 1000):
+        # one chunk of the walk, one and a row, three and a row, and more
+        for n in CHUNK_EDGES + [1000]:
             q = rng.normal(size=(n, 3))
             batch = normality_scores(forest, q).tolist()
             assert [normality_score(forest, row) for row in q] == batch, n
@@ -369,10 +379,11 @@ def test_artifact_round_trip_keeps_g_and_bytes(train, queries, n_trees, subsampl
         save_artifact(restored, second)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
-    # one row at a time (node table) and TABLE_MAX_ROWS + 1 rows (partitioning)
+    # one row at a time, and the rows repeated to a chunk, a chunk and a
+    # row, and three chunks and a row
     Q = transform_many(schema, queries)
-    big = np.tile(Q, (TABLE_MAX_ROWS // len(queries) + 1, 1))[: TABLE_MAX_ROWS + 1]
-    for X in [Q[i : i + 1] for i in range(len(Q))] + [big]:
+    big = [Q[np.arange(rows) % len(Q)] for rows in CHUNK_EDGES[1:]]
+    for X in [Q[i : i + 1] for i in range(len(Q))] + big:
         assert normality_scores(restored.forest, X).tolist() == \
             normality_scores(forest, X).tolist()
 
@@ -405,7 +416,8 @@ def _edit_columns(data, tree: list, dimension: int) -> None:
     elif edit == "swap-int-float":
         column = data.draw(st.sampled_from(tree))
         v = column[at]
-        column[at] = float(v) if type(v) is int else int(v) if math.isfinite(v) else 0
+        column[at] = (float(v) if type(v) is int and abs(v) <= sys.float_info.max
+                      else int(v) if type(v) is float and math.isfinite(v) else 0)
     elif edit == "dim-out-of-range":
         dims[at] = data.draw(st.one_of(st.integers(max_value=-2), st.integers(min_value=dimension)))
     elif edit == "not-a-list":
@@ -436,8 +448,165 @@ def test_edited_tree_columns_load_or_raise_artifact_error(data):
             assert str(exc).startswith("corrupt-artifact: ")
             return
     # an edit that keeps a tree train_forest could write still scores
-    X = np.zeros((TABLE_MAX_ROWS + 1, forest["dimension"]))
+    X = np.zeros((CHUNK_ROWS + 1, forest["dimension"]))
     assert np.all(np.isfinite(normality_scores(artifact.forest, X)))
+
+
+def reference_tree_from_columns(tree, dimension: int, sample_count: int,
+                                height_limit: int) -> IsolationTree:
+    """Independent node-by-node decoder of one tree's preorder columns
+    [dims, values] into linked nodes, rejecting any tree train_forest
+    cannot write: columns of another shape, a malformed node, a split on a
+    dimension the forest lacks, a leaf larger than the sample, a missing or
+    extra node, or a split at or below the height limit."""
+    if type(tree) is not list or len(tree) != 2 or type(tree[0]) is not list \
+            or type(tree[1]) is not list or len(tree[0]) != len(tree[1]):
+        raise ValueError(f"a tree is not [dims, values] of equal length: {tree!r:.60}")
+    root = None
+    waiting: list[TreeNode] = []  # internal nodes short of a child
+    depths: list[int] = []  # the depth of each
+    for dim, value in zip(*tree):
+        if not waiting and root is not None:
+            raise ValueError("nodes after the last leaf of a tree")
+        if dim == -1 and type(value) is int and 0 <= value <= sample_count:
+            node = TreeNode(-1, 0.0, value)
+        elif type(dim) is int and 0 <= dim < dimension and type(value) is float \
+                and math.isfinite(value):
+            node = TreeNode(dim, value)
+        else:
+            raise ValueError(f"bad node {[dim, value]!r:.60}")
+        if waiting:
+            depth = depths[-1] + 1
+            if waiting[-1].left is None:
+                waiting[-1].left = node
+            else:
+                waiting.pop().right = node
+                depths.pop()
+        else:
+            root, depth = node, 0
+        if dim != -1:
+            if depth >= height_limit:
+                raise ValueError("a tree is deeper than its height limit")
+            waiting.append(node)
+            depths.append(depth)
+    if root is None or waiting:
+        raise ValueError("truncated node list")
+    return IsolationTree(root)
+
+
+def reference_forest_from_dict(forest: dict) -> list:
+    """The linked trees of a format-3 forest, each decoded node by node."""
+    psi = forest["sample_count"]
+    return [reference_tree_from_columns(tree, forest["dimension"], psi, math.ceil(math.log2(psi)))
+            for tree in forest["trees"]]
+
+
+@functools.lru_cache(maxsize=1)
+def _payloads() -> tuple:
+    """The small artifact's payload, and the same with a forest of psi 64."""
+    payload = json.loads(_saved_payload())
+    X = np.random.default_rng(14).uniform(size=(300, payload["forest"]["dimension"]))
+    deeper = dict(payload, forest=iforest._forest_to_dict(train_forest(X, 6, 64, 5)))
+    return json.dumps(payload), json.dumps(deeper)
+
+
+def _node_depths(dims: list) -> list:
+    """Each node's depth, reading dims as preorder (a leaf is -1); -1 past
+    the end of the tree."""
+    depths, pending = [], [0]
+    for dim in dims:
+        depth = pending.pop() if pending else -1
+        depths.append(depth)
+        if dim != -1 and depth >= 0:
+            pending += [depth + 1, depth + 1]
+    return depths
+
+
+_NODE_EDITS = ["bool-dim", "huge-int", "non-finite", "leaf-over-psi", "move-subtree",
+               "split-a-leaf"]
+
+
+def _edit_nodes(data, forest: dict) -> None:
+    """One random edit, in place, to the nodes of a forest's trees, past
+    what _edit_columns makes."""
+    trees = [tree for tree in forest["trees"]
+             if all(type(column) is list for column in tree) and tree[0] and tree[1]]
+    if not trees:
+        return
+    dims, values = tree = data.draw(st.sampled_from(trees))
+    at = data.draw(st.integers(0, min(len(dims), len(values)) - 1))
+    leaves = [i for i, dim in enumerate(dims[:len(values)]) if dim == -1]
+    edit = data.draw(st.sampled_from(_NODE_EDITS))
+    if edit == "bool-dim":
+        dims[at] = data.draw(st.booleans())
+    elif edit == "huge-int":  # past int64, or past float64
+        data.draw(st.sampled_from(tree))[at] = data.draw(st.one_of(
+            st.integers(2**63, 2**64), st.integers(-2**64, -2**63 - 1), st.just(2**1100)))
+    elif edit == "non-finite":
+        values[at] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif edit == "leaf-over-psi" and leaves:
+        values[data.draw(st.sampled_from(leaves))] = \
+            forest["sample_count"] + data.draw(st.integers(1, 2**70))
+    elif edit == "move-subtree":  # into another tree, or the same, at any node
+        end, pending = at, 1
+        while pending and end < len(dims):
+            pending += 1 if dims[end] != -1 else -1
+            end += 1
+        moved = [dims[at:end], values[at:end]]
+        del dims[at:end], values[at:end]
+        if data.draw(st.booleans()):  # a leaf in its place
+            dims.insert(at, -1)
+            values.insert(at, 1)
+        into = data.draw(st.sampled_from(trees))
+        where = data.draw(st.integers(0, len(into[0])))
+        if data.draw(st.booleans()) and where < len(into[0]):  # in place of a node
+            del into[0][where], into[1][where]
+        into[0][where:where] = moved[0]
+        into[1][where:where] = moved[1]
+    elif edit == "split-a-leaf" and leaves:  # too deep if the leaf is at the height limit
+        depths = _node_depths(dims)
+        if data.draw(st.booleans()):  # the deepest
+            at = max(leaves, key=lambda i: (depths[i], i))
+        else:
+            at = data.draw(st.sampled_from(leaves))
+        dims[at:at + 1] = [data.draw(st.integers(0, forest["dimension"] - 1)), -1, -1]
+        values[at:at + 1] = [data.draw(st.floats(0, 1)), 1, 1]
+
+
+@given(data=st.data())
+def test_table_loader_refuses_what_the_node_decoder_refuses(data):
+    """Of edited trees, load_artifact accepts exactly what the node-by-node
+    decoder accepts; it refuses the rest as corrupt-artifact with the
+    decoder's reason, and a forest it accepts scores bit for bit as the
+    decoder's linked trees do."""
+    payload = json.loads(data.draw(st.sampled_from(_payloads())))
+    forest = payload["forest"]
+    # few trees, so that edits meet in neighbouring trees too
+    del forest["trees"][data.draw(st.integers(1, len(forest["trees"]))):]
+    for _ in range(data.draw(st.integers(0, 3))):
+        tree = data.draw(st.sampled_from(forest["trees"]))
+        if data.draw(st.booleans()):
+            _edit_nodes(data, forest)
+        elif all(type(column) is list for column in tree) and len(tree[0]) == len(tree[1]):
+            _edit_columns(data, tree, forest["dimension"])
+    try:
+        expected = reference_forest_from_dict(forest)
+    except ValueError as exc:
+        expected = exc
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "model.json")
+        write_with_checksum(path, payload)
+        try:
+            loaded = load_artifact(path).forest
+        except ArtifactError as exc:
+            assert str(exc) == f"corrupt-artifact: ValueError: {expected}"
+            return
+    assert isinstance(expected, list), expected
+    rows = data.draw(st.sampled_from(CHUNK_EDGES[:3]))
+    Q = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(
+        -0.5, 1.5, (rows, forest["dimension"]))
+    assert anomaly_scores(loaded, Q).tobytes() == \
+        reference_scores(expected, forest["sample_count"], Q).tobytes()
 
 
 class TestArtifact:
@@ -446,6 +615,7 @@ class TestArtifact:
         path = tmp_path / "model.json"
         save_artifact(artifact, path)
         restored = load_artifact(path)
+        assert restored.forest.trees == []  # a loaded forest is its table alone
         assert restored.model == WEBCAM
         assert restored.calibrated_thresholds == {10: -0.03}
         assert restored.training_flow_count == 3
@@ -509,7 +679,13 @@ class TestArtifact:
         "tamper, reason",
         [
             (lambda p: [column.pop() for column in _tree(p)], "truncated node list"),
+            # the next tree's first node is bad too, but is read later
+            (lambda p: [column.pop() for column in _tree(p)]
+             + [p["forest"]["trees"][1][0].__setitem__(0, 999)], "truncated node list"),
             (lambda p: [column.append(x) for column, x in zip(_tree(p), (-1, 1))],
+             "nodes after the last leaf"),
+            # a bad node, but read as one past the tree's last leaf first
+            (lambda p: [column.append(x) for column, x in zip(_tree(p), (999, 1))],
              "nodes after the last leaf"),
             (lambda p: _tree(p)[0].__setitem__(0, 999), "bad node"),
             # a format-2 node, [dim, value], standing in a column
@@ -527,10 +703,10 @@ class TestArtifact:
             (lambda p: p.update(default_threshold=float("nan")), "non-finite threshold"),
             (lambda p: p.update(training_flow_count=float("inf")), "OverflowError"),
         ],
-        ids=["truncated", "trailing-node", "split-dim-999", "node-not-a-list",
-             "leaf-over-sample", "too-deep", "three-columns", "unequal-columns", "no-trees",
-             "sample-count-0", "missing-numeric-range", "extra-categorical", "missing-model",
-             "nan-threshold", "inf-count"],
+        ids=["truncated", "truncated-then-bad-node", "trailing-node", "trailing-bad-node",
+             "split-dim-999", "node-not-a-list", "leaf-over-sample", "too-deep", "three-columns",
+             "unequal-columns", "no-trees", "sample-count-0", "missing-numeric-range",
+             "extra-categorical", "missing-model", "nan-threshold", "inf-count"],
     )
     def test_checksum_valid_tampering_is_corrupt(self, tmp_path, tamper, reason):
         path = tmp_path / "model.json"
@@ -578,7 +754,7 @@ class TestArtifact:
             elif call == "trains":
                 forest = train_forest(X, n_trees=20, subsample=256, master_seed=0)
             else:
-                forest = load_artifact(path).forest  # kept, so its nodes stay tracked
+                forest = load_artifact(path).forest  # kept
             assert gc.isenabled() is enabled
             gc.callbacks.append(record)
             try:
@@ -589,7 +765,7 @@ class TestArtifact:
             (gc.enable if was else gc.disable)()
         assert during == [False]
         assert collections == []  # no collection was left for the caller's allocations
-        assert call == "corrupt" or forest.trees
+        assert call == "corrupt" or len(forest.table.roots) == 20
 
     def test_threshold_selectors(self):
         artifact = small_artifact()
