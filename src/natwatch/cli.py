@@ -69,17 +69,21 @@ def _load_dns(path: str):
     return _load(ingest.parse_dns_jsonl, path, "dns", "lines")
 
 
+def _load_artifact(path: str):
+    try:
+        return load_artifact(path)
+    except ArtifactError as exc:
+        raise DataError(f"artifact-error: {exc}") from exc
+
+
 def _load_artifacts(path: str) -> dict:
     """{file path: artifact} for an artifact file or a directory of them.
-    What is alive once they are loaded (24k objects for 13: a loaded forest
-    is a few arrays) lasts the command, so it is frozen; main thaws it."""
+    What is alive once they are loaded (24k objects, under 200 of them 13
+    artifacts') lasts the command, so it is frozen; main thaws it."""
     paths = sorted(glob.glob(os.path.join(path, "*.json"))) if os.path.isdir(path) else [path]
     if not paths:
         raise DataError(f"no-artifacts: {path}")
-    try:
-        artifacts = {p: load_artifact(p) for p in paths}
-    except ArtifactError as exc:
-        raise DataError(f"artifact-error: {exc}") from exc
+    artifacts = {p: _load_artifact(p) for p in paths}
     gc.freeze()
     return artifacts
 
@@ -144,7 +148,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    artifact = load_artifact(args.artifact)
+    artifact = _load_artifact(args.artifact)
     validation = _load_dataset(args.validation)
     model_flows = filter_model(validation, artifact.model)
     if len(model_flows) == 0:

@@ -132,13 +132,12 @@ def evaluate_artifact(
         tpr_p, fpr_p = confusion_rates(scores, artifact.calibrated_thresholds[10])
     points, auc = _roc(scores)
 
-    model_test = FlowDataset([lf for lf in test if lf.label == artifact.model])
     try:
-        ttd = time_to_detect(model_test, per_flow)
+        ttd = time_to_detect(FlowDataset([lf for lf, is_m in zip(test, labels) if is_m]), per_flow)
     except InsufficientDataError:
         ttd = None
 
-    report = ModelReport(
+    return ModelReport(
         model=artifact.model.canonical(),
         flow_count=len(test),
         test_positive_count=sum(labels),
@@ -151,8 +150,7 @@ def evaluate_artifact(
         fpr_p10=fpr_p,
         roc_auc=auc,
         time_to_detect_s=ttd,
-    )
-    return report, points
+    ), points
 
 
 _NUMERIC_FIELDS = [

@@ -8,14 +8,14 @@ for thresholding is g = 0.5 - s (classify as the model iff g >= th).
 
 from __future__ import annotations
 
+import base64
 import gc
 import hashlib
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain, repeat
 from typing import Optional, Union
 
 import numpy as np
@@ -25,7 +25,10 @@ from natwatch.preprocess import FeatureSchema, InsufficientDataError
 
 EULER_GAMMA = 0.5772156649
 
-ARTIFACT_FORMAT_VERSION = 3
+ARTIFACT_FORMAT_VERSION = 4
+
+# Format 4's forest columns, canonical padded base64 (RFC 4648) of little-endian arrays
+FOREST_COLUMNS = {"lengths": "<i4", "dims": "<i4", "values": "<f8"}
 
 
 class ArtifactError(ValueError):
@@ -132,7 +135,9 @@ def train_forest(
     rngs = [_tree_rng(master_seed, t) for t in range(n_trees)]
     with _collector_paused():  # the trees are acyclic
         roots = _grow_trees(X.T, rngs, psi)
-    table = _table_from_trees([_tree_to_columns(root) for root in roots], d, psi)
+    dims, values = zip(*map(_tree_to_columns, roots))
+    table = _table_from_columns(np.array([*map(len, dims)]), np.concatenate(dims, dtype=np.int32),
+                                np.concatenate(values, dtype=float), d, psi)
     return IsolationForest(table, psi, master_seed, d, [IsolationTree(root) for root in roots])
 
 
@@ -240,26 +245,29 @@ class NodeTable:
     value: np.ndarray  # float64, -inf at a leaf
     right: np.ndarray  # int32
     leaf: np.ndarray  # float64, depth + c(size) at a leaf, 0 at a split
-    size: np.ndarray  # int64, the leaves' sizes in row order, which format 3 stores
+    size: np.ndarray  # int64, the leaves' sizes in row order, which an artifact stores
     roots: np.ndarray  # intp, each tree's first row (the walk's node indices)
     steps: int  # the depth of the deepest leaf
 
 
-def _table_from_trees(trees: list, dimension: int, psi: int) -> NodeTable:
-    """The NodeTable of trees given as format 3's preorder columns
-    [dims, values], refusing (ValueError) any tree train_forest cannot
-    write: columns of another shape, a malformed node, a split on a
-    dimension the forest lacks, a leaf larger than the sample, a missing or
-    extra node, or a split at or below the height limit. Of several faults
-    the one named is the first met reading the trees node by node."""
-    shaped = next((t for t, tree in enumerate(trees) if type(tree) is not list or len(tree) != 2
-                   or type(tree[0]) is not list or type(tree[1]) is not list
-                   or len(tree[0]) != len(tree[1])), len(trees))
-    columns = trees[:shaped]
-    lengths = np.array([len(tree[0]) for tree in columns], dtype=np.intp)
-    ends = np.cumsum(lengths)
-    n, grown = int(ends[-1]) if shaped else 0, lengths > 0
-    split, bad, dim, value = _checked_nodes(columns, n, dimension, psi)
+def _table_from_columns(lengths: np.ndarray, dims: np.ndarray, values: np.ndarray,
+                        dimension: int, psi: int) -> NodeTable:
+    """The NodeTable of format 4's columns: each tree's node count, then
+    every node's dim and value in preorder, the trees end to end. A split is
+    a dim in [0, dimension) and a finite value, a leaf -1 and its size, an
+    integer in [0, psi] without a sign bit. Refuses (ValueError) what
+    train_forest cannot write: no trees, lengths that do not cut the nodes,
+    a malformed, missing or extra node, or a split at the height limit. Of
+    several node faults the one named is the first met reading node by node."""
+    if not len(lengths):
+        raise ValueError("a forest needs at least one tree")
+    n, lengths = len(dims), lengths.astype(np.intp)
+    if lengths.min() < 0 or lengths.sum() != n or len(values) != n:
+        raise ValueError(f"tree lengths are not counts of the {n} dims and {len(values)} values")
+    split = (dims >= 0) & (dims < dimension) & np.isfinite(values)
+    bad = ~(split | ((dims == -1) & (values >= 0) & (values <= psi)
+                     & (values == np.trunc(values)) & ~np.signbit(values)))
+    ends, grown = np.cumsum(lengths), lengths > 0
     roots, lasts = (ends - lengths)[grown], ends[grown] - 1
     # Each node fills the first subtree its tree has pending, and a split
     # leaves two: the count pending after each node. It, the right children
@@ -274,9 +282,7 @@ def _table_from_trees(trees: list, dimension: int, psi: int) -> NodeTable:
         faults.append((4 * int(early.argmax()) + 4, "nodes after the last leaf of a tree"))
     if bad.any():
         at = int(bad.argmax())
-        tree = int(np.searchsorted(ends, at, side="right"))
-        node = [column[at - ends[tree] + lengths[tree]] for column in columns[tree]]
-        faults.append((4 * at + 1, f"bad node {node!r:.60}"))
+        faults.append((4 * at + 1, f"bad node {[int(dims[at]), float(values[at])]!r:.60}"))
     if short.any():
         faults.append((4 * int(ends[short.argmax()]) - 1, "truncated node list"))
     del early, bad
@@ -307,12 +313,10 @@ def _table_from_trees(trees: list, dimension: int, psi: int) -> NodeTable:
         level += 1
     if faults:
         raise ValueError(min(faults)[1])
-    if shaped < len(trees):
-        raise ValueError(f"a tree is not [dims, values] of equal length: {trees[shaped]!r:.60}")
     leaves = ~split
-    size, leaf_depth = value[leaves].astype(np.int64), depth[leaves]
+    size, leaf_depth = values[leaves].astype(np.int64), depth[leaves]
     del depth
-    value[leaves] = -math.inf
+    dim, value = np.where(split, dims, 0), np.where(split, values, -math.inf)
     # each distinct size once, without np.unique (it imports numpy.ma: about
     # 1.7 MB more resident) or np.sort (its SIMD sorts: about 0.4 MB)
     sizes = sorted(set(size.tolist()))
@@ -321,37 +325,6 @@ def _table_from_trees(trees: list, dimension: int, psi: int) -> NodeTable:
     leaf = np.zeros(n)
     leaf[leaves] = path
     return NodeTable(dim, value, right, leaf, size, roots, int(leaf_depth.max()))
-
-
-def _checked_nodes(trees: list, n: int, dimension: int, psi: int) -> tuple:
-    """Of the n nodes of trees, [dims, values] each: which are splits (an int
-    dim in [0, dimension) and a finite float), which are bad (neither that
-    nor a leaf, -1 and an int size in [0, psi]), each split's dim (int32,
-    else 0) and each value (float64, exact for a size below 2^53)."""
-    def cells(k):  # column k of every tree, end to end
-        return chain.from_iterable(tree[k] for tree in trees)
-
-    if set(map(type, cells(0))) <= {int} and set(map(type, cells(1))) <= {int, float}:
-        try:
-            return _node_checks(cells, n, dimension, psi)
-        except OverflowError:  # an int past int64 or float64
-            pass
-    # node by node, as Python compares (a dim of -1.0 is -1, and True is no
-    # int), with any node the checks cannot read made one they refuse
-    plain = ([-1 if d == -1 else d if type(d) is int and 0 <= d < dimension else -2
-              for d in cells(0)],
-             [v if type(v) is int and 0 <= v <= psi or type(v) is float and math.isfinite(v)
-              else math.nan for v in cells(1)])
-    return _node_checks(plain.__getitem__, n, dimension, psi)
-
-
-def _node_checks(cells, n: int, dimension: int, psi: int) -> tuple:
-    dim, value = np.fromiter(cells(0), np.int64, n), np.fromiter(cells(1), np.float64, n)
-    is_float = np.fromiter(map(isinstance, cells(1), repeat(float)), bool, n)
-    split = is_float & (dim >= 0) & (dim < dimension) & np.isfinite(value)
-    leaf = (dim == -1) & ~is_float & (value >= 0) & (value <= psi)
-    dim[~split] = 0
-    return split, ~(split | leaf), dim.astype(np.int32), value
 
 
 def _table_paths(table: NodeTable, X: np.ndarray) -> np.ndarray:
@@ -447,47 +420,66 @@ def _tree_to_columns(root: TreeNode) -> list:
     dims, values, stack = [], [], [root]
     while stack:
         node = stack.pop()
-        if node.split_dim < 0:
-            dims.append(-1)
-            values.append(node.size)
-        else:
-            dims.append(node.split_dim)
-            values.append(node.split_value)
+        dims.append(node.split_dim)  # -1 at a leaf
+        values.append(node.size if node.split_dim < 0 else node.split_value)
+        if node.split_dim >= 0:
             stack += (node.right, node.left)
     return [dims, values]
 
 
 def _forest_to_dict(forest: IsolationForest) -> dict:
-    """Format 3, written from the table: each tree's _tree_to_columns."""
-    table = forest.table
-    leaf = table.right == np.arange(len(table.right))
-    dims = np.where(leaf, -1, table.dim)
-    values = np.empty(len(dims), dtype=object)  # Python floats, and ints for the sizes
-    values[~leaf], values[leaf] = table.value[~leaf], table.size
-    bounds = table.roots.tolist() + [len(dims)]
-    return {
-        "sample_count": forest.sample_count,
-        "master_seed": forest.master_seed,
-        "dimension": forest.dimension,
-        "trees": [[dims[a:b].tolist(), values[a:b].tolist()] for a, b in zip(bounds, bounds[1:])],
-    }
+    """Format 4, written from the table: a leaf is -1 and its size."""
+    table, n = forest.table, len(forest.table.dim)
+    leaf = table.right == np.arange(n)
+    values = table.value.copy()
+    values[leaf] = table.size
+    columns = (np.diff(table.roots, append=n), np.where(leaf, -1, table.dim), values)
+    return {"sample_count": forest.sample_count, "master_seed": forest.master_seed,
+            "dimension": forest.dimension,
+            **{name: base64.b64encode(column.astype(dtype).tobytes()).decode()
+               for (name, dtype), column in zip(FOREST_COLUMNS.items(), columns)}}
+
+
+def _column(d: dict, name: str) -> np.ndarray:
+    """Column name, taken out of the forest d so that its string is freed
+    once read (13 loads otherwise left about 1 MB more resident); refused
+    (ValueError) unless it is the canonical base64 of whole items."""
+    text, dtype = d.pop(name), np.dtype(FOREST_COLUMNS[name])
+    if type(text) is not str:
+        raise ValueError(f"{name} is not a base64 string: {text!r:.30}")
+    try:
+        text = text.encode("ascii")
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # UnicodeEncodeError or binascii.Error
+        raise ValueError(f"{name} is not base64: {exc}") from None
+    if base64.b64encode(raw) != text:
+        raise ValueError(f"{name} is not canonical base64")
+    if len(raw) % dtype.itemsize:
+        raise ValueError(f"{name} holds {len(raw)} bytes, not whole {dtype.itemsize}-byte items")
+    return np.frombuffer(raw, dtype)
+
+
+def _exact(value, kind: type, name: str, low=None, high=math.inf):
+    """value if its type is kind (a bool is no int) and, given low, in [low,
+    high), else ValueError: nothing loaded is coerced, so it saves back the same."""
+    if type(value) is not kind or low is not None and not low <= value < high:
+        raise ValueError(f"{name} {value!r:.30}: not {kind.__name__}"
+                         + (f" in [{low}, {high})" if low is not None else ""))
+    return value
 
 
 def _forest_from_dict(d: dict) -> IsolationForest:
-    psi, dimension, trees = d["sample_count"], d["dimension"], d["trees"]
     # psi, and so every leaf size, is read as a float64, exact below 2^53;
     # that also keeps trees under 53 levels
-    if type(psi) is not int or not 1 <= psi < 2**53:
-        raise ValueError(f"sample_count {psi!r:.30} is not a row count")
-    if type(trees) is not list or not trees:
-        raise ValueError("a forest needs at least one tree")
-    return IsolationForest(_table_from_trees(trees, dimension, psi), psi, int(d["master_seed"]),
-                           dimension)
+    psi = _exact(d["sample_count"], int, "sample_count", 1, 2**53)
+    dimension = _exact(d["dimension"], int, "dimension")
+    columns = [_column(d, name) for name in FOREST_COLUMNS]
+    return IsolationForest(_table_from_columns(*columns, dimension, psi), psi,
+                           _exact(d["master_seed"], int, "master_seed", 0), dimension)
 
 
 def _finite_threshold(value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
+    if not math.isfinite(_exact(value, float, "threshold")):
         raise ValueError(f"non-finite threshold {value}")
     return value
 
@@ -504,26 +496,27 @@ def save_artifact(artifact: ModelArtifact, path) -> None:
     payload's bytes as written.
 
     Identical trained models serialize byte-identically across
-    platforms (timestamps live in metadata only).
+    platforms (timestamps live in metadata only). A write that fails
+    halfway leaves what was at path whole.
     """
-    forest = _forest_to_dict(artifact.forest)
-    trees, forest["trees"] = forest["trees"], []
     payload = {
         "model": artifact.model.canonical(),
         "schema": artifact.schema.to_dict(),
-        "forest": forest,
+        "forest": _forest_to_dict(artifact.forest),
         "default_threshold": artifact.default_threshold,
         "calibrated_thresholds": {str(k): v for k, v in artifact.calibrated_thresholds.items()},
         "trained_at": artifact.trained_at,
         "training_flow_count": artifact.training_flow_count,
     }
-    # json.dumps holds a string per number until it returns (2.7 MB for 100 trees
-    # of psi 256): the trees are encoded one by one, for the payload's "trees":[]
-    dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
-    body = dumps(payload).replace('"trees":[]', '"trees":[' + ",".join(map(dumps, trees)) + "]", 1)
-    body = body.encode()
-    with open(path, "wb") as fh:
-        fh.writelines((_head(hashlib.sha256(body).hexdigest()), body, b"}"))  # no joined copy
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    partial = f"{os.fspath(path)}.partial"  # no *.json glob matches it; renamed once whole
+    try:
+        with open(partial, "wb") as fh:
+            fh.writelines((_head(hashlib.sha256(body).hexdigest()), body, b"}"))  # no joined copy
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def load_artifact(path) -> ModelArtifact:
@@ -540,23 +533,27 @@ def load_artifact(path) -> ModelArtifact:
     if version != ARTIFACT_FORMAT_VERSION:
         raise ArtifactError(f"unsupported-version:{version}")
     head = _head(str(checksum))
-    body = data[len(head):-1]
+    body = memoryview(data)[len(head):-1]  # not a copy
     if not data.startswith(head) or hashlib.sha256(body).hexdigest() != checksum:
         raise ArtifactError("corrupt-artifact: checksum mismatch")
+    del doc, data, body  # freed before the decode, as _column's strings are
     # A valid checksum shows the file is as written, not that a writer
     # with a working forest wrote it: every field is checked as decoded.
     try:
         with _collector_paused():  # the decode builds no cycles
-            return ModelArtifact(
+            thresholds = payload["calibrated_thresholds"]
+            artifact = ModelArtifact(
                 model=DeviceModelId.parse(payload["model"]),
                 schema=FeatureSchema.from_dict(payload["schema"]),
                 forest=_forest_from_dict(payload["forest"]),
                 default_threshold=_finite_threshold(payload["default_threshold"]),
-                calibrated_thresholds={
-                    int(k): _finite_threshold(v) for k, v in payload["calibrated_thresholds"].items()
-                },
-                trained_at=str(payload["trained_at"]),
-                training_flow_count=int(payload["training_flow_count"]),
+                calibrated_thresholds={int(k): _finite_threshold(v) for k, v in thresholds.items()},
+                trained_at=_exact(payload["trained_at"], str, "trained_at"),
+                training_flow_count=_exact(payload["training_flow_count"], int,
+                                           "training_flow_count", 0),
             )
+            if list(map(str, artifact.calibrated_thresholds)) != list(thresholds):
+                raise ValueError(f"threshold keys {list(thresholds)!r:.40} are not plain ints")
+            return artifact
     except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         raise ArtifactError(f"corrupt-artifact: {type(exc).__name__}: {exc}") from exc

@@ -104,6 +104,24 @@ class TestCalibrate:
         assert added.pop("25") <= 0.5 and added == old.pop("calibrated_thresholds")
         assert new == old
 
+    def test_corrupt_artifact_is_an_artifact_error_as_in_detect_and_evaluate(
+            self, synth_dir, artifact_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        data = artifact_path.read_bytes().replace(b'"default_threshold":0.0,',
+                                                  b'"default_threshold":0.5,')
+        bad.write_bytes(data)
+        flows = str(synth_dir / "flows.csv")
+        lines = []
+        for argv in (["calibrate", "--artifact", str(bad), "--validation", flows],
+                     ["evaluate", "--artifacts", str(bad), "--test", flows,
+                      "--out", str(tmp_path / "r")],
+                     ["detect", "--artifacts", str(bad), "--input", flows,
+                      "--audit", str(tmp_path / "a.jsonl")]):
+            assert main(argv) == 2
+            lines.append(capsys.readouterr().err.splitlines()[-1])
+        assert lines == ["data-error: artifact-error: corrupt-artifact: checksum mismatch"] * 3
+        assert bad.read_bytes() == data != artifact_path.read_bytes()
+
     def test_directory_is_data_error(self, synth_dir, artifact_path, tmp_path):
         models = tmp_path / "models"
         models.mkdir()

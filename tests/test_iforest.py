@@ -1,11 +1,14 @@
+import base64
+import binascii
+import errno
 import functools
 import gc
 import hashlib
+import io
 import json
 import math
 import os
 import pathlib
-import sys
 import tempfile
 
 import numpy as np
@@ -150,7 +153,7 @@ def test_node_table_adds_every_trees_path_length(X, subsample, n_trees, seed, ro
     up in forest order, and as its rows score in a batch of another size;
     the trained forest's table holds the linked trees node for node."""
     forest = train_forest(X, n_trees, subsample, seed)
-    assert iforest._forest_to_dict(forest)["trees"] == \
+    assert decode_trees(iforest._forest_to_dict(forest)) == \
         [iforest._tree_to_columns(tree.root) for tree in forest.trees]
     rng = np.random.default_rng(query_seed)
     # training rows, some moved off the values the trees split between
@@ -185,7 +188,9 @@ class TestCFactor:
 def table_path_length(tree: list, psi: int, x: list) -> float:
     """The path length of row x down one tree, given as its preorder
     columns [dims, values], on the NodeTable loading builds from them."""
-    table = iforest._table_from_trees([tree], len(x), psi)
+    dims, values = tree
+    table = iforest._table_from_columns(np.array([len(dims)]), np.array(dims, np.int32),
+                                        np.array(values, np.float64), len(x), psi)
     return float(iforest._table_paths(table, np.array([x], dtype=float))[0, 0])
 
 
@@ -224,7 +229,8 @@ class TestTrainForest:
         q = np.zeros((1, 4))
         small_paths, big_paths = (iforest._table_paths(f.table, q)[:, 0] for f in (small, big))
         assert small_paths.tolist() == big_paths[:5].tolist()
-        assert iforest._forest_to_dict(small)["trees"] == iforest._forest_to_dict(big)["trees"][:5]
+        assert decode_trees(iforest._forest_to_dict(small)) == \
+            decode_trees(iforest._forest_to_dict(big))[:5]
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(2)
@@ -329,17 +335,75 @@ def small_artifact():
     )
 
 
-def _tree(payload) -> list:
-    """The first tree's preorder columns, [dims, values]."""
-    return payload["forest"]["trees"][0]
+# Format 4's column types, written out here rather than read from iforest.
+DTYPES = {"lengths": "<i4", "dims": "<i4", "values": "<f8"}
 
 
-def _set_tree(payload, dims, values) -> None:
-    _tree(payload)[:] = [dims, values]
+def read_column(forest: dict, name: str) -> list:
+    """Column name of a format-4 forest as Python ints or floats, read
+    through np.frombuffer; refused (ValueError) as the loader refuses it:
+    not a string, not base64, not the canonical base64 of its bytes, or
+    not whole items."""
+    text, dtype = forest[name], np.dtype(DTYPES[name])
+    if type(text) is not str:
+        raise ValueError(f"{name} is not a base64 string: {text!r:.30}")
+    try:
+        raw = base64.b64decode(text.encode("ascii"), validate=True)
+    except (UnicodeEncodeError, binascii.Error) as exc:
+        raise ValueError(f"{name} is not base64: {exc}") from None
+    if base64.b64encode(raw).decode() != text:
+        raise ValueError(f"{name} is not canonical base64")
+    if len(raw) % dtype.itemsize:
+        raise ValueError(f"{name} holds {len(raw)} bytes, not whole {dtype.itemsize}-byte items")
+    return np.frombuffer(raw, dtype).tolist()
+
+
+def write_column(forest: dict, name: str, items: list) -> None:
+    forest[name] = base64.b64encode(np.array(items, dtype=DTYPES[name]).tobytes()).decode()
+
+
+def decode_trees(forest: dict) -> list:
+    """A format-4 forest's trees, [dims, values] each, cut by its lengths;
+    refused (ValueError) as the loader refuses columns that do not agree."""
+    lengths, dims, values = (read_column(forest, name) for name in DTYPES)
+    if not lengths:
+        raise ValueError("a forest needs at least one tree")
+    if min(lengths) < 0 or sum(lengths) != len(dims) or len(values) != len(dims):
+        raise ValueError(f"tree lengths are not counts of the {len(dims)} dims and "
+                         f"{len(values)} values")
+    ends = np.cumsum(lengths).tolist()
+    return [[dims[end - length:end], values[end - length:end]]
+            for length, end in zip(lengths, ends)]
+
+
+def encode_trees(forest: dict, trees: list) -> None:
+    """Write trees, [dims, values] each, into a format-4 forest. A tree's
+    length is its count of dims, so columns of unequal length stay so."""
+    write_column(forest, "lengths", [len(dims) for dims, _ in trees])
+    write_column(forest, "dims", [dim for dims, _ in trees for dim in dims])
+    write_column(forest, "values", [value for _, values in trees for value in values])
+
+
+def edit_trees(edit):
+    """A tamper of a payload: edit its decoded trees, then encode them again."""
+    def tamper(payload):
+        trees = decode_trees(payload["forest"])
+        edit(trees)
+        encode_trees(payload["forest"], trees)
+    return tamper
+
+
+def edit_lengths(edit):
+    """A tamper of a payload: edit its forest's decoded lengths, then encode them again."""
+    def tamper(payload):
+        lengths = read_column(payload["forest"], "lengths")
+        edit(lengths)
+        write_column(payload["forest"], "lengths", lengths)
+    return tamper
 
 
 def write_with_checksum(path, payload) -> None:
-    """Write payload as a format-3 artifact with a correct checksum, the
+    """Write payload as a format-4 artifact with a correct checksum, the
     way a tool that edits artifacts by hand would."""
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     doc = {"checksum": hashlib.sha256(body.encode()).hexdigest(),
@@ -397,8 +461,7 @@ def _saved_payload() -> str:
             return json.dumps(json.load(fh)["payload"])
 
 
-_COLUMN_EDITS = ["truncate", "extend", "swap-int-float", "dim-out-of-range", "not-a-list",
-                 "unequal-lengths"]
+_COLUMN_EDITS = ["truncate", "extend", "dim-out-of-range", "unequal-lengths"]
 
 
 def _edit_columns(data, tree: list, dimension: int) -> None:
@@ -413,32 +476,81 @@ def _edit_columns(data, tree: list, dimension: int) -> None:
         values.insert(at, data.draw(st.one_of(st.integers(-1, 9), st.floats())))
     elif at == len(dims):
         return
-    elif edit == "swap-int-float":
-        column = data.draw(st.sampled_from(tree))
-        v = column[at]
-        column[at] = (float(v) if type(v) is int and abs(v) <= sys.float_info.max
-                      else int(v) if type(v) is float and math.isfinite(v) else 0)
-    elif edit == "dim-out-of-range":
-        dims[at] = data.draw(st.one_of(st.integers(max_value=-2), st.integers(min_value=dimension)))
-    elif edit == "not-a-list":
-        junk = data.draw(st.sampled_from([None, 5, "x", {"k": 1}, [dims[at], values[at]]]))
-        if data.draw(st.booleans()):
-            tree[data.draw(st.integers(0, 1))] = junk  # a column
-        else:
-            dims[at] = junk  # a node
+    elif edit == "dim-out-of-range":  # as far as an int32 reaches
+        dims[at] = data.draw(st.one_of(st.integers(-2**31, -2), st.integers(dimension, 2**31 - 1)))
     else:  # unequal lengths
         data.draw(st.sampled_from(tree)).pop(at)
+
+
+_BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _set_stray_bits(data, forest: dict, name: str) -> None:
+    """Set some of the bits that the padding of column name leaves unused:
+    the same bytes, in base64 that is not their canonical encoding."""
+    text = forest[name]
+    pad = len(text) - len(text.rstrip("="))
+    if pad and len(text) > pad and text[-pad - 1] in _BASE64:
+        at = len(text) - pad - 1  # 2 unused bits before "=", 4 before "=="
+        digit = _BASE64.index(text[at]) | data.draw(st.integers(1, (1 << 2 * pad) - 1))
+        forest[name] = text[:at] + _BASE64[digit] + text[at + 1:]
+
+
+_BYTE_EDITS = ["bad-character", "bad-padding", "stray-bits", "ragged", "lengths-off",
+               "zero-length-tree", "not-a-string"]
+
+
+def _edit_bytes(data, forest: dict) -> None:
+    """One random edit, in place, to a format-4 forest's encoded columns:
+    what no list of ints and floats encodes to."""
+    name = data.draw(st.sampled_from(list(DTYPES)))
+    text, edit = forest[name], data.draw(st.sampled_from(_BYTE_EDITS))
+    if edit == "not-a-string":  # format 3's lists among them
+        forest[name] = data.draw(st.sampled_from([None, 5, [], [[0, 0.5]], {"k": 1}]))
+    elif type(text) is not str:
+        return
+    elif edit == "bad-character":
+        at = data.draw(st.integers(0, len(text)))
+        forest[name] = text[:at] + data.draw(st.sampled_from(list("!-_ \n=\xe9"))) + text[at + 1:]
+    elif edit == "bad-padding":
+        forest[name] = data.draw(st.sampled_from([text.rstrip("="), text + "=", text[:-1]]))
+    elif edit == "stray-bits":
+        _set_stray_bits(data, forest, name)
+    elif edit == "ragged":  # bytes cut from or added to the last item
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except binascii.Error:
+            return
+        cut = data.draw(st.integers(1, np.dtype(DTYPES[name]).itemsize - 1))
+        raw = raw[:-cut] if data.draw(st.booleans()) else raw + bytes(cut)
+        forest[name] = base64.b64encode(raw).decode()
+    else:
+        try:
+            lengths = read_column(forest, "lengths")
+        except ValueError:
+            return
+        at = data.draw(st.integers(0, len(lengths)))
+        if edit == "zero-length-tree":
+            lengths.insert(at, 0)
+        elif at < len(lengths):  # a tree longer or shorter, the next one too by as much
+            change = data.draw(st.integers(-3, 3))
+            lengths[at] += change
+            if at + 1 < len(lengths) and data.draw(st.booleans()):
+                lengths[at + 1] -= change  # the same sum, and perhaps a negative length
+        write_column(forest, "lengths", lengths)
 
 
 @given(data=st.data())
 def test_edited_tree_columns_load_or_raise_artifact_error(data):
     payload = json.loads(_saved_payload())
     forest = payload["forest"]
-    tree = data.draw(st.sampled_from(forest["trees"]))
+    trees = decode_trees(forest)
+    tree = data.draw(st.sampled_from(trees))
     for _ in range(data.draw(st.integers(1, 3))):
-        if not all(type(column) is list for column in tree):
-            break  # a column was replaced: nothing left to edit
         _edit_columns(data, tree, forest["dimension"])
+    encode_trees(forest, trees)
+    if data.draw(st.booleans()):
+        _edit_bytes(data, forest)
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp, "model.json")
         write_with_checksum(path, payload)
@@ -455,10 +567,11 @@ def test_edited_tree_columns_load_or_raise_artifact_error(data):
 def reference_tree_from_columns(tree, dimension: int, sample_count: int,
                                 height_limit: int) -> IsolationTree:
     """Independent node-by-node decoder of one tree's preorder columns
-    [dims, values] into linked nodes, rejecting any tree train_forest
-    cannot write: columns of another shape, a malformed node, a split on a
-    dimension the forest lacks, a leaf larger than the sample, a missing or
-    extra node, or a split at or below the height limit."""
+    [dims, values], ints and floats as decode_trees reads them, into linked
+    nodes, rejecting any tree train_forest cannot write: columns of another
+    shape, a malformed node, a split on a dimension the forest lacks, a leaf
+    size that is not a count up to the sample's, a missing or extra node,
+    or a split at or below the height limit."""
     if type(tree) is not list or len(tree) != 2 or type(tree[0]) is not list \
             or type(tree[1]) is not list or len(tree[0]) != len(tree[1]):
         raise ValueError(f"a tree is not [dims, values] of equal length: {tree!r:.60}")
@@ -468,8 +581,9 @@ def reference_tree_from_columns(tree, dimension: int, sample_count: int,
     for dim, value in zip(*tree):
         if not waiting and root is not None:
             raise ValueError("nodes after the last leaf of a tree")
-        if dim == -1 and type(value) is int and 0 <= value <= sample_count:
-            node = TreeNode(-1, 0.0, value)
+        if dim == -1 and type(value) is float and value.is_integer() \
+                and 0 <= value <= sample_count and math.copysign(1.0, value) > 0:
+            node = TreeNode(-1, 0.0, int(value))
         elif type(dim) is int and 0 <= dim < dimension and type(value) is float \
                 and math.isfinite(value):
             node = TreeNode(dim, value)
@@ -495,10 +609,10 @@ def reference_tree_from_columns(tree, dimension: int, sample_count: int,
 
 
 def reference_forest_from_dict(forest: dict) -> list:
-    """The linked trees of a format-3 forest, each decoded node by node."""
+    """The linked trees of a format-4 forest, each decoded node by node."""
     psi = forest["sample_count"]
     return [reference_tree_from_columns(tree, forest["dimension"], psi, math.ceil(math.log2(psi)))
-            for tree in forest["trees"]]
+            for tree in decode_trees(forest)]
 
 
 @functools.lru_cache(maxsize=1)
@@ -522,31 +636,27 @@ def _node_depths(dims: list) -> list:
     return depths
 
 
-_NODE_EDITS = ["bool-dim", "huge-int", "non-finite", "leaf-over-psi", "move-subtree",
-               "split-a-leaf"]
+_NODE_EDITS = ["non-finite", "leaf-over-psi", "leaf-not-a-count", "move-subtree", "split-a-leaf"]
 
 
-def _edit_nodes(data, forest: dict) -> None:
-    """One random edit, in place, to the nodes of a forest's trees, past
-    what _edit_columns makes."""
-    trees = [tree for tree in forest["trees"]
-             if all(type(column) is list for column in tree) and tree[0] and tree[1]]
+def _edit_nodes(data, trees: list, sample_count: int, dimension: int) -> None:
+    """One random edit, in place, to the nodes of trees, [dims, values]
+    each, past what _edit_columns makes."""
+    trees = [tree for tree in trees if tree[0] and tree[1]]
     if not trees:
         return
-    dims, values = tree = data.draw(st.sampled_from(trees))
+    dims, values = data.draw(st.sampled_from(trees))
     at = data.draw(st.integers(0, min(len(dims), len(values)) - 1))
     leaves = [i for i, dim in enumerate(dims[:len(values)]) if dim == -1]
     edit = data.draw(st.sampled_from(_NODE_EDITS))
-    if edit == "bool-dim":
-        dims[at] = data.draw(st.booleans())
-    elif edit == "huge-int":  # past int64, or past float64
-        data.draw(st.sampled_from(tree))[at] = data.draw(st.one_of(
-            st.integers(2**63, 2**64), st.integers(-2**64, -2**63 - 1), st.just(2**1100)))
-    elif edit == "non-finite":
+    if edit == "non-finite":
         values[at] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     elif edit == "leaf-over-psi" and leaves:
         values[data.draw(st.sampled_from(leaves))] = \
-            forest["sample_count"] + data.draw(st.integers(1, 2**70))
+            sample_count + data.draw(st.integers(1, 2**70))
+    elif edit == "leaf-not-a-count" and leaves:  # -0.0, or a size with a fraction
+        values[data.draw(st.sampled_from(leaves))] = data.draw(st.sampled_from(
+            [-0.0, 0.5, 1.25, sample_count - 0.5, -1.0, 5e-324]))
     elif edit == "move-subtree":  # into another tree, or the same, at any node
         end, pending = at, 1
         while pending and end < len(dims):
@@ -569,26 +679,30 @@ def _edit_nodes(data, forest: dict) -> None:
             at = max(leaves, key=lambda i: (depths[i], i))
         else:
             at = data.draw(st.sampled_from(leaves))
-        dims[at:at + 1] = [data.draw(st.integers(0, forest["dimension"] - 1)), -1, -1]
+        dims[at:at + 1] = [data.draw(st.integers(0, dimension - 1)), -1, -1]
         values[at:at + 1] = [data.draw(st.floats(0, 1)), 1, 1]
 
 
 @given(data=st.data())
 def test_table_loader_refuses_what_the_node_decoder_refuses(data):
-    """Of edited trees, load_artifact accepts exactly what the node-by-node
-    decoder accepts; it refuses the rest as corrupt-artifact with the
-    decoder's reason, and a forest it accepts scores bit for bit as the
-    decoder's linked trees do."""
+    """Of edited trees and edited column bytes, load_artifact accepts
+    exactly what the node-by-node decoder accepts; it refuses the rest as
+    corrupt-artifact with the decoder's reason, and a forest it accepts
+    scores bit for bit as the decoder's linked trees do."""
     payload = json.loads(data.draw(st.sampled_from(_payloads())))
     forest = payload["forest"]
+    trees = decode_trees(forest)
     # few trees, so that edits meet in neighbouring trees too
-    del forest["trees"][data.draw(st.integers(1, len(forest["trees"]))):]
+    del trees[data.draw(st.integers(1, len(trees))):]
     for _ in range(data.draw(st.integers(0, 3))):
-        tree = data.draw(st.sampled_from(forest["trees"]))
+        tree = data.draw(st.sampled_from(trees))
         if data.draw(st.booleans()):
-            _edit_nodes(data, forest)
-        elif all(type(column) is list for column in tree) and len(tree[0]) == len(tree[1]):
+            _edit_nodes(data, trees, forest["sample_count"], forest["dimension"])
+        elif len(tree[0]) == len(tree[1]):
             _edit_columns(data, tree, forest["dimension"])
+    encode_trees(forest, trees)
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+        _edit_bytes(data, forest)
     try:
         expected = reference_forest_from_dict(forest)
     except ValueError as exc:
@@ -607,6 +721,64 @@ def test_table_loader_refuses_what_the_node_decoder_refuses(data):
         -0.5, 1.5, (rows, forest["dimension"]))
     assert anomaly_scores(loaded, Q).tobytes() == \
         reference_scores(expected, forest["sample_count"], Q).tobytes()
+
+
+# Spellings JSON has for a field's value that the field's type does not
+# take, each beside the saved value, which loads.
+_RESAVE_SCALARS = {
+    ("training_flow_count",): [3.7, "12", -5, True, 3.0],
+    ("forest", "master_seed"): ["5", 2.5, -1, True, 11.0],
+    ("forest", "dimension"): [12.0, "12", True],
+    ("forest", "sample_count"): [3.0, "3"],
+    ("default_threshold",): ["0.1", 0, True, -0.0, 1e-300],
+    ("trained_at",): [5, None, ["2026"]],
+}
+
+
+@given(data=st.data())
+def test_every_artifact_load_accepts_saves_back_the_same_bytes(data):
+    """load_artifact coerces nothing: an artifact it accepts saves back
+    byte for byte, which natwatch calibrate relies on. Edited here: the
+    payload's scalars, a threshold and its key, leaf sizes (-0.0,
+    fractions) and the unused bits of a column's base64 tail."""
+    payload = json.loads(_saved_payload())
+    forest = payload["forest"]
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit = data.draw(st.sampled_from(["scalar", "threshold-key", "threshold", "leaf-size",
+                                          "stray-bits"]))
+        if edit == "scalar":
+            *keys, key = data.draw(st.sampled_from(list(_RESAVE_SCALARS)))
+            owner = functools.reduce(dict.__getitem__, keys, payload)
+            owner[key] = data.draw(st.sampled_from(_RESAVE_SCALARS[(*keys, key)] + [owner[key]]))
+        elif edit == "threshold-key":
+            thresholds = payload["calibrated_thresholds"]
+            key = data.draw(st.sampled_from([" 10", "010", "+10", "1_0", "10 ", "10", "-0", "7"]))
+            thresholds[key] = thresholds.pop(next(iter(thresholds)))
+        elif edit == "threshold":
+            thresholds = payload["calibrated_thresholds"]
+            key = next(iter(thresholds))
+            thresholds[key] = data.draw(st.sampled_from(["0.1", 1, False, -0.0, thresholds[key]]))
+        elif edit == "leaf-size":
+            try:
+                trees = decode_trees(forest)
+            except ValueError:  # stray bits set by an earlier edit
+                continue
+            dims, values = data.draw(st.sampled_from(trees))
+            at = data.draw(st.sampled_from([i for i, dim in enumerate(dims) if dim == -1]))
+            values[at] = data.draw(st.sampled_from([-0.0, 0.5, 2.25, 1.0, 3.0, values[at]]))
+            encode_trees(forest, trees)
+        else:
+            _set_stray_bits(data, forest, data.draw(st.sampled_from(list(DTYPES))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = pathlib.Path(tmp, "model.json"), pathlib.Path(tmp, "again.json")
+        write_with_checksum(path, payload)
+        try:
+            artifact = load_artifact(path)
+        except ArtifactError as exc:
+            assert str(exc).startswith("corrupt-artifact: ")
+            return
+        save_artifact(artifact, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestArtifact:
@@ -658,12 +830,38 @@ class TestArtifact:
         save_artifact(small_artifact(), path)
         doc = json.loads(path.read_text())
         # format 1 stored fields scoring never read, format 2 a list per
-        # node; retraining with the seed gives the same forest
-        for version in (1, 2, 99):
+        # node, format 3 a list of two per tree; retraining with the seed
+        # gives the same forest
+        for version in (1, 2, 3, 99):
             doc["format_version"] = version
             path.write_text(json.dumps(doc))
             with pytest.raises(ArtifactError, match=f"unsupported-version:{version}"):
                 load_artifact(path)
+
+    def test_a_failed_save_leaves_the_old_artifact_whole(self, tmp_path, monkeypatch):
+        """save_artifact writes beside the artifact and renames over it: a
+        write that fails halfway leaves the old bytes and no stray file."""
+        path = tmp_path / "model.json"
+        save_artifact(small_artifact(), path)
+        before = path.read_bytes()
+
+        class DiskFull(io.FileIO):
+            def write(self, chunk):
+                super().write(bytes(chunk)[:100])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(iforest, "open", lambda file, mode: DiskFull(file, "w"),
+                            raising=False)
+        artifact = small_artifact()
+        artifact.calibrated_thresholds[20] = 0.01
+        with pytest.raises(OSError, match="No space left"):
+            save_artifact(artifact, path)
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["model.json"]
+        monkeypatch.undo()
+        save_artifact(artifact, path)  # and once the disk has room, the new one
+        assert load_artifact(path).calibrated_thresholds == {10: -0.03, 20: 0.01}
+        assert sorted(os.listdir(tmp_path)) == ["model.json"]
 
     def test_load_encodes_nothing(self, tmp_path, monkeypatch):
         path = tmp_path / "model.json"
@@ -678,35 +876,75 @@ class TestArtifact:
     @pytest.mark.parametrize(
         "tamper, reason",
         [
-            (lambda p: [column.pop() for column in _tree(p)], "truncated node list"),
+            (edit_trees(lambda t: [column.pop() for column in t[0]]), "truncated node list"),
             # the next tree's first node is bad too, but is read later
-            (lambda p: [column.pop() for column in _tree(p)]
-             + [p["forest"]["trees"][1][0].__setitem__(0, 999)], "truncated node list"),
-            (lambda p: [column.append(x) for column, x in zip(_tree(p), (-1, 1))],
+            (edit_trees(lambda t: [column.pop() for column in t[0]]
+                        + [t[1][0].__setitem__(0, 999)]), "truncated node list"),
+            (edit_trees(lambda t: [column.append(x) for column, x in zip(t[0], (-1, 1))]),
              "nodes after the last leaf"),
             # a bad node, but read as one past the tree's last leaf first
-            (lambda p: [column.append(x) for column, x in zip(_tree(p), (999, 1))],
+            (edit_trees(lambda t: [column.append(x) for column, x in zip(t[0], (999, 1))]),
              "nodes after the last leaf"),
-            (lambda p: _tree(p)[0].__setitem__(0, 999), "bad node"),
-            # a format-2 node, [dim, value], standing in a column
-            (lambda p: _tree(p)[0].__setitem__(0, [0, 0.5]), "bad node"),
-            (lambda p: _set_tree(p, [-1], [4]), "bad node"),  # 4 > psi
-            (lambda p: _set_tree(p, [0, -1] * 3 + [-1], [0.5, 1] * 3 + [0]),
+            (edit_trees(lambda t: t[0][0].__setitem__(0, 999)), "bad node"),
+            # format 3's list of nodes standing where format 4's column goes
+            (lambda p: p["forest"].update(dims=[[0, 0.5]]), "dims is not a base64 string"),
+            (edit_trees(lambda t: t[0].__setitem__(slice(None), [[-1], [4]])),  # 4 > psi
+             "bad node"),
+            (edit_trees(lambda t: t[0].__setitem__(
+                slice(None), [[0, -1] * 3 + [-1], [0.5, 1] * 3 + [0]])),
              "deeper than its height limit"),
-            (lambda p: _tree(p).append([]), r"not \[dims, values\]"),
-            (lambda p: _tree(p)[1].pop(), r"not \[dims, values\]"),
-            (lambda p: p["forest"].update(trees=[]), "at least one tree"),
+            # what is no whole node: bytes past the last item of a column
+            (lambda p: p["forest"].update(dims=base64.b64encode(
+                base64.b64decode(p["forest"]["dims"]) + b"\0\0").decode()),
+             "dims holds .* bytes, not whole 4-byte items"),
+            (edit_trees(lambda t: t[0][1].pop()), "tree lengths are not counts of"),
+            (lambda p: p["forest"].update(lengths="", dims="", values=""), "at least one tree"),
             (lambda p: p["forest"].update(sample_count=0), "sample_count"),
             (lambda p: p["schema"]["numeric_ranges"].pop("in_bytes"), "schema features"),
             (lambda p: p["schema"]["categories"].update(vlan=[1]), "schema features"),
             (lambda p: p.pop("model"), "KeyError: 'model'"),
             (lambda p: p.update(default_threshold=float("nan")), "non-finite threshold"),
-            (lambda p: p.update(training_flow_count=float("inf")), "OverflowError"),
+            (lambda p: p.update(training_flow_count=float("inf")), "training_flow_count inf"),
+            # the columns' bytes
+            (lambda p: p["forest"].update(values="!" + p["forest"]["values"][1:]),
+             "values is not base64"),
+            (lambda p: p["forest"].update(dims=p["forest"]["dims"] + "="), "dims is not base64"),
+            (lambda p: p["forest"].update(lengths=p["forest"]["lengths"][:-1]),
+             "lengths is not base64"),
+            (lambda p: p["forest"].update(lengths="AAAAAB=="),  # "AAAAAA==": 4 zero bytes
+             "lengths is not canonical base64"),
+            (edit_lengths(lambda l: l.pop()), "tree lengths are not counts of"),
+            # the same sum
+            (edit_lengths(lambda l: [l.insert(0, -1), l.__setitem__(-1, l[-1] + 1)]),
+             "tree lengths are not counts of"),
+            (edit_lengths(lambda l: l.append(0)), "truncated node list"),
+            (edit_trees(lambda t: t[0][1].__setitem__(0, float("nan"))), "bad node"),
+            (edit_trees(lambda t: t[0][1].__setitem__(0, float("-inf"))), "bad node"),
+            (edit_trees(lambda t: t[0][1].__setitem__(-1, -0.0)), r"bad node \[-1, -0\.0\]"),
+            (edit_trees(lambda t: t[0][1].__setitem__(-1, 1.5)), r"bad node \[-1, 1\.5\]"),
+            # the payload's scalars, in a type or spelling that would load coerced
+            (lambda p: p.update(training_flow_count=3.7), "training_flow_count"),
+            (lambda p: p.update(training_flow_count="12"), "training_flow_count"),
+            (lambda p: p.update(training_flow_count=-5), "training_flow_count"),
+            (lambda p: p.update(training_flow_count=True), "training_flow_count True: not int"),
+            (lambda p: p["forest"].update(master_seed="5"), "master_seed"),
+            (lambda p: p["forest"].update(master_seed=2.5), "master_seed"),
+            (lambda p: p["forest"].update(dimension=float(p["forest"]["dimension"])),
+             "dimension"),
+            (lambda p: p.update(calibrated_thresholds={" 10": -0.03}),
+             r"threshold keys \[' 10'\] are not plain ints"),
+            (lambda p: p.update(default_threshold="0.1"), "threshold '0.1': not float"),
+            (lambda p: p.update(trained_at=5), "trained_at 5: not str"),
         ],
         ids=["truncated", "truncated-then-bad-node", "trailing-node", "trailing-bad-node",
              "split-dim-999", "node-not-a-list", "leaf-over-sample", "too-deep", "three-columns",
              "unequal-columns", "no-trees", "sample-count-0", "missing-numeric-range",
-             "extra-categorical", "missing-model", "nan-threshold", "inf-count"],
+             "extra-categorical", "missing-model", "nan-threshold", "inf-count",
+             "bad-base64-character", "bad-padding", "missing-padding", "stray-tail-bits",
+             "lengths-short", "negative-length", "zero-length-tree", "nan-value", "inf-value",
+             "minus-zero-leaf", "fractional-leaf", "fractional-count", "string-count",
+             "negative-count", "bool-count", "string-seed", "fractional-seed", "float-dimension",
+             "spaced-threshold-key", "string-threshold", "int-trained-at"],
     )
     def test_checksum_valid_tampering_is_corrupt(self, tmp_path, tamper, reason):
         path = tmp_path / "model.json"
@@ -733,7 +971,7 @@ class TestArtifact:
         save_artifact(artifact, path)
         if call == "corrupt":
             payload = json.loads(path.read_text())["payload"]
-            _tree(payload)[0][-1] = 999
+            edit_trees(lambda t: t[0][0].__setitem__(-1, 999))(payload)
             write_with_checksum(path, payload)
         during = []
         builder = "_grow_trees" if call == "trains" else "_forest_from_dict"

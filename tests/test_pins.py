@@ -1,5 +1,5 @@
 """Pins on what a seed must keep giving: a synthetic flows.csv, one trained
-forest's bytes and the g of a few fixed flows. numpy's Generator may
+forest's node table and artifact bytes, and the g of a few fixed flows. numpy's Generator may
 change what choice, integers and uniform return between releases (NEP 19),
 and the reference builder in test_iforest draws through the same calls,
 so only fixed values catch such a change. A change that alters a model on
@@ -17,7 +17,9 @@ from natwatch.iforest import CHUNK_ROWS, _forest_to_dict, load_artifact, normali
 from natwatch.preprocess import transform_many
 from natwatch.synth import builtin_scenario, generate_flows
 
-FOREST_SHA256 = "e2d3e5f448471d69b99af4c0b7404e8585078d5ab17ec12b9e833d5b71b17893"
+# the model apart from its encoding: NodeTable's arrays (dtype and bytes) and steps
+TABLE_SHA256 = "ff7117851e7ecc4030d01425024f2b0ab6196bb0556e12e9cf72f6b2bfcd45da"
+FOREST_SHA256 = "c9cdb35f9ccdcd7466c8b5aa5262fa6209d4111e5377c1e7034f8a459bada628"
 FLOWS_CSV_SHA256 = "8cca9e6cec66b87e8135f91e7db36b67b4b1914e22a7942386034156f1fe3adc"
 G_HEX = ["-0x1.31b029f316028p-4", "0x1.7b015736f3240p-8", "0x1.94c072c200cf0p-5",
          "-0x1.5b17947e36b60p-5", "0x1.02f4876c2d400p-10"]
@@ -38,12 +40,25 @@ def _forest_sha256(forest) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
+def _table_sha256(table) -> str:
+    digest = hashlib.sha256()
+    for name in ("dim", "value", "right", "leaf", "size", "roots"):
+        column = getattr(table, name)
+        digest.update(b"%s %s %d\n" % (name.encode(), column.dtype.str.encode(), column.nbytes))
+        digest.update(column.tobytes())
+    digest.update(b"steps %d\n" % table.steps)
+    return digest.hexdigest()
+
+
 def test_a_seed_gives_the_pinned_forest_and_g(tmp_path):
     model, artifact, test = _trained()
+    assert _table_sha256(artifact.forest.table) == TABLE_SHA256
     assert _forest_sha256(artifact.forest) == FOREST_SHA256
     # and once saved and loaded, which writes it from the loaded table
     save_artifact(artifact, tmp_path / "model.json")
-    assert _forest_sha256(load_artifact(tmp_path / "model.json").forest) == FOREST_SHA256
+    loaded = load_artifact(tmp_path / "model.json").forest
+    assert _table_sha256(loaded.table) == TABLE_SHA256
+    assert _forest_sha256(loaded) == FOREST_SHA256
     # the model's first 5 test flows, alone and leading a 200-row batch and
     # a batch of more than one chunk
     own = [lf.flow for lf in test if lf.label == model][:5]
