@@ -9,7 +9,6 @@ machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
-import gc
 import glob
 import os
 import sys
@@ -77,15 +76,11 @@ def _load_artifact(path: str):
 
 
 def _load_artifacts(path: str) -> dict:
-    """{file path: artifact} for an artifact file or a directory of them.
-    What is alive once they are loaded (24k objects, under 200 of them 13
-    artifacts') lasts the command, so it is frozen; main thaws it."""
+    """{file path: artifact} for an artifact file or a directory of them."""
     paths = sorted(glob.glob(os.path.join(path, "*.json"))) if os.path.isdir(path) else [path]
     if not paths:
         raise DataError(f"no-artifacts: {path}")
-    artifacts = {p: _load_artifact(p) for p in paths}
-    gc.freeze()
-    return artifacts
+    return {p: _load_artifact(p) for p in paths}
 
 
 def _or_na(rate) -> str:
@@ -198,10 +193,9 @@ def cmd_detect(args) -> int:
                  lambda records: run_detector(records, artifacts, policy, selector, args.audit),
                  ready=ready)
     else:
-        dataset = _load_dataset(args.input)
-        events = run_detector(dataset, artifacts, policy, selector, args.audit)
-        positives = sum(1 for e in events if e.decision == "M")
-        print(f"{len(events)} detection events ({positives} positive) -> {args.audit}")
+        flows = [lf.flow for lf in _load_dataset(args.input)]
+        decisions, positives = run_detector(flows, artifacts, policy, selector, args.audit)
+        print(f"{decisions} detection events ({positives} positive) -> {args.audit}")
     return 0
 
 
@@ -333,18 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # thaw what _load_artifacts froze, so that an in-process caller gets the
-    # collector back as it was; a caller that froze objects itself keeps
-    # them frozen, and the artifacts with them
-    thawed = gc.get_freeze_count() == 0
     try:
         return args.func(args)
     except (DataError, ValueError, OSError) as exc:
         print(f"data-error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if thawed:
-            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from natwatch.flowdata import (
     DeviceModelId,
     FlowDataset,
     FlowRecord,
-    LabeledFlow,
     chronological_split,
     filter_model,
 )
@@ -97,51 +96,10 @@ def calibrate_threshold(
     return float(g[k - 1])
 
 
-@dataclass
-class DetectionEvent:
-    flow: FlowRecord
-    model: DeviceModelId
-    normality_g: float
-    threshold: float
-    action_taken: str = "log"
-    wall_time_s: float = 0.0
-
-    @property
-    def decision(self) -> str:
-        """The one decision rule: "M" iff g >= threshold, else "non-M"."""
-        return "M" if self.normality_g >= self.threshold else "non-M"
-
-    def to_dict(self, timestamp: str) -> dict:
-        return {
-            "timestamp": timestamp,
-            "model": self.model.canonical(),
-            "g": self.normality_g,
-            "threshold": self.threshold,
-            "decision": self.decision,
-            "action": self.action_taken,
-            "wall_time_s": self.wall_time_s,
-            "flow": {
-                "src_ip": self.flow.src_ip,
-                "dst_ip": self.flow.dst_ip,
-                "dst_port": self.flow.dst_port,
-                "protocol": self.flow.ip_protocol,
-                "start_ms": self.flow.flow_start_ms,
-            },
-        }
-
-
-def classify(
-    artifact: ModelArtifact, flow: FlowRecord, threshold_selector: Union[str, int] = "default"
-) -> DetectionEvent:
-    """Preprocess and score one flow against one artifact."""
-    th = artifact.threshold(threshold_selector)
-    t0 = time.perf_counter()
-    x = transform(artifact.schema, flow)
-    g = normality_score(artifact.forest, x)
-    wall = time.perf_counter() - t0
-    return DetectionEvent(
-        flow=flow, model=artifact.model, normality_g=g, threshold=th, wall_time_s=wall
-    )
+def classify(artifact: ModelArtifact, flow: FlowRecord) -> float:
+    """g of one flow against one artifact, scored alone: the g the
+    detector logs for it in any batch."""
+    return normality_score(artifact.forest, transform(artifact.schema, flow))
 
 
 # What each stub action records: the policy's path for its file, and
@@ -159,7 +117,7 @@ class ActionPolicy:
 
     "log" is always applied; "notify_stub" and "block_stub" record the
     would-be side effect to JSONL files instead of performing it, so
-    each needs its file path.
+    each needs its file path. Each action is named at most once.
     """
 
     on_positive: list[str] = field(default_factory=lambda: ["log"])
@@ -170,6 +128,8 @@ class ActionPolicy:
         for a in self.on_positive:
             if a not in ("log", *STUB_LINES):
                 raise ValueError(f"unknown action: {a}")
+        if len(set(self.on_positive)) != len(self.on_positive):
+            raise ValueError(f"repeated action in policy: {','.join(self.on_positive)}")
         if "notify_stub" in self.on_positive and not self.notify_path:
             raise ValueError("notify_stub needs a notify path")
         if "block_stub" in self.on_positive and not self.block_path:
@@ -179,36 +139,35 @@ class ActionPolicy:
 
 
 def run_detector(
-    flow_source: Iterable[Union[FlowRecord, LabeledFlow]],
+    flows: list[FlowRecord],
     artifacts: list[ModelArtifact],
-    policy: Optional[ActionPolicy] = None,
-    threshold_selector: Union[str, int] = "default",
-    audit_path: Optional[str] = None,
-) -> list[DetectionEvent]:
+    policy: ActionPolicy,
+    threshold_selector: Union[str, int],
+    audit_path: str,
+) -> tuple[int, int]:
     """Score the flows against every artifact, one batch per artifact,
-    and emit events in arrival order, each flow's in artifact order.
+    and log each decision in arrival order, each flow's in artifact
+    order: (decisions, positives). Nothing per decision is kept.
 
-    A positive writes a line to each stub action's file, in policy
-    order; every event then writes its line to the JSONL audit log when
-    a path is given. All lines of a call carry one timestamp, and each
-    file is opened once, the stub files only if some flow is positive.
-    An event's wall_time_s is its artifact's batch time over the batch's rows.
+    A decision is "M" iff g >= threshold. A positive writes a line to
+    each stub action's file, in policy order; every decision then writes
+    its line to the JSONL audit log. All lines of a call carry one
+    timestamp, and each file is opened once, the stub files only if some
+    flow is positive. A line's wall_time_s is its artifact's batch time
+    over the batch's rows.
     """
     if not artifacts:
         raise ValueError("at least one artifact required")
-    policy = policy or ActionPolicy()
-    flows = [item.flow if isinstance(item, LabeledFlow) else item for item in flow_source]
     scored = []
     for artifact in artifacts:
         th = artifact.threshold(threshold_selector)
         t0 = time.perf_counter()
         g = normality_scores(artifact.forest, transform_many(artifact.schema, flows))
         wall = (time.perf_counter() - t0) / max(1, len(flows))
-        scored.append((artifact.model, th, g.tolist(), wall))
-    positive = any(v >= th for _, th, g, _ in scored for v in g)
-    actions = [STUB_LINES[a] for a in policy.on_positive if a in STUB_LINES] if positive else []
+        scored.append((artifact.model.canonical(), th, g.tolist(), wall))
+    positives = sum(v >= th for _, th, g, _ in scored for v in g)
+    actions = [STUB_LINES[a] for a in policy.on_positive if a in STUB_LINES] if positives else []
     timestamp = datetime.now(timezone.utc).isoformat()
-    events: list[DetectionEvent] = []
     with ExitStack() as stack:
         files = {}  # (device, inode) -> write: two spellings of one file share one handle
 
@@ -218,16 +177,19 @@ def run_detector(
             return files.setdefault((st.st_dev, st.st_ino), fh.write)
 
         stubs = [(writer(path_of(policy)), detail) for path_of, detail in actions]
-        audit = writer(audit_path) if audit_path else None
+        audit = writer(audit_path)
         for i, flow in enumerate(flows):
+            fields = {"src_ip": flow.src_ip, "dst_ip": flow.dst_ip, "dst_port": flow.dst_port,
+                      "protocol": flow.ip_protocol, "start_ms": flow.flow_start_ms}
             for model, th, g, wall in scored:
-                event = DetectionEvent(flow, model, g[i], th, wall_time_s=wall)
-                if event.decision == "M":
+                if g[i] >= th:
                     for stub, detail in stubs:
-                        line = {"timestamp": timestamp, "model": model.canonical(), **detail(flow)}
+                        line = {"timestamp": timestamp, "model": model, **detail(flow)}
                         stub(json.dumps(line) + "\n")
-                    event.action_taken = policy.on_positive[-1]
-                events.append(event)
-                if audit is not None:
-                    audit(json.dumps(event.to_dict(timestamp)) + "\n")
-    return events
+                    decision, action = "M", policy.on_positive[-1]
+                else:
+                    decision, action = "non-M", "log"
+                audit(json.dumps({"timestamp": timestamp, "model": model, "g": g[i],
+                                  "threshold": th, "decision": decision, "action": action,
+                                  "wall_time_s": wall, "flow": fields}) + "\n")
+    return len(flows) * len(scored), positives

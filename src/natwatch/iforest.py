@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from natwatch.flowdata import DeviceModelId
-from natwatch.preprocess import FeatureSchema, InsufficientDataError
+from natwatch.preprocess import FeatureSchema, InsufficientDataError, _exact
 
 EULER_GAMMA = 0.5772156649
 
@@ -127,6 +127,8 @@ def train_forest(
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be at least 1, got {n_trees}")
+    if subsample < 1:
+        raise ValueError(f"subsample must be at least 1, got {subsample}")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise InsufficientDataError("insufficient-data: empty training matrix")
@@ -459,15 +461,6 @@ def _column(d: dict, name: str) -> np.ndarray:
     return np.frombuffer(raw, dtype)
 
 
-def _exact(value, kind: type, name: str, low=None, high=math.inf):
-    """value if its type is kind (a bool is no int) and, given low, in [low,
-    high), else ValueError: nothing loaded is coerced, so it saves back the same."""
-    if type(value) is not kind or low is not None and not low <= value < high:
-        raise ValueError(f"{name} {value!r:.30}: not {kind.__name__}"
-                         + (f" in [{low}, {high})" if low is not None else ""))
-    return value
-
-
 def _forest_from_dict(d: dict) -> IsolationForest:
     # psi, and so every leaf size, is read as a float64, exact below 2^53;
     # that also keeps trees under 53 levels
@@ -540,20 +533,19 @@ def load_artifact(path) -> ModelArtifact:
     # A valid checksum shows the file is as written, not that a writer
     # with a working forest wrote it: every field is checked as decoded.
     try:
-        with _collector_paused():  # the decode builds no cycles
-            thresholds = payload["calibrated_thresholds"]
-            artifact = ModelArtifact(
-                model=DeviceModelId.parse(payload["model"]),
-                schema=FeatureSchema.from_dict(payload["schema"]),
-                forest=_forest_from_dict(payload["forest"]),
-                default_threshold=_finite_threshold(payload["default_threshold"]),
-                calibrated_thresholds={int(k): _finite_threshold(v) for k, v in thresholds.items()},
-                trained_at=_exact(payload["trained_at"], str, "trained_at"),
-                training_flow_count=_exact(payload["training_flow_count"], int,
-                                           "training_flow_count", 0),
-            )
-            if list(map(str, artifact.calibrated_thresholds)) != list(thresholds):
-                raise ValueError(f"threshold keys {list(thresholds)!r:.40} are not plain ints")
-            return artifact
+        thresholds = payload["calibrated_thresholds"]
+        artifact = ModelArtifact(
+            model=DeviceModelId.parse(payload["model"]),
+            schema=FeatureSchema.from_dict(payload["schema"]),
+            forest=_forest_from_dict(payload["forest"]),
+            default_threshold=_finite_threshold(payload["default_threshold"]),
+            calibrated_thresholds={int(k): _finite_threshold(v) for k, v in thresholds.items()},
+            trained_at=_exact(payload["trained_at"], str, "trained_at"),
+            training_flow_count=_exact(payload["training_flow_count"], int,
+                                       "training_flow_count", 0),
+        )
+        if list(map(str, artifact.calibrated_thresholds)) != list(thresholds):
+            raise ValueError(f"threshold keys {list(thresholds)!r:.40} are not plain ints")
+        return artifact
     except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         raise ArtifactError(f"corrupt-artifact: {type(exc).__name__}: {exc}") from exc

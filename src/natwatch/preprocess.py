@@ -12,11 +12,22 @@ import numpy as np
 from natwatch.flowdata import DeviceModelId, FlowDataset, FlowRecord, flow_duration
 
 NUMERIC_FEATURES = ("in_bytes", "out_bytes", "flow_duration")
-CATEGORICAL_FEATURES = ("protocol", "l4_dst_port", "l7_proto_name", "src_tos", "dst_tos")
+# Each categorical feature, with the type of its values as FlowRecord holds them
+CATEGORICAL_FEATURES = {"protocol": int, "l4_dst_port": int, "l7_proto_name": str,
+                        "src_tos": int, "dst_tos": int}
 
 
 class InsufficientDataError(ValueError):
     pass
+
+
+def _exact(value, kind: type, name: str, low=None, high=math.inf):
+    """value if its type is kind (a bool is no int) and, given low, in [low,
+    high), else ValueError: nothing loaded is coerced, so it saves back the same."""
+    if type(value) is not kind or low is not None and not low <= value < high:
+        raise ValueError(f"{name} {value!r:.30}: not {kind.__name__}"
+                         + (f" in [{low}, {high})" if low is not None else ""))
+    return value
 
 
 def _numeric_values(flow: FlowRecord) -> tuple[float, float, float]:
@@ -70,11 +81,20 @@ class FeatureSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSchema":
-        return cls(
+        """The schema to_dict wrote: each range a list of two floats, each
+        vocabulary a list of its feature's values, each of its type in
+        CATEGORICAL_FEATURES. Anything else is a ValueError, not coerced."""
+        schema = cls(
             model=DeviceModelId.parse(d["model"]),
-            numeric_ranges={k: (float(v[0]), float(v[1])) for k, v in d["numeric_ranges"].items()},
-            categories={k: list(v) for k, v in d["categories"].items()},
+            numeric_ranges={k: tuple(_exact(bound, float, f"{k} bound")
+                                     for bound in _exact(v, list, f"{k} range"))
+                            for k, v in d["numeric_ranges"].items()},
+            categories={k: _exact(v, list, f"{k} vocabulary") for k, v in d["categories"].items()},
         )
+        for name, kind in CATEGORICAL_FEATURES.items():
+            for value in schema.categories[name]:
+                _exact(value, kind, f"{name} value")
+        return schema
 
 
 def fit_schema(training: FlowDataset, m: DeviceModelId) -> FeatureSchema:

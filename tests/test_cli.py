@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from natwatch import cli, netflow9
+from natwatch import netflow9
 from natwatch.cli import main
 from natwatch.ingest import parse_flow_csv
 
@@ -182,17 +182,21 @@ def _no_live_timer():
 
 
 class TestDetect:
-    def test_csv_input_writes_audit(self, synth_dir, artifact_path, tmp_path):
+    def test_csv_input_writes_audit(self, synth_dir, artifact_path, tmp_path, capsys):
         audit = tmp_path / "audit.jsonl"
         rc = main(["detect", "--artifacts", str(artifact_path),
                    "--input", str(synth_dir / "flows.csv"),
                    "--audit", str(audit), "--threshold", "p10"])
         assert rc == 0
-        lines = audit.read_text().splitlines()
+        lines = [json.loads(line) for line in audit.read_text().splitlines()]
         assert len(lines) > 0
-        entry = json.loads(lines[0])
-        assert entry["model"] == MODEL
-        assert entry["decision"] in ("M", "non-M")
+        assert lines[0]["model"] == MODEL
+        assert lines[0]["decision"] in ("M", "non-M")
+        # the summary counts the audit log's lines and its positive ones
+        positives = sum(line["decision"] == "M" for line in lines)
+        assert 0 < positives < len(lines)
+        assert capsys.readouterr().out == \
+            f"{len(lines)} detection events ({positives} positive) -> {audit}\n"
 
     def test_notify_policy(self, synth_dir, artifact_path, tmp_path):
         notify = tmp_path / "notify.jsonl"
@@ -243,8 +247,8 @@ class TestDetect:
 
 
 class TestFrozenArtifacts:
-    """detect and evaluate freeze their loaded artifacts out of the cyclic
-    collector's walks and thaw them when main returns, however it ends."""
+    """An in-process caller of main gets the cyclic collector back as it
+    was: no command leaves objects frozen, however it ends."""
 
     @pytest.mark.parametrize("command", ["detect", "evaluate", "detect-missing-input"])
     def test_main_leaves_nothing_frozen(self, command, synth_dir, artifact_path, tmp_path):
@@ -257,17 +261,6 @@ class TestFrozenArtifacts:
                     "--audit", str(tmp_path / "a.jsonl")]
         assert gc.get_freeze_count() == 0
         assert main(argv) == (2 if command == "detect-missing-input" else 0)
-        assert gc.get_freeze_count() == 0
-
-    def test_detector_runs_with_the_artifacts_frozen(self, synth_dir, artifact_path, tmp_path,
-                                                     monkeypatch):
-        frozen = []
-        monkeypatch.setattr(cli, "run_detector",
-                            lambda *args: frozen.append(gc.get_freeze_count()) or [])
-        rc = main(["detect", "--artifacts", str(artifact_path),
-                   "--input", str(synth_dir / "flows.csv"), "--audit", str(tmp_path / "a.jsonl")])
-        assert rc == 0
-        assert len(frozen) == 1 and frozen[0] > 0
         assert gc.get_freeze_count() == 0
 
 
@@ -366,6 +359,10 @@ _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:
     ["collect", "--port", "70000", "--out", "{tmp}/c.csv"],
     ["collect", "--port", "-1", "--out", "{tmp}/c.csv"],
     ["detect", "--artifacts", "{artifact}", "--input", "udp:70000", "--audit", "{tmp}/a.jsonl"],
+    ["detect", "--artifacts", "{artifact}", "--input", "{synth}/flows.csv", "--audit",
+     "{tmp}/a.jsonl", "--policy", "notify_stub,notify_stub", "--notify-out", "{tmp}/n.jsonl"],
+    ["train", "--data", "{synth}/flows.csv", "--model", MODEL, "--out", "{tmp}/m.json",
+     "--subsample", "0"],
     ["baseline", "domain", "--train", "{synth}/dns.jsonl", "--test", "{synth}/dns.jsonl",
      "--out", "{tmp}/b", "--window", "0"],
     ["baseline", "ipid", "--train", "{synth}/dns.jsonl", "--test", "{synth}/dns.jsonl",
@@ -382,7 +379,8 @@ _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:
     ["synth", "--scenario", "{tmp}/deep.json", "--out", "{tmp}/s"],
     ["evaluate", "--artifacts", "{tmp}/deep.json", "--test", "{synth}/flows.csv",
      "--out", "{tmp}/e"],
-], ids=["port-70000", "port-minus-1", "detect-udp-70000", "window-0", "tolerance-nan",
+], ids=["port-70000", "port-minus-1", "detect-udp-70000", "detect-policy-repeated",
+        "train-subsample-0", "window-0", "tolerance-nan",
         "tolerance-negative", "min-distinct-0", "ratios-inf",
         "ratios-out-of-range", "scenario-empty", "scenario-list", "scenario-no-weights",
         "scenario-deep", "artifact-deep"])

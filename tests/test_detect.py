@@ -1,5 +1,6 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -63,6 +64,11 @@ def webcam_dataset(n=60, seed=0):
 def trained_artifact(**cfg_overrides):
     cfg = TrainConfig(model=WEBCAM, n_trees=30, subsample=32, master_seed=5, **cfg_overrides)
     return train_pipeline(webcam_dataset(), cfg)
+
+
+def read_jsonl(path) -> list:
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
 
 
 class TestTrainConfig:
@@ -170,30 +176,32 @@ class TestCalibrateThreshold:
 class TestClassify:
     def test_in_range_flow_positive(self):
         artifact = trained_artifact()
-        event = classify(artifact, make_flow(in_bytes=800, out_bytes=120), "p10")
-        assert event.decision == "M"
-        assert event.normality_g >= event.threshold
+        assert classify(artifact, make_flow(in_bytes=800, out_bytes=120)) >= \
+            artifact.threshold("p10")
 
     def test_far_out_flow_negative(self):
         artifact = trained_artifact()
-        event = classify(
+        g = classify(
             artifact,
             make_flow(in_bytes=70_000, out_bytes=30_000, dst_port=443, ip_protocol=6,
                       l7_proto_name="SSL"),
-            "p10",
         )
-        assert event.decision == "non-M"
+        assert g < artifact.threshold("p10")
 
-    def test_boundary_inclusive(self):
+    def test_boundary_inclusive(self, tmp_path):
+        """A g equal to the threshold is a positive decision."""
         artifact = trained_artifact()
         flow = make_flow(in_bytes=800, out_bytes=120)
-        event = classify(artifact, flow)
-        artifact.default_threshold = event.normality_g
-        assert classify(artifact, flow).decision == "M"
+        artifact.default_threshold = classify(artifact, flow)
+        audit = tmp_path / "audit.jsonl"
+        assert run_detector([flow], [artifact], ActionPolicy(), "default", str(audit)) == (1, 1)
+        assert [line["decision"] for line in read_jsonl(audit)] == ["M"]
 
-    def test_wall_time_recorded(self):
-        event = classify(trained_artifact(), make_flow())
-        assert event.wall_time_s > 0
+    def test_wall_time_recorded(self, tmp_path):
+        audit = tmp_path / "audit.jsonl"
+        run_detector([make_flow()], [trained_artifact()], ActionPolicy(), "default", str(audit))
+        [line] = read_jsonl(audit)
+        assert line["wall_time_s"] > 0
 
 
 flows_st = st.lists(
@@ -229,7 +237,11 @@ def test_g_is_bit_identical_through_every_scoring_call(train, queries, n_trees, 
         again = np.arange(rows) % len(queries)
         assert normality_scores(forest, Q[again]).tolist() == [batch[i] for i in again]
     assert [normality_score(forest, transform(schema, f)) for f in queries] == batch
-    assert [classify(artifact, f).normality_g for f in queries] == batch
+    assert [classify(artifact, f) for f in queries] == batch
+    with tempfile.TemporaryDirectory() as tmp:
+        audit = os.path.join(tmp, "audit.jsonl")
+        run_detector(queries, [artifact], ActionPolicy(), "default", audit)
+        assert [line["g"] for line in read_jsonl(audit)] == batch
 
 
 POSITIVE_FLOW = make_flow(in_bytes=800, out_bytes=120)
@@ -256,7 +268,8 @@ class TestActionPolicy:
     def test_notify_stub_appends_jsonl(self, tmp_path):
         path = tmp_path / "notify.jsonl"
         policy = ActionPolicy(on_positive=["notify_stub"], notify_path=str(path))
-        run_detector([POSITIVE_FLOW, POSITIVE_FLOW], [trained_artifact()], policy, "p10")
+        run_detector([POSITIVE_FLOW, POSITIVE_FLOW], [trained_artifact()], policy, "p10",
+                     str(tmp_path / "audit.jsonl"))
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["model"] == WEBCAM.canonical()
@@ -264,9 +277,10 @@ class TestActionPolicy:
     def test_block_stub_records_flow_key(self, tmp_path):
         path = tmp_path / "block.jsonl"
         policy = ActionPolicy(on_positive=["block_stub"], block_path=str(path))
-        [event] = run_detector([POSITIVE_FLOW], [trained_artifact()], policy, "p10")
+        run_detector([POSITIVE_FLOW], [trained_artifact()], policy, "p10",
+                     str(tmp_path / "audit.jsonl"))
         entry = json.loads(path.read_text())
-        assert tuple(entry["flow_key"]) == tuple(event.flow.key)
+        assert tuple(entry["flow_key"]) == tuple(POSITIVE_FLOW.key)
 
 
 class TestRunDetector:
@@ -274,23 +288,17 @@ class TestRunDetector:
         artifact = trained_artifact()
         flows = [make_flow(in_bytes=800), make_flow(in_bytes=70_000, dst_port=443)]
         audit = tmp_path / "audit.jsonl"
-        events = run_detector(flows, [artifact], threshold_selector="p10",
-                              audit_path=str(audit))
-        assert len(events) == 2
+        decisions, _ = run_detector(flows, [artifact], ActionPolicy(), "p10", str(audit))
+        assert decisions == 2
         assert len(audit.read_text().splitlines()) == 2
 
     def test_positive_triggers_action(self, tmp_path):
         artifact = trained_artifact()
         notify = tmp_path / "n.jsonl"
         policy = ActionPolicy(on_positive=["notify_stub"], notify_path=str(notify))
-        run_detector([make_flow(in_bytes=800, out_bytes=120)], [artifact], policy,
-                     threshold_selector="p10")
+        run_detector([make_flow(in_bytes=800, out_bytes=120)], [artifact], policy, "p10",
+                     str(tmp_path / "audit.jsonl"))
         assert notify.exists()
-
-    def test_accepts_labeled_flows(self):
-        artifact = trained_artifact()
-        events = run_detector([make_labeled()], [artifact])
-        assert len(events) == 1
 
     def test_audit_g_is_the_batch_g(self, tmp_path):
         """The logged g is the g evaluation and calibration compute, for a
@@ -298,9 +306,9 @@ class TestRunDetector:
         artifact = trained_artifact()
         flows = [lf.flow for lf in webcam_dataset(n=400, seed=3)]
         audit = tmp_path / "audit.jsonl"
-        run_detector(flows[:1], [artifact], threshold_selector="p10", audit_path=str(audit))
-        run_detector(flows[1:], [artifact], threshold_selector="p10", audit_path=str(audit))
-        lines = [json.loads(line) for line in audit.read_text().splitlines()]
+        run_detector(flows[:1], [artifact], ActionPolicy(), "p10", str(audit))
+        run_detector(flows[1:], [artifact], ActionPolicy(), "p10", str(audit))
+        lines = read_jsonl(audit)
         g = normality_scores(artifact.forest, transform_many(artifact.schema, flows)).tolist()
         assert [rec["g"] for rec in lines] == g
         th = artifact.threshold("p10")
@@ -314,19 +322,21 @@ class TestRunDetector:
 
     def test_one_timestamp_per_call(self, tmp_path):
         audit = tmp_path / "audit.jsonl"
-        events = run_detector([POSITIVE_FLOW, NEGATIVE_FLOW, POSITIVE_FLOW], [trained_artifact()],
+        counts = run_detector([POSITIVE_FLOW, NEGATIVE_FLOW, POSITIVE_FLOW], [trained_artifact()],
                               self._all_stubs(tmp_path), "p10", str(audit))
-        assert [e.decision for e in events] == ["M", "non-M", "M"]
-        assert [e.action_taken for e in events] == ["block_stub", "log", "block_stub"]
+        assert counts == (3, 2)
+        assert [line["decision"] for line in read_jsonl(audit)] == ["M", "non-M", "M"]
+        assert [line["action"] for line in read_jsonl(audit)] == ["block_stub", "log", "block_stub"]
         lines = [json.loads(line) for name in ("audit", "notify", "block")
                  for line in (tmp_path / f"{name}.jsonl").read_text().splitlines()]
         assert len(lines) == 3 + 2 + 2
         assert len({line["timestamp"] for line in lines}) == 1
 
     def test_no_positive_creates_no_stub_file(self, tmp_path):
-        events = run_detector([NEGATIVE_FLOW], [trained_artifact()], self._all_stubs(tmp_path),
+        counts = run_detector([NEGATIVE_FLOW], [trained_artifact()], self._all_stubs(tmp_path),
                               "p10", str(tmp_path / "audit.jsonl"))
-        assert [e.decision for e in events] == ["non-M"]
+        assert counts == (1, 0)
+        assert [line["decision"] for line in read_jsonl(tmp_path / "audit.jsonl")] == ["non-M"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.jsonl"]
 
     def test_unopenable_stub_file_fails_before_any_line(self, tmp_path):
@@ -346,10 +356,10 @@ class TestRunDetector:
             return open(path, *args, **kwargs)
 
         monkeypatch.setattr(detect, "open", counting_open, raising=False)
-        events = run_detector([POSITIVE_FLOW] * 3, [trained_artifact()], self._all_stubs(tmp_path),
-                              "p10", str(tmp_path / "audit.jsonl"))
-        assert [e.decision for e in events] == ["M"] * 3
+        run_detector([POSITIVE_FLOW] * 3, [trained_artifact()], self._all_stubs(tmp_path), "p10",
+                     str(tmp_path / "audit.jsonl"))
         assert sorted(opened) == ["audit.jsonl", "block.jsonl", "notify.jsonl"]
+        assert [line["decision"] for line in read_jsonl(tmp_path / "audit.jsonl")] == ["M"] * 3
 
     def test_a_file_named_twice_gets_its_lines_whole_and_in_order(self, tmp_path, monkeypatch):
         """Two spellings of one path write through one handle, so the
@@ -357,11 +367,11 @@ class TestRunDetector:
         monkeypatch.chdir(tmp_path)
         policy = ActionPolicy(on_positive=["log", "notify_stub", "block_stub"],
                               notify_path="x.jsonl", block_path="./x.jsonl")
-        run_detector([POSITIVE_FLOW] * 3, [trained_artifact()], policy, "p10")
-        lines = [json.loads(line) for line in (tmp_path / "x.jsonl").read_text().splitlines()]
+        run_detector([POSITIVE_FLOW] * 3, [trained_artifact()], policy, "p10", "audit.jsonl")
+        lines = read_jsonl(tmp_path / "x.jsonl")
         assert [sorted(line) for line in lines] == [
             ["message", "model", "timestamp"], ["flow_key", "model", "timestamp"]] * 3
 
-    def test_no_artifacts_rejected(self):
+    def test_no_artifacts_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            run_detector([make_flow()], [])
+            run_detector([make_flow()], [], ActionPolicy(), "default", str(tmp_path / "a.jsonl"))

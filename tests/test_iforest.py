@@ -262,6 +262,11 @@ class TestTrainForest:
         with pytest.raises(ValueError, match="n_trees"):
             train_forest(np.zeros((5, 2)), n_trees=0)
 
+    @pytest.mark.parametrize("subsample", [0, -3])
+    def test_no_subsample_raises(self, subsample):
+        with pytest.raises(ValueError, match="subsample must be at least 1"):
+            train_forest(np.zeros((5, 2)), subsample=subsample)
+
     def test_empty_matrix_raises(self):
         with pytest.raises(InsufficientDataError):
             train_forest(np.empty((0, 3)))
@@ -781,6 +786,40 @@ def test_every_artifact_load_accepts_saves_back_the_same_bytes(data):
         assert again.read_bytes() == path.read_bytes()
 
 
+@given(data=st.data())
+def test_schema_edits_load_as_corrupt_artifacts(data):
+    """The schema is read as written or not at all: a range that is not a
+    list of two floats, a vocabulary that is not a list, or a category
+    value not of its feature's type (True for protocol 1, "DNS" for
+    ["DNS"]) each fail the load, where a coercion would load them."""
+    payload = json.loads(_saved_payload())
+    ranges, categories = payload["schema"]["numeric_ranges"], payload["schema"]["categories"]
+    edit = data.draw(st.sampled_from(["bound", "range", "vocabulary", "value"]))
+    if edit == "bound":
+        bounds = ranges[data.draw(st.sampled_from(sorted(ranges)))]
+        at = data.draw(st.integers(0, 1))
+        bounds[at] = data.draw(st.sampled_from([int(bounds[at]), str(bounds[at]), True, None]))
+    elif edit == "range":
+        name = data.draw(st.sampled_from(sorted(ranges)))
+        lo, hi = ranges[name]
+        ranges[name] = data.draw(st.sampled_from([[lo, hi, hi], [lo], "19", {"0": lo, "1": hi}]))
+    elif edit == "vocabulary":
+        name = data.draw(st.sampled_from(sorted(categories)))
+        vocab = categories[name]
+        categories[name] = data.draw(st.sampled_from(
+            ["".join(map(str, vocab)), {str(v): 0 for v in vocab}, None]))
+    else:
+        vocab = categories[data.draw(st.sampled_from(sorted(categories)))]
+        at = data.draw(st.integers(0, len(vocab) - 1))
+        vocab[at] = data.draw(st.sampled_from(
+            [v for v in (True, 1, 1.0, "1", None) if type(v) is not type(vocab[at])]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "model.json")
+        write_with_checksum(path, payload)
+        with pytest.raises(ArtifactError, match="^corrupt-artifact: "):
+            load_artifact(path)
+
+
 class TestArtifact:
     def test_round_trip_scores_identical(self, tmp_path):
         artifact = small_artifact()
@@ -958,25 +997,16 @@ class TestArtifact:
             load_artifact(path)
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-    @pytest.mark.parametrize("call", ["loads", "corrupt", "trains"])
-    def test_load_pauses_and_restores_the_collector(self, tmp_path, monkeypatch, enabled, call):
-        """load_artifact (of a good or a corrupt file) and train_forest build
-        their nodes with the collector off, then restore the caller's setting
-        and leave no collection to the caller's next allocations."""
-        artifact = small_artifact()
+    @pytest.mark.parametrize("call", ["trains"])
+    def test_load_pauses_and_restores_the_collector(self, monkeypatch, enabled, call):
+        """train_forest builds its nodes with the collector off, then
+        restores the caller's setting and leaves no collection to the
+        caller's next allocations."""
         # thousands of nodes, more than the young generation's threshold
-        X = np.random.default_rng(13).uniform(size=(256, artifact.schema.dimension))
-        artifact.forest = train_forest(X, n_trees=20, subsample=256, master_seed=0)
-        path = tmp_path / "model.json"
-        save_artifact(artifact, path)
-        if call == "corrupt":
-            payload = json.loads(path.read_text())["payload"]
-            edit_trees(lambda t: t[0][0].__setitem__(-1, 999))(payload)
-            write_with_checksum(path, payload)
+        X = np.random.default_rng(13).uniform(size=(256, small_artifact().schema.dimension))
         during = []
-        builder = "_grow_trees" if call == "trains" else "_forest_from_dict"
-        build = getattr(iforest, builder)
-        monkeypatch.setattr(iforest, builder,
+        build = iforest._grow_trees
+        monkeypatch.setattr(iforest, "_grow_trees",
                             lambda *args: during.append(gc.isenabled()) or build(*args))
         collections = []
 
@@ -986,13 +1016,7 @@ class TestArtifact:
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
-            if call == "corrupt":
-                with pytest.raises(ArtifactError, match="corrupt-artifact"):
-                    load_artifact(path)
-            elif call == "trains":
-                forest = train_forest(X, n_trees=20, subsample=256, master_seed=0)
-            else:
-                forest = load_artifact(path).forest  # kept
+            forest = train_forest(X, n_trees=20, subsample=256, master_seed=0)
             assert gc.isenabled() is enabled
             gc.callbacks.append(record)
             try:
@@ -1003,7 +1027,7 @@ class TestArtifact:
             (gc.enable if was else gc.disable)()
         assert during == [False]
         assert collections == []  # no collection was left for the caller's allocations
-        assert call == "corrupt" or len(forest.table.roots) == 20
+        assert len(forest.table.roots) == 20
 
     def test_threshold_selectors(self):
         artifact = small_artifact()
