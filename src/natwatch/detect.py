@@ -134,8 +134,9 @@ class ActionPolicy:
             raise ValueError("notify_stub needs a notify path")
         if "block_stub" in self.on_positive and not self.block_path:
             raise ValueError("block_stub needs a block path")
-        if "log" not in self.on_positive:
-            self.on_positive = ["log"] + list(self.on_positive)
+        # log first, as it is always applied: a positive's audit line names
+        # the last action applied, the last stub or else log
+        self.on_positive = ["log"] + [a for a in self.on_positive if a != "log"]
 
 
 def run_detector(

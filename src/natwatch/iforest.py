@@ -99,12 +99,30 @@ def _tree_rng(master_seed: int, tree_index: int) -> np.random.Generator:
 
 @dataclass
 class IsolationForest:
-    table: "NodeTable"  # every tree, as scoring walks it and an artifact stores it
+    """Every tree laid out level by level as a complete binary tree. Level
+    k has 2^k slots a tree, tree t's position j at slot t * 2^k + j, and
+    the children of slot i are slots 2i (left) and 2i + 1 of level k + 1.
+    A leaf above the last level is copied down its right chain with value
+    -inf, which sends every row right (NaN and -inf too); the slots left
+    of the chain are never reached. The last level holds each slot's
+    depth + c(size), unless below walks on from it (_forest_paths)."""
+
+    dims: list[np.ndarray]  # int32 per level above the last, 0 at a leaf
+    values: list[np.ndarray]  # float64 per level above the last, -inf at a leaf
+    leaf: np.ndarray  # float64, the last level: depth + c(size) at a leaf, 0 at a split
+    # the nodes under the last level's splits, and every leaf, where the
+    # levels stop above the deepest leaf (LEVEL_SLOTS_PER_NODE); else None
+    below: Optional["NodeTable"]
+    size: np.ndarray  # int64, the leaves' sizes in preorder, which an artifact stores
     sample_count: int  # psi, the subsample each tree was built on
     master_seed: int
     dimension: int
     # train_forest's linked trees, kept for bench/spans to count; a loaded forest has none
     trees: list[IsolationTree] = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def tree_count(self) -> int:
+        return len(self.leaf) >> len(self.values)
 
 
 DEFAULT_TREES = 100
@@ -140,7 +158,7 @@ def train_forest(
     dims, values = zip(*map(_tree_to_columns, roots))
     table = _table_from_columns(np.array([*map(len, dims)]), np.concatenate(dims, dtype=np.int32),
                                 np.concatenate(values, dtype=float), d, psi)
-    return IsolationForest(table, psi, master_seed, d, [IsolationTree(root) for root in roots])
+    return _forest_from_table(table, psi, master_seed, d, [IsolationTree(root) for root in roots])
 
 
 # A numpy pass of _grow_trees takes the next nodes of consecutive trees up
@@ -238,18 +256,20 @@ def _slices(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NodeTable:
-    """A forest's trees as rows of one table: each tree's nodes in preorder,
-    the trees end to end. A split's left child is the next row. A leaf is
-    its own right child, and its value -inf sends every row there (NaN and
-    -inf too), so a walk that reached a leaf stays on it."""
+    """Trees as rows of one table: each tree's nodes in preorder, the trees
+    end to end. A split's left child is the next row. A leaf is its own
+    right child, and its value -inf sends every row there (NaN and -inf
+    too), so a walk that reached a leaf stays on it. Format 4 decodes into
+    one (_table_from_columns); an IsolationForest is laid out from it, and
+    keeps one only for the nodes under its last level (below)."""
 
     dim: np.ndarray  # int32, 0 at a leaf
     value: np.ndarray  # float64, -inf at a leaf
     right: np.ndarray  # int32
     leaf: np.ndarray  # float64, depth + c(size) at a leaf, 0 at a split
     size: np.ndarray  # int64, the leaves' sizes in row order, which an artifact stores
-    roots: np.ndarray  # intp, each tree's first row (the walk's node indices)
-    steps: int  # the depth of the deepest leaf
+    roots: np.ndarray  # intp, where walks start: each tree's first row (in below, each slot's)
+    steps: int  # the steps that take a walk from any root to its leaf
 
 
 def _table_from_columns(lengths: np.ndarray, dims: np.ndarray, values: np.ndarray,
@@ -329,13 +349,69 @@ def _table_from_columns(lengths: np.ndarray, dims: np.ndarray, values: np.ndarra
     return NodeTable(dim, value, right, leaf, size, roots, int(leaf_depth.max()))
 
 
-def _table_paths(table: NodeTable, X: np.ndarray) -> np.ndarray:
-    """The path lengths of the rows of X, one row of them per tree: every
-    tree steps all rows down one level at a time, and a row on a leaf
-    stays there."""
+# A forest lays out its next level only while its levels' slots stay
+# within this many per node, so that a deep chain of a hostile artifact
+# (psi up to 2^53) does not take 2^depth slots; rows walk on below the
+# last level in a node table. 2.7 suffice for psi = 256 at 100 trees.
+LEVEL_SLOTS_PER_NODE = 4
+
+
+def _forest_from_table(table: NodeTable, sample_count: int, master_seed: int, dimension: int,
+                       trees: Optional[list] = None) -> IsolationForest:
+    """The forest of table's trees, laid out level by level from the rows
+    at each slot: a split's children are its next row and its right, a
+    leaf's are itself. The levels stop at the deepest leaf, or before
+    their slots pass LEVEL_SLOTS_PER_NODE per node; then below keeps
+    table's leaves and the splits under the last level, its roots the
+    row of each of the last level's slots."""
+    n = len(table.dim)
+    row, room = table.roots, LEVEL_SLOTS_PER_NODE * n - len(table.roots)
+    dims, values, above = [], [], []
+    while len(dims) < table.steps and 2 * len(row) <= room:
+        room -= 2 * len(row)
+        value = table.value.take(row)
+        dims.append(table.dim.take(row))
+        values.append(value)
+        split = value > -math.inf
+        above.append(row[split])
+        children = np.empty(2 * len(row), dtype=np.intp)
+        children[0::2] = row + split
+        children[1::2] = table.right.take(row)
+        row = children
+    below = None
+    if len(dims) < table.steps:
+        keep = np.ones(n, dtype=bool)
+        for rows in above:
+            keep[rows] = False
+        at = np.cumsum(keep) - 1  # a kept row's row in below
+        below = NodeTable(table.dim[keep], table.value[keep], at[table.right[keep]].astype(np.int32),
+                          table.leaf[keep], table.size, at[row], table.steps - len(dims))
+    return IsolationForest(dims, values, table.leaf.take(row), below, table.size, sample_count,
+                           master_seed, dimension, trees or [])
+
+
+def _forest_paths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
+    """The path lengths of the rows of X, one row of them per tree: each
+    level steps every row from slot i to 2i + 1 - (x < v), and under the
+    last level rows walk on in below."""
     n, d = X.shape
     cells, row_at = X.ravel(), np.arange(0, n * d, d)
-    node = np.repeat(table.roots[:, None], n, axis=1)
+    slot = np.repeat(np.arange(forest.tree_count)[:, None], n, axis=1)
+    for dim, value in zip(forest.dims, forest.values):
+        goes_left = cells.take(row_at + dim.take(slot)) < value.take(slot)
+        slot += slot
+        slot += 1
+        slot -= goes_left
+    if forest.below is None:
+        return forest.leaf.take(slot)
+    return _table_paths(forest.below, cells, row_at, forest.below.roots.take(slot))
+
+
+def _table_paths(table: NodeTable, cells: np.ndarray, row_at: np.ndarray,
+                 node: np.ndarray) -> np.ndarray:
+    """The path lengths of rows standing at table's nodes node, the rows'
+    cells at row_at: every row steps down one level at a time, and a row
+    on a leaf stays there."""
     for _ in range(table.steps):
         goes_left = cells.take(row_at + table.dim.take(node)) < table.value.take(node)
         node = np.where(goes_left, node + 1, table.right.take(node))
@@ -363,8 +439,8 @@ def anomaly_scores(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     total = np.empty(len(X))
     for a in range(0, len(X), CHUNK_ROWS):
         total[a:a + CHUNK_ROWS] = np.add.accumulate(
-            _table_paths(forest.table, X[a:a + CHUNK_ROWS]), axis=0)[-1]
-    mean_h = total / len(forest.table.roots)
+            _forest_paths(forest, X[a:a + CHUNK_ROWS]), axis=0)[-1]
+    mean_h = total / forest.tree_count
     return np.power(2.0, -mean_h / c)
 
 
@@ -430,12 +506,31 @@ def _tree_to_columns(root: TreeNode) -> list:
 
 
 def _forest_to_dict(forest: IsolationForest) -> dict:
-    """Format 4, written from the table: a leaf is -1 and its size."""
-    table, n = forest.table, len(forest.table.dim)
-    leaf = table.right == np.arange(n)
-    values = table.value.copy()
-    values[leaf] = table.size
-    columns = (np.diff(table.roots, append=n), np.where(leaf, -1, table.dim), values)
+    """Format 4, written from the levels: a leaf is -1 and its size. A
+    split at level k, slot j, ranks in preorder by j << (K - k), K the last
+    level, and then by k, its ancestors first. Each slot of level K a row
+    can reach comes after them: the leaf on it or copied down to it, or
+    the nodes of its subtree in below, in below's order."""
+    K, trees = len(forest.values), forest.tree_count
+    splits = [value > -math.inf for value in forest.values]
+    reached = np.ones(trees, dtype=bool)
+    for split in splits:  # a split's left child is reached, and every slot's right child
+        reached = np.stack((split, reached), axis=1).ravel()
+    slots = np.flatnonzero(reached)
+    if forest.below is None:  # every reached slot holds a leaf
+        low_dims, low_values, counts = np.full(len(slots), -1), forest.size.astype(float), 1
+    else:
+        below, m = forest.below, len(forest.below.dim)
+        leaf = below.right == np.arange(m)
+        low_dims, low_values = np.where(leaf, -1, below.dim), below.value.copy()
+        low_values[leaf] = forest.size
+        counts = np.diff(below.roots[slots], append=m)
+    at = [np.flatnonzero(split) for split in splits]
+    keys = np.concatenate([j << (K - k) for k, j in enumerate(at)] + [np.repeat(slots, counts)])
+    order = np.lexsort((np.repeat(np.arange(K + 1), [*map(len, at), len(low_dims)]), keys))
+    dims = np.concatenate([dim[j] for dim, j in zip(forest.dims, at)] + [low_dims])
+    values = np.concatenate([value[j] for value, j in zip(forest.values, at)] + [low_values])
+    columns = (np.bincount(keys >> K, minlength=trees), dims[order], values[order])
     return {"sample_count": forest.sample_count, "master_seed": forest.master_seed,
             "dimension": forest.dimension,
             **{name: base64.b64encode(column.astype(dtype).tobytes()).decode()
@@ -467,8 +562,8 @@ def _forest_from_dict(d: dict) -> IsolationForest:
     psi = _exact(d["sample_count"], int, "sample_count", 1, 2**53)
     dimension = _exact(d["dimension"], int, "dimension")
     columns = [_column(d, name) for name in FOREST_COLUMNS]
-    return IsolationForest(_table_from_columns(*columns, dimension, psi), psi,
-                           _exact(d["master_seed"], int, "master_seed", 0), dimension)
+    return _forest_from_table(_table_from_columns(*columns, dimension, psi), psi,
+                              _exact(d["master_seed"], int, "master_seed", 0), dimension)
 
 
 def _finite_threshold(value) -> float:

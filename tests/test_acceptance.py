@@ -99,9 +99,9 @@ def test_criterion_1_isolation_forest_correctness():
             for t, tree in enumerate(forest.trees):
                 queries = rng.uniform(-0.5, 1.5, size=(10, d))
                 # the tree's row of the walk that scores every batch
-                walked = iforest._table_paths(forest.table, queries)[t]
-                for q, table_path in zip(queries, walked):
-                    assert table_path == pytest.approx(
+                walked = iforest._forest_paths(forest, queries)[t]
+                for q, walked_path in zip(queries, walked):
+                    assert walked_path == pytest.approx(
                         reference_path_length(tree.root, q), abs=1e-12
                     )
                     checked += 1

@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import gc
+import io
 import json
 import os
 import shutil
 import socket
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natwatch import netflow9
 from natwatch.cli import main
@@ -207,6 +212,22 @@ class TestDetect:
         assert rc == 0
         assert notify.exists()
 
+    @pytest.mark.parametrize("policy", ["notify_stub,log", "log,notify_stub"])
+    def test_positive_audit_lines_name_the_last_action_applied(
+            self, policy, synth_dir, artifact_path, tmp_path):
+        """log is applied first whatever the policy's order, so a positive's
+        action is its last stub, here notify_stub, once per notify line."""
+        audit, notify = tmp_path / "a.jsonl", tmp_path / "n.jsonl"
+        rc = main(["detect", "--artifacts", str(artifact_path),
+                   "--input", str(synth_dir / "flows.csv"), "--audit", str(audit),
+                   "--threshold", "p10", "--policy", policy, "--notify-out", str(notify)])
+        assert rc == 0
+        lines = [json.loads(line) for line in audit.read_text().splitlines()]
+        actions = {(line["decision"], line["action"]) for line in lines}
+        assert actions == {("M", "notify_stub"), ("non-M", "log")}
+        assert len(notify.read_text().splitlines()) == \
+            sum(line["decision"] == "M" for line in lines)
+
     def test_missing_artifact_file_is_data_error(self, synth_dir, tmp_path):
         rc = main(["detect", "--artifacts", str(tmp_path / "none.json"),
                    "--input", str(synth_dir / "flows.csv"), "--audit", str(tmp_path / "a.jsonl")])
@@ -399,6 +420,113 @@ def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tm
     assert "Traceback" not in err
     assert "listening" not in err  # nothing was bound
     assert not (tmp_path / "b").exists()  # no baseline report was written
+
+
+# What a fuzzed CSV cell or DNS value may become: numbers out of range or
+# not numbers, non-finite spellings, addresses, labels, quotes and
+# separators, control characters and a long cell.
+_FUZZ_CELLS = ["", "-1", "0", "-0", "1.5", "1e400", "nan", "inf", "-inf", "0x1F", " 7 ",
+               "99999999999999999999999", "18446744073709551616", "abc", "\u00e9", "\x00",
+               '"', "a,b", "\n", "true", "null", "[]", "{}", MODEL, "web..cam", "1.2.3.4",
+               "300.1.1.1", "::1", "02:00:00:00:01:08", "9" * 300]
+_FUZZ_VALUES = [-1, 0, 2**64, 2**70, 1.5, -0.0, 1e308, "x", "", None, True, [], {}, [1], MODEL,
+                "1.2.3.4", "8.8.8.8"]
+
+
+def _fuzz_csv(data, rows: list) -> str:
+    """rows (the header first) after one to three edits of a cell, a header
+    key (renamed, dropped with its column, or repeated) or a row's length,
+    written as CSV; and at times a raw edit of the text: a stray quote, a
+    cut line."""
+    rows = [list(row) for row in rows]
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit = data.draw(st.sampled_from(["cell", "cell", "key", "drop-column", "length"]))
+        at = data.draw(st.integers(0, len(rows) - 1))
+        row = rows[at]
+        if not row:
+            continue
+        col = data.draw(st.integers(0, len(row) - 1))
+        if edit == "cell":
+            row[col] = data.draw(st.sampled_from(_FUZZ_CELLS) | st.text(max_size=4))
+        elif edit == "key":
+            rows[0][col % len(rows[0])] = data.draw(
+                st.sampled_from(rows[0] + ["", "label", "TOS "]) | st.text(max_size=4))
+        elif edit == "drop-column":
+            for other in rows:
+                del other[col:col + 1]
+        elif data.draw(st.booleans()):  # length: the row cut short, or longer
+            del row[col:]
+        else:
+            row += data.draw(st.lists(st.sampled_from(_FUZZ_CELLS), min_size=1, max_size=2))
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    text = out.getvalue()
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(st.sampled_from(['"', "\n", ",", "\r", ""])) + text[at:]
+    return text
+
+
+def _fuzz_dns(data, events: list) -> str:
+    """DNS JSONL events after one to three edits of a value, a key (renamed
+    or dropped) or a whole line (cut, or not an object)."""
+    lines = [json.dumps(event) for event in events]
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(events) - 1))
+        event = dict(events[at])
+        key = data.draw(st.sampled_from(sorted(event)))
+        edit = data.draw(st.sampled_from(["value", "value", "rename", "drop", "line"]))
+        if edit == "value":
+            event[key] = data.draw(st.sampled_from(_FUZZ_VALUES))
+        elif edit == "rename":
+            event[data.draw(st.sampled_from(["", "ts", "Src_ip", key + " "]))] = event.pop(key)
+        elif edit == "drop":
+            del event[key]
+        lines[at] = json.dumps(event)
+        if edit == "line":
+            lines[at] = data.draw(st.sampled_from(
+                [lines[at][:data.draw(st.integers(0, len(lines[at])))], "[]", "1", "NaN", "{"]))
+    return "\n".join(lines) + "\n"
+
+
+def _exit_code_and_errors(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_fuzzed_flow_csv_and_dns_end_in_exit_0_or_one_data_error_line(data, synth_dir,
+                                                                      artifact_path):
+    """Cell and key edits of a valid flow CSV and DNS file, run through
+    train, evaluate, detect, split and both baselines: each command exits 0
+    and names no data error, or exits 2 with one data-error line last."""
+    with open(synth_dir / "flows.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(synth_dir / "dns.jsonl") as fh:
+        events = [json.loads(line) for line in fh][:300]
+    with tempfile.TemporaryDirectory() as tmp:
+        flows, dns = os.path.join(tmp, "flows.csv"), os.path.join(tmp, "dns.jsonl")
+        with open(flows, "w", newline="") as fh:
+            fh.write(_fuzz_csv(data, rows[:1] + rows[1::3]))
+        with open(dns, "w") as fh:
+            fh.write(_fuzz_dns(data, events))
+        out = lambda name: os.path.join(tmp, name)
+        for argv in (
+            ["train", "--data", flows, "--model", MODEL, "--out", out("m.json"),
+             "--trees", "5", "--subsample", "16"],
+            ["evaluate", "--artifacts", str(artifact_path), "--test", flows, "--out", out("e")],
+            ["detect", "--artifacts", str(artifact_path), "--input", flows,
+             "--audit", out("a.jsonl"), "--threshold", "p10"],
+            ["split", "--data", flows, "--out-prefix", out("p")],
+            ["baseline", "ipid", "--train", dns, "--test", dns, "--out", out("i")],
+            ["baseline", "domain", "--train", dns, "--test", dns, "--out", out("d")],
+        ):
+            rc, err = _exit_code_and_errors(argv)
+            errors = [line for line in err.splitlines() if line.startswith("data-error:")]
+            assert (rc, errors) in ((0, []), (2, err.splitlines()[-1:])), (argv[0], rc, err)
 
 
 class TestUsageErrors:

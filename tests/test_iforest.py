@@ -10,6 +10,7 @@ import math
 import os
 import pathlib
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ def test_node_table_adds_every_trees_path_length(X, subsample, n_trees, seed, ro
     """A batch of one or more chunks of rows, NaN and +-inf cells among
     them, scores bit for bit as the path lengths of the linked trees add
     up in forest order, and as its rows score in a batch of another size;
-    the trained forest's table holds the linked trees node for node."""
+    the trained forest saves the linked trees node for node."""
     forest = train_forest(X, n_trees, subsample, seed)
     assert decode_trees(iforest._forest_to_dict(forest)) == \
         [iforest._tree_to_columns(tree.root) for tree in forest.trees]
@@ -185,31 +186,118 @@ class TestCFactor:
         assert c_factor(1) == 0.0
 
 
-def table_path_length(tree: list, psi: int, x: list) -> float:
+def level_path_length(tree: list, psi: int, x: list) -> float:
     """The path length of row x down one tree, given as its preorder
-    columns [dims, values], on the NodeTable loading builds from them."""
+    columns [dims, values], on the levels loading lays out from them."""
     dims, values = tree
     table = iforest._table_from_columns(np.array([len(dims)]), np.array(dims, np.int32),
                                         np.array(values, np.float64), len(x), psi)
-    return float(iforest._table_paths(table, np.array([x], dtype=float))[0, 0])
+    forest = iforest._forest_from_table(table, psi, 0, len(x))
+    return float(iforest._forest_paths(forest, np.array([x], dtype=float))[0, 0])
 
 
 class TestPathLength:
     def test_singleton_leaf(self):
-        assert table_path_length([[-1], [1]], 1, [0.0]) == 0.0
+        assert level_path_length([[-1], [1]], 1, [0.0]) == 0.0
 
     def test_two_point_leaf(self):
         tree = [[0, -1, -1], [0.5, 2, 2]]
-        assert table_path_length(tree, 4, [0.1]) == pytest.approx(1 + c_factor(2))
+        assert level_path_length(tree, 4, [0.1]) == pytest.approx(1 + c_factor(2))
 
     def test_uneven_leaf(self):
         tree = [[0, -1, -1], [0.5, 1, 3]]
-        assert table_path_length(tree, 4, [0.9]) == pytest.approx(1 + c_factor(3))
-        assert table_path_length(tree, 4, [0.1]) == 1.0
+        assert level_path_length(tree, 4, [0.9]) == pytest.approx(1 + c_factor(3))
+        assert level_path_length(tree, 4, [0.1]) == 1.0
 
     def test_boundary_goes_right(self):
         tree = [[0, -1, -1], [0.5, 1, 1]]
-        assert table_path_length(tree, 2, [0.5]) == 1.0  # x >= v goes right
+        assert level_path_length(tree, 2, [0.5]) == 1.0  # x >= v goes right
+
+
+# Split values, and most query cells, are drawn from these, so that rows
+# meet splits at x == v (a row goes right) as well as either side.
+_GRID = [-1.0, 0.0, 0.25, 0.5, 1.0]
+
+
+@st.composite
+def tree_columns(draw, psi: int, dimension: int) -> list:
+    """One tree train_forest could write for psi, as preorder columns
+    [dims, values]: a single leaf, a lopsided chain (each split has a leaf
+    on a drawn side and goes on on the other) down to any depth up to the
+    height limit, or random splits of at most 40 nodes."""
+    height_limit = math.ceil(math.log2(psi))
+    shape = draw(st.sampled_from(["leaf", "chain", "random"])) if height_limit else "leaf"
+    chain_depth = draw(st.integers(1, height_limit)) if shape == "chain" else 0
+    dims, values, room = [], [], [40]
+
+    def leaf():
+        dims.append(-1)
+        values.append(float(draw(st.integers(0, psi))))
+
+    def grow(depth):
+        room[0] -= 1
+        if shape == "chain" and depth < chain_depth:
+            dims.append(draw(st.integers(0, dimension - 1)))
+            values.append(draw(st.sampled_from(_GRID) | st.floats(-2, 2)))
+            if draw(st.booleans()):  # the leaf on the left
+                leaf()
+                grow(depth + 1)
+            else:
+                grow(depth + 1)
+                leaf()
+        elif shape == "random" and depth < height_limit and room[0] >= 2 \
+                and draw(st.booleans()):
+            dims.append(draw(st.integers(0, dimension - 1)))
+            values.append(draw(st.sampled_from(_GRID) | st.floats(-2, 2)))
+            grow(depth + 1)
+            grow(depth + 1)
+        else:
+            leaf()
+
+    grow(0)
+    return [dims, values]
+
+
+@given(data=st.data(),
+       psi=st.sampled_from([1, 2, 3, 256, 2**53 - 1]) | st.integers(1, 2**53 - 1),
+       dimension=st.integers(1, 3), n_trees=st.integers(1, 5),
+       slots_per_node=st.sampled_from([1, 2, iforest.LEVEL_SLOTS_PER_NODE]),
+       rows=st.one_of(st.sampled_from(CHUNK_EDGES), st.integers(0, 3 * CHUNK_ROWS + 1)),
+       query_seed=st.integers(0, 2**32 - 1))
+def test_level_walk_gives_the_linked_trees_path_lengths(data, psi, dimension, n_trees,
+                                                        slots_per_node, rows, query_seed):
+    """Trees of any shape train_forest could write, laid out under a bound
+    of slots per node patched small or not, so that the levels stop above
+    the deepest leaf (a walk in below of one or more steps) or reach it:
+    every tree's path lengths of rows with NaN and +-inf cells are bit for
+    bit those of the reference decoder's linked tree, and so are the
+    anomaly scores of a batch of one or more chunks."""
+    trees = [data.draw(tree_columns(psi, dimension)) for _ in range(n_trees)]
+    forest = {"sample_count": psi, "dimension": dimension}
+    encode_trees(forest, trees)
+    table = iforest._table_from_columns(*[np.array(read_column(forest, name), DTYPES[name])
+                                          for name in DTYPES], dimension, psi)
+    default, iforest.LEVEL_SLOTS_PER_NODE = iforest.LEVEL_SLOTS_PER_NODE, slots_per_node
+    try:
+        laid_out = iforest._forest_from_table(table, psi, 0, dimension)
+    finally:
+        iforest.LEVEL_SLOTS_PER_NODE = default
+    slots = sum(map(len, laid_out.values)) + len(laid_out.leaf)
+    assert slots <= slots_per_node * len(table.dim)
+    assert len(laid_out.values) + (laid_out.below.steps if laid_out.below else 0) == table.steps
+    linked = [reference_tree_from_columns(tree, dimension, psi, math.ceil(math.log2(psi)))
+              for tree in trees]
+    rng = np.random.default_rng(query_seed)
+    Q = rng.choice(_GRID + [math.nan, math.inf, -math.inf], (rows, dimension))
+    off_grid = rng.random(Q.shape) < 0.3
+    Q[off_grid] = rng.uniform(-2, 2, off_grid.sum())
+    walked = iforest._forest_paths(laid_out, Q)
+    assert walked.shape == (n_trees, rows)
+    for tree, paths in zip(linked, walked.tolist()):
+        assert [float(linked_path_length(tree, row)).hex() for row in Q.tolist()] == \
+            [path.hex() for path in paths]
+    assert anomaly_scores(laid_out, Q).tobytes() == reference_scores(linked, psi, Q).tobytes()
+    assert decode_trees(iforest._forest_to_dict(laid_out)) == trees
 
 
 class TestTrainForest:
@@ -227,7 +315,7 @@ class TestTrainForest:
         small = train_forest(X, n_trees=5, subsample=64, master_seed=7)
         big = train_forest(X, n_trees=20, subsample=64, master_seed=7)
         q = np.zeros((1, 4))
-        small_paths, big_paths = (iforest._table_paths(f.table, q)[:, 0] for f in (small, big))
+        small_paths, big_paths = (iforest._forest_paths(f, q)[:, 0] for f in (small, big))
         assert small_paths.tolist() == big_paths[:5].tolist()
         assert decode_trees(iforest._forest_to_dict(small)) == \
             decode_trees(iforest._forest_to_dict(big))[:5]
@@ -826,7 +914,7 @@ class TestArtifact:
         path = tmp_path / "model.json"
         save_artifact(artifact, path)
         restored = load_artifact(path)
-        assert restored.forest.trees == []  # a loaded forest is its table alone
+        assert restored.forest.trees == []  # a loaded forest is its levels alone
         assert restored.model == WEBCAM
         assert restored.calibrated_thresholds == {10: -0.03}
         assert restored.training_flow_count == 3
@@ -1027,7 +1115,49 @@ class TestArtifact:
             (gc.enable if was else gc.disable)()
         assert during == [False]
         assert collections == []  # no collection was left for the caller's allocations
-        assert len(forest.table.roots) == 20
+        assert forest.tree_count == 20
+
+    def test_a_deep_chain_at_the_largest_psi_loads_and_scores_in_bounded_memory(self, tmp_path):
+        """psi 2^53 - 1 lets a tree be 52 splits deep. One chain that deep
+        in a valid artifact loads and scores with a tracemalloc peak under
+        1 MB, its levels stopping at LEVEL_SLOTS_PER_NODE slots a node
+        rather than taking 2^52, and its g is the linked tree's."""
+        psi, depth = 2**53 - 1, 52
+        dims, values, leaves = [], [], []
+        for level in range(depth):  # x = 0 goes on at every split, others leave
+            dims.append(0)
+            if level % 2:  # the leaf on the right, reached by x >= level + 1
+                values.append(float(level + 1))
+                leaves.append(float(2**level))
+            else:  # the leaf on the left, reached by x < -(level + 1)
+                values.append(-float(level + 1))
+                dims.append(-1)
+                values.append(float(level))
+        dims.append(-1)
+        values.append(float(psi))
+        dims += [-1] * len(leaves)
+        values += leaves[::-1]
+        payload = json.loads(_saved_payload())
+        payload["forest"]["sample_count"] = psi
+        encode_trees(payload["forest"], [[dims, values]])
+        path = tmp_path / "deep.json"
+        write_with_checksum(path, payload)
+        rng = np.random.default_rng(15)
+        Q = np.zeros((CHUNK_ROWS + 1, payload["forest"]["dimension"]))
+        Q[:, 0] = rng.choice([0.0, math.nan, math.inf, -math.inf, 30.0, -30.0, 0.5], len(Q))
+        tracemalloc.start()
+        try:
+            artifact = load_artifact(path)
+            g = normality_scores(artifact.forest, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        forest = artifact.forest
+        assert forest.below is not None and len(forest.values) + forest.below.steps == depth
+        linked = reference_forest_from_dict(payload["forest"])
+        assert max(linked_path_length(linked[0], row) for row in Q.tolist()) > depth
+        assert g.tobytes() == (0.5 - reference_scores(linked, psi, Q)).tobytes()
 
     def test_threshold_selectors(self):
         artifact = small_artifact()

@@ -1,5 +1,5 @@
 """Pins on what a seed must keep giving: a synthetic flows.csv, one trained
-forest's node table and artifact bytes, and the g of a few fixed flows. numpy's Generator may
+forest's levels, node table and artifact bytes, and the g of a few fixed flows. numpy's Generator may
 change what choice, integers and uniform return between releases (NEP 19),
 and the reference builder in test_iforest draws through the same calls,
 so only fixed values catch such a change. A change that alters a model on
@@ -12,13 +12,15 @@ import json
 from natwatch.cli import main
 from natwatch.detect import TrainConfig, train_pipeline
 from natwatch.flowdata import DeviceModelId, chronological_split
-from natwatch.iforest import CHUNK_ROWS, _forest_to_dict, load_artifact, normality_scores, \
-    save_artifact
+from natwatch.iforest import CHUNK_ROWS, FOREST_COLUMNS, _column, _forest_to_dict, \
+    _table_from_columns, load_artifact, normality_scores, save_artifact
 from natwatch.preprocess import transform_many
 from natwatch.synth import builtin_scenario, generate_flows
 
-# the model apart from its encoding: NodeTable's arrays (dtype and bytes) and steps
+# the model apart from its encoding: the NodeTable its saved columns decode
+# into, arrays (dtype and bytes) and steps, and the levels it is scored on
 TABLE_SHA256 = "ff7117851e7ecc4030d01425024f2b0ab6196bb0556e12e9cf72f6b2bfcd45da"
+LEVELS_SHA256 = "925320c9997b0f04df8ca6dc472c26c3c13ff7115854d54803f4b7b73436f9a7"
 FOREST_SHA256 = "c9cdb35f9ccdcd7466c8b5aa5262fa6209d4111e5377c1e7034f8a459bada628"
 FLOWS_CSV_SHA256 = "8cca9e6cec66b87e8135f91e7db36b67b4b1914e22a7942386034156f1fe3adc"
 G_HEX = ["-0x1.31b029f316028p-4", "0x1.7b015736f3240p-8", "0x1.94c072c200cf0p-5",
@@ -40,24 +42,44 @@ def _forest_sha256(forest) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def _table_sha256(table) -> str:
+def _arrays_sha256(arrays: dict, **counts: int) -> str:
     digest = hashlib.sha256()
-    for name in ("dim", "value", "right", "leaf", "size", "roots"):
-        column = getattr(table, name)
+    for name, column in arrays.items():
         digest.update(b"%s %s %d\n" % (name.encode(), column.dtype.str.encode(), column.nbytes))
         digest.update(column.tobytes())
-    digest.update(b"steps %d\n" % table.steps)
+    for name, count in counts.items():
+        digest.update(b"%s %d\n" % (name.encode(), count))
     return digest.hexdigest()
+
+
+def _table_sha256(forest) -> str:
+    """Of the NodeTable that _table_from_columns decodes from the forest's
+    saved columns."""
+    saved = _forest_to_dict(forest)
+    table = _table_from_columns(*[_column(saved, name) for name in FOREST_COLUMNS],
+                                forest.dimension, forest.sample_count)
+    return _arrays_sha256({name: getattr(table, name)
+                           for name in ("dim", "value", "right", "leaf", "size", "roots")},
+                          steps=table.steps)
+
+
+def _levels_sha256(forest) -> str:
+    assert forest.below is None  # psi 140: every level is laid out
+    arrays = {f"{name} {k}": level for name in ("dims", "values")
+              for k, level in enumerate(getattr(forest, name))}
+    return _arrays_sha256({**arrays, "leaf": forest.leaf, "size": forest.size})
 
 
 def test_a_seed_gives_the_pinned_forest_and_g(tmp_path):
     model, artifact, test = _trained()
-    assert _table_sha256(artifact.forest.table) == TABLE_SHA256
+    assert _table_sha256(artifact.forest) == TABLE_SHA256
+    assert _levels_sha256(artifact.forest) == LEVELS_SHA256
     assert _forest_sha256(artifact.forest) == FOREST_SHA256
-    # and once saved and loaded, which writes it from the loaded table
+    # and once saved and loaded, which writes it from the loaded levels
     save_artifact(artifact, tmp_path / "model.json")
     loaded = load_artifact(tmp_path / "model.json").forest
-    assert _table_sha256(loaded.table) == TABLE_SHA256
+    assert _table_sha256(loaded) == TABLE_SHA256
+    assert _levels_sha256(loaded) == LEVELS_SHA256
     assert _forest_sha256(loaded) == FOREST_SHA256
     # the model's first 5 test flows, alone and leading a 200-row batch and
     # a batch of more than one chunk
