@@ -98,8 +98,9 @@ def _baseline_row(method: str, m: DeviceModelId, outcomes: list[tuple[object, se
     """Model m's report row over (true label, set of detected models)
     outcomes: an outcome is a true positive for its own model and a
     false positive for any other model it detected."""
-    tpr, fpr = rates((m in hit, t == m) for t, hit in outcomes)
-    positives = sum(1 for t, _ in outcomes if t == m)
+    positive = [t == m for t, _ in outcomes]
+    tpr, fpr = rates([m in hit for _, hit in outcomes], positive)
+    positives = sum(positive)
     return {
         "model": m.canonical(),
         "method": method,

@@ -90,7 +90,11 @@ def _or_na(rate) -> str:
 
 def _collect(bind: str, port: int, sink, duration=None, ready=None):
     """Run the v9 collector into `sink` until Ctrl-C or `duration`
-    seconds: its stats, or None after Ctrl-C. A failed bind is a data error."""
+    seconds: its stats, or None after Ctrl-C. A failed bind is a data
+    error, and so is a duration a timer cannot wait, checked first."""
+    if duration is not None and not 0 < duration <= threading.TIMEOUT_MAX:
+        raise DataError(f"bad-duration: {duration} is not a number of seconds in "
+                        f"(0, {threading.TIMEOUT_MAX:.0f}]")
     stop = threading.Event()
     timer = threading.Timer(duration, stop.set)
     if duration is not None:
@@ -183,6 +187,8 @@ def cmd_detect(args) -> int:
         block_path=args.block_out,
     )
     selector = args.threshold
+    for artifact in artifacts:
+        artifact.threshold(selector)  # a missing threshold fails before any input
     if args.input.startswith("udp:"):
         port = int(args.input.split(":", 1)[1])
 
@@ -207,10 +213,11 @@ def cmd_collect(args) -> int:
     )
     ingest.write_flow_csv(dataset, args.out)
     if stats is not None:
-        drops = "".join(f", {n} {reason}" for reason, n in sorted(stats.drops.items()) if n)
+        counts = "".join(f", {n} {reason}" for by_reason in (stats.malformed_reasons, stats.drops)
+                         for reason, n in sorted(by_reason.items()) if n)
         print(
             f"{stats.datagrams} datagrams, {stats.records} records, "
-            f"{stats.malformed} malformed{drops} -> {args.out}"
+            f"{stats.malformed} malformed{counts} -> {args.out}"
         )
     return 0
 

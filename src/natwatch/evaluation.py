@@ -8,7 +8,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -17,79 +17,48 @@ from natwatch.iforest import ModelArtifact, normality_scores
 from natwatch.preprocess import InsufficientDataError, transform_many
 
 
-def rates(pairs: Iterable[tuple[bool, bool]]) -> tuple[Optional[float], Optional[float]]:
-    """TPR and FPR over (hit, is_positive) pairs. A rate whose class is
-    absent is returned as None, never as 0."""
-    tp = fp = pos = neg = 0
-    for hit, is_positive in pairs:
-        if is_positive:
-            pos += 1
-            tp += hit
-        else:
-            neg += 1
-            fp += hit
+def rates(hit, positive) -> tuple[Optional[float], Optional[float]]:
+    """TPR and FPR of the decisions `hit` against the labels `positive`,
+    two boolean sequences of one length. A rate whose class is absent is
+    returned as None, never as 0."""
+    hit, positive = np.asarray(hit, dtype=bool), np.asarray(positive, dtype=bool)
+    pos = int(np.count_nonzero(positive))
+    neg = len(positive) - pos
+    tp = int(np.count_nonzero(hit & positive))
+    fp = int(np.count_nonzero(hit)) - tp
     return (tp / pos if pos else None), (fp / neg if neg else None)
 
 
-def confusion_rates(
-    scores: Sequence[tuple[float, bool]], th: float
-) -> tuple[Optional[float], Optional[float]]:
-    """TPR and FPR at threshold th over (g, is_positive) pairs; the
-    positive decision is g >= th."""
-    return rates((g >= th, is_m) for g, is_m in scores)
-
-
-def roc_points(scores: Sequence[tuple[float, bool]]) -> list[tuple[float, float]]:
-    """(FPR, TPR) points from sweeping the threshold over all distinct
-    scores, from (0,0) to (1,1). Tied scores move together."""
-    pos = sum(1 for _, m in scores if m)
-    neg = len(scores) - pos
+def roc(g: np.ndarray, positive: np.ndarray) -> tuple[list[tuple[float, float]], Optional[float]]:
+    """(FPR, TPR) points from sweeping the threshold over the distinct
+    scores g of the boolean labels `positive`, from (0,0) to (1,1), and
+    the trapezoidal area under them; ([], None) when a class is absent.
+    Tied scores move together, so a tie between a positive and a
+    negative adds 0.5 to the area (Mann-Whitney equivalence)."""
+    pos = int(np.count_nonzero(positive))
+    neg = len(positive) - pos
     if pos == 0 or neg == 0:
-        raise InsufficientDataError("need both classes for a ROC curve")
-    ordered = sorted(scores, key=lambda t: -t[0])
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(ordered):
-        g = ordered[i][0]
-        while i < len(ordered) and ordered[i][0] == g:
-            if ordered[i][1]:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        points.append((fp / neg, tp / pos))
-    return points
-
-
-def _roc(scores: Sequence[tuple[float, bool]]) -> tuple[list, Optional[float]]:
-    """ROC points and the trapezoidal area under them; ([], None) when
-    only one class is present."""
-    try:
-        points = roc_points(scores)
-    except InsufficientDataError:
         return [], None
-    auc = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        auc += (x1 - x0) * (y0 + y1) / 2.0
-    return points, auc
-
-
-def roc_auc(scores: Sequence[tuple[float, bool]]) -> Optional[float]:
-    """Trapezoidal area under the ROC curve; ties between a positive
-    and a negative contribute 0.5 (Mann-Whitney equivalence). None when
-    only one class is present."""
-    return _roc(scores)[1]
+    order = np.argsort(-g, kind="stable")
+    ranked = g[order]
+    # the last index of each run of equal scores
+    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]), len(ranked) - 1)
+    tp = np.cumsum(positive[order])[ends]
+    fpr = np.append(0.0, (ends + 1 - tp) / neg)
+    tpr = np.append(0.0, tp / pos)
+    # cumsum adds the trapezoids in point order, as a loop does; np.sum would pair them
+    auc = float(np.cumsum((fpr[1:] - fpr[:-1]) * (tpr[:-1] + tpr[1:]) / 2.0)[-1])
+    return list(zip(fpr.tolist(), tpr.tolist())), auc
 
 
 def time_to_detect(model_flows: FlowDataset, compute_s: float = 0.0) -> float:
     """Expected seconds until one of the model's flows is classified:
     mean flow inter-arrival time + mean flow duration + compute time."""
-    flows = sorted((lf.flow for lf in model_flows), key=lambda f: f.flow_start_ms)
+    flows = [lf.flow for lf in model_flows]
     if len(flows) < 2:
         raise InsufficientDataError("insufficient-data: need >= 2 flows to estimate IAT")
     starts = [f.flow_start_ms for f in flows]
-    mean_iat_s = (starts[-1] - starts[0]) / (len(starts) - 1) / 1000.0
+    mean_iat_s = (max(starts) - min(starts)) / (len(starts) - 1) / 1000.0
     mean_dur_s = sum(flow_duration(f) for f in flows) / len(flows) / 1000.0
     return mean_iat_s + mean_dur_s + compute_s
 
@@ -120,28 +89,28 @@ def evaluate_artifact(
     """Score the mixed test set against one artifact and compute the
     report row plus ROC points."""
     flows = [lf.flow for lf in test]
-    labels = [lf.label == artifact.model for lf in test]
+    labels = np.array([lf.label == artifact.model for lf in test], dtype=bool)
     t0 = time.perf_counter()
     g = normality_scores(artifact.forest, transform_many(artifact.schema, flows))
     per_flow = (time.perf_counter() - t0) / max(1, len(flows))
-    scores = list(zip(g.tolist(), labels))
 
-    tpr_d, fpr_d = confusion_rates(scores, artifact.default_threshold)
+    tpr_d, fpr_d = rates(g >= artifact.default_threshold, labels)
     tpr_p = fpr_p = None
     if 10 in artifact.calibrated_thresholds:
-        tpr_p, fpr_p = confusion_rates(scores, artifact.calibrated_thresholds[10])
-    points, auc = _roc(scores)
+        tpr_p, fpr_p = rates(g >= artifact.calibrated_thresholds[10], labels)
+    points, auc = roc(g, labels)
 
     try:
         ttd = time_to_detect(FlowDataset([lf for lf, is_m in zip(test, labels) if is_m]), per_flow)
     except InsufficientDataError:
         ttd = None
 
+    positives = int(np.count_nonzero(labels))
     return ModelReport(
         model=artifact.model.canonical(),
         flow_count=len(test),
-        test_positive_count=sum(labels),
-        test_negative_count=len(labels) - sum(labels),
+        test_positive_count=positives,
+        test_negative_count=len(labels) - positives,
         training_time_s=training_time_s,
         artifact_size_bytes=artifact_size_bytes,
         tpr_default=tpr_d,

@@ -202,6 +202,7 @@ class CollectorStats:
     datagrams: int = 0
     records: int = 0
     malformed: int = 0
+    malformed_reasons: Counter = field(default_factory=Counter, init=False)
     drops: Counter = field(default_factory=Counter, init=False)  # the cache's, by reason
 
 
@@ -215,7 +216,8 @@ def collect_udp(
     """Receive NetFlow v9 over UDP until `stop` is set.
 
     Every datagram is decoded and its records handed to `sink` in
-    arrival order; malformed datagrams are counted, not fatal. A port
+    arrival order; malformed datagrams are counted, in all and by
+    reason (the decode error up to its first ":"), not fatal. A port
     outside 0-65535 raises ValueError and bind failures propagate as
     OSError, both at startup; `ready` is called once the socket is bound.
     """
@@ -238,8 +240,9 @@ def collect_udp(
             stats.datagrams += 1
             try:
                 records = decode_netflow_v9(datagram, cache)
-            except NetflowDecodeError:
+            except NetflowDecodeError as exc:
                 stats.malformed += 1
+                stats.malformed_reasons[str(exc).split(":", 1)[0]] += 1
                 continue
             if records:
                 stats.records += len(records)

@@ -298,6 +298,20 @@ class TestCollect:
             f"2 datagrams, 2 records, 0 malformed, 2 invalid-record -> {out}\n")
         assert _no_live_timer()
 
+    def test_summary_names_each_malformed_reason(self, tmp_path, monkeypatch, capsys):
+        def collect_udp(bind_addr, port, sink, stop, ready=None):
+            stats = netflow9.CollectorStats(datagrams=4, malformed=3)
+            stats.malformed_reasons.update({"unsupported-version": 1, "truncated-flowset": 2})
+            stats.drops["pending-dropped"] = 5
+            return stats
+
+        monkeypatch.setattr(netflow9, "collect_udp", collect_udp)
+        out = tmp_path / "c.csv"
+        assert main(["collect", "--port", "2055", "--out", str(out), "--duration", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "4 datagrams, 0 records, 3 malformed, 2 truncated-flowset, 1 unsupported-version, "
+            f"5 pending-dropped -> {out}\n")
+
     def test_ctrl_c_keeps_what_was_collected(self, tmp_path, monkeypatch, capsys):
         flows = [make_flow(dst_port=53), make_flow(dst_port=443)]
         monkeypatch.setattr(netflow9, "collect_udp", _fake_collector(flows, KeyboardInterrupt))
@@ -400,17 +414,28 @@ _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:
     ["synth", "--scenario", "{tmp}/deep.json", "--out", "{tmp}/s"],
     ["evaluate", "--artifacts", "{tmp}/deep.json", "--test", "{synth}/flows.csv",
      "--out", "{tmp}/e"],
+    ["detect", "--artifacts", "{artifact}", "--input", "udp:{port}", "--audit", "{tmp}/a.jsonl",
+     "--threshold", "p29"],
+    ["collect", "--port", "{port}", "--out", "{tmp}/c.csv", "--duration", "inf"],
+    ["collect", "--port", "{port}", "--out", "{tmp}/c.csv", "--duration", "1e300"],
+    ["collect", "--port", "{port}", "--out", "{tmp}/c.csv", "--duration", "nan"],
+    ["collect", "--port", "{port}", "--out", "{tmp}/c.csv", "--duration", "-4"],
 ], ids=["port-70000", "port-minus-1", "detect-udp-70000", "detect-policy-repeated",
         "train-subsample-0", "window-0", "tolerance-nan",
         "tolerance-negative", "min-distinct-0", "ratios-inf",
         "ratios-out-of-range", "scenario-empty", "scenario-list", "scenario-no-weights",
-        "scenario-deep", "artifact-deep"])
-def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tmp_path, capsys):
+        "scenario-deep", "artifact-deep", "detect-udp-threshold-missing",
+        "collect-duration-inf", "collect-duration-1e300", "collect-duration-nan",
+        "collect-duration-negative"])
+def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tmp_path, capsys,
+                                              monkeypatch):
+    if any("{port}" in a for a in argv):  # a valid port: a stand-in collector never blocks
+        monkeypatch.setattr(netflow9, "collect_udp", _fake_collector([make_flow()]))
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "no_weights.json").write_text(json.dumps(_NO_WEIGHTS))
-    paths = {"tmp": tmp_path, "synth": synth_dir, "artifact": artifact_path}
+    paths = {"tmp": tmp_path, "synth": synth_dir, "artifact": artifact_path, "port": 2055}
     rc = main([a.format(**paths) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2
@@ -420,6 +445,8 @@ def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tm
     assert "Traceback" not in err
     assert "listening" not in err  # nothing was bound
     assert not (tmp_path / "b").exists()  # no baseline report was written
+    assert not (tmp_path / "c.csv").exists()  # nothing was collected
+    assert _no_live_timer()
 
 
 # What a fuzzed CSV cell or DNS value may become: numbers out of range or
@@ -501,8 +528,9 @@ def _exit_code_and_errors(argv) -> tuple[int, str]:
 def test_fuzzed_flow_csv_and_dns_end_in_exit_0_or_one_data_error_line(data, synth_dir,
                                                                       artifact_path):
     """Cell and key edits of a valid flow CSV and DNS file, run through
-    train, evaluate, detect, split and both baselines: each command exits 0
-    and names no data error, or exits 2 with one data-error line last."""
+    train, calibrate (of a copy of the artifact), evaluate, detect, split
+    and both baselines: each command exits 0 and names no data error, or
+    exits 2 with one data-error line last."""
     with open(synth_dir / "flows.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     with open(synth_dir / "dns.jsonl") as fh:
@@ -514,9 +542,12 @@ def test_fuzzed_flow_csv_and_dns_end_in_exit_0_or_one_data_error_line(data, synt
         with open(dns, "w") as fh:
             fh.write(_fuzz_dns(data, events))
         out = lambda name: os.path.join(tmp, name)
+        shutil.copy(artifact_path, out("c.json"))
         for argv in (
             ["train", "--data", flows, "--model", MODEL, "--out", out("m.json"),
              "--trees", "5", "--subsample", "16"],
+            ["calibrate", "--artifact", out("c.json"), "--validation", flows,
+             "--percentile", "20"],
             ["evaluate", "--artifacts", str(artifact_path), "--test", flows, "--out", out("e")],
             ["detect", "--artifacts", str(artifact_path), "--input", flows,
              "--audit", out("a.jsonl"), "--threshold", "p10"],

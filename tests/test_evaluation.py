@@ -3,14 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from natwatch.evaluation import (
     ModelReport,
-    confusion_rates,
     emit_report,
     evaluate_artifact,
-    roc_auc,
-    roc_points,
+    rates,
+    roc,
     time_to_detect,
 )
 from natwatch.flowdata import NON_IOT, FlowDataset
@@ -34,47 +35,132 @@ def mann_whitney_auc(scores):
     return total / (len(pos) * len(neg))
 
 
+# The tuple walks rates and roc replaced, kept as their reference.
+
+
+def tuple_rates(pairs):
+    """TPR and FPR over (hit, is_positive) pairs; None for an absent class."""
+    tp = fp = pos = neg = 0
+    for hit, is_positive in pairs:
+        if is_positive:
+            pos += 1
+            tp += hit
+        else:
+            neg += 1
+            fp += hit
+    return (tp / pos if pos else None), (fp / neg if neg else None)
+
+
+def confusion_rates(scores, th):
+    """TPR and FPR at threshold th over (g, is_positive) pairs."""
+    return tuple_rates((g >= th, is_m) for g, is_m in scores)
+
+
+def roc_points(scores):
+    """(FPR, TPR) points over the distinct scores, tied scores together."""
+    pos = sum(1 for _, m in scores if m)
+    neg = len(scores) - pos
+    if pos == 0 or neg == 0:
+        raise InsufficientDataError("need both classes for a ROC curve")
+    ordered = sorted(scores, key=lambda t: -t[0])
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < len(ordered):
+        g = ordered[i][0]
+        while i < len(ordered) and ordered[i][0] == g:
+            if ordered[i][1]:
+                tp += 1
+            else:
+                fp += 1
+            i += 1
+        points.append((fp / neg, tp / pos))
+    return points
+
+
+def tuple_roc(scores):
+    """ROC points and their trapezoidal area; ([], None) for one class."""
+    try:
+        points = roc_points(scores)
+    except InsufficientDataError:
+        return [], None
+    auc = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        auc += (x1 - x0) * (y0 + y1) / 2.0
+    return points, auc
+
+
+def _bits(x):
+    """A float's exact bits (-0.0 apart from 0.0), or None."""
+    return None if x is None else float(x).hex()
+
+
+def _roc_of(scores):
+    g = np.array([v for v, _ in scores], dtype=float)
+    return roc(g, np.array([m for _, m in scores], dtype=bool))
+
+
+_SCORE = st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.1 + 0.2, 0.3, float("inf"), -float("inf")]) \
+    | st.floats(-1, 1)
+
+
+@given(scores=st.lists(st.tuples(_SCORE, st.booleans()), max_size=60), th=_SCORE)
+@example(scores=[], th=0.0)
+@example(scores=[(0.5, True), (0.2, True)], th=0.3)
+@example(scores=[(0.5, False)], th=0.5)
+@example(scores=[(0.0, True), (-0.0, False), (-0.0, True), (0.0, False)], th=-0.0)
+def test_rates_and_roc_equal_the_tuple_walk_bit_for_bit(scores, th):
+    g = np.array([v for v, _ in scores], dtype=float)
+    positive = np.array([m for _, m in scores], dtype=bool)
+    assert [_bits(r) for r in rates(g >= th, positive)] == \
+        [_bits(r) for r in confusion_rates(scores, th)]
+    points, auc = roc(g, positive)
+    ref_points, ref_auc = tuple_roc(scores)
+    assert [tuple(map(_bits, p)) for p in points] == [tuple(map(_bits, p)) for p in ref_points]
+    assert _bits(auc) == _bits(ref_auc)
+
+
 class TestConfusionRates:
-    SCORES = [(0.3, True), (0.1, True), (-0.2, True), (0.2, False), (-0.4, False)]
+    G = np.array([0.3, 0.1, -0.2, 0.2, -0.4])
+    POSITIVE = np.array([True, True, True, False, False])
 
     def test_rates_at_zero(self):
-        tpr, fpr = confusion_rates(self.SCORES, 0.0)
+        tpr, fpr = rates(self.G >= 0.0, self.POSITIVE)
         assert tpr == pytest.approx(2 / 3)
         assert fpr == pytest.approx(1 / 2)
 
     def test_threshold_boundary_inclusive(self):
-        tpr, _ = confusion_rates([(0.1, True)], 0.1)
+        tpr, _ = rates(np.array([0.1]) >= 0.1, [True])
         assert tpr == 1.0
 
     def test_absent_class_is_none(self):
-        tpr, fpr = confusion_rates([(0.1, True)], 0.0)
+        tpr, fpr = rates([True], [True])
         assert tpr == 1.0 and fpr is None
-        tpr, fpr = confusion_rates([(0.1, False)], 0.0)
+        tpr, fpr = rates([True], [False])
         assert tpr is None and fpr == 1.0
 
 
 class TestRocCurve:
     def test_endpoints(self):
-        points = roc_points([(0.5, True), (0.2, False)])
+        points, _ = _roc_of([(0.5, True), (0.2, False)])
         assert points[0] == (0.0, 0.0)
         assert points[-1] == (1.0, 1.0)
 
     def test_perfect_separation(self):
         scores = [(1.0, True), (0.9, True), (0.1, False), (0.0, False)]
-        assert roc_auc(scores) == 1.0
+        assert _roc_of(scores)[1] == 1.0
 
     def test_inverted(self):
         scores = [(0.0, True), (0.1, True), (0.9, False), (1.0, False)]
-        assert roc_auc(scores) == 0.0
+        assert _roc_of(scores)[1] == 0.0
 
     def test_all_tied_is_half(self):
         scores = [(0.5, True), (0.5, False), (0.5, True), (0.5, False)]
-        assert roc_auc(scores) == pytest.approx(0.5)
+        assert _roc_of(scores)[1] == pytest.approx(0.5)
 
     def test_single_class_undefined(self):
-        assert roc_auc([(0.5, True), (0.2, True)]) is None
-        with pytest.raises(InsufficientDataError):
-            roc_points([(0.5, True)])
+        assert _roc_of([(0.5, True), (0.2, True)]) == ([], None)
+        assert _roc_of([(0.5, True)]) == ([], None)
 
     def test_matches_pairwise_oracle_random(self):
         rng = np.random.default_rng(21)
@@ -86,14 +172,11 @@ class TestRocCurve:
             if labels.all() or not labels.any():
                 labels[0] = not labels[0]
             scores = list(zip(g.tolist(), labels.tolist()))
-            assert roc_auc(scores) == pytest.approx(mann_whitney_auc(scores), abs=1e-9)
+            assert roc(g, labels)[1] == pytest.approx(mann_whitney_auc(scores), abs=1e-9)
 
     def test_monotone_points(self):
         rng = np.random.default_rng(22)
-        scores = list(
-            zip(rng.uniform(size=40).tolist(), (rng.uniform(size=40) > 0.5).tolist())
-        )
-        points = roc_points(scores)
+        points, _ = roc(rng.uniform(size=40), rng.uniform(size=40) > 0.5)
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
         assert xs == sorted(xs) and ys == sorted(ys)

@@ -377,6 +377,7 @@ class TestCollector:
         assert not t.is_alive()
         assert [r.dst_port for r in received] == [1, 2, 3]
         assert result["stats"].malformed == 1
+        assert result["stats"].malformed_reasons == Counter({"truncated-header": 1})
         assert result["stats"].datagrams == 3
         assert result["stats"].drops == Counter({"invalid-record": 1})
 
