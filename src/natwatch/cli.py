@@ -18,6 +18,7 @@ import time
 from natwatch import baselines, evaluation, ingest, netflow9, synth
 from natwatch.detect import (
     ActionPolicy,
+    Detector,
     TrainConfig,
     calibrate_threshold,
     run_detector,
@@ -91,7 +92,9 @@ def _or_na(rate) -> str:
 def _collect(bind: str, port: int, sink, duration=None, ready=None):
     """Run the v9 collector into `sink` until Ctrl-C or `duration`
     seconds: its stats, or None after Ctrl-C. A failed bind is a data
-    error, and so is a duration a timer cannot wait, checked first."""
+    error, and so is a duration a timer cannot wait, checked first. An
+    OSError once the socket is bound, such as a failed audit write, is
+    not a bind error and propagates as it is."""
     if duration is not None and not 0 < duration <= threading.TIMEOUT_MAX:
         raise DataError(f"bad-duration: {duration} is not a number of seconds in "
                         f"(0, {threading.TIMEOUT_MAX:.0f}]")
@@ -99,11 +102,20 @@ def _collect(bind: str, port: int, sink, duration=None, ready=None):
     timer = threading.Timer(duration, stop.set)
     if duration is not None:
         timer.start()
+    bound = threading.Event()
+
+    def on_bound():
+        bound.set()
+        if ready is not None:
+            ready()
+
     try:
-        return netflow9.collect_udp(bind, port, sink, stop, ready)
+        return netflow9.collect_udp(bind, port, sink, stop, on_bound)
     except KeyboardInterrupt:
         return None
     except OSError as exc:
+        if bound.is_set():
+            raise
         raise DataError(f"bind-error: {exc}") from exc
     finally:
         timer.cancel()  # a pending timer would keep the process alive until it fired
@@ -195,9 +207,9 @@ def cmd_detect(args) -> int:
         def ready():
             print(f"listening for NetFlow v9 on udp/{port}; Ctrl-C to stop", file=sys.stderr)
 
-        _collect(args.bind, port,
-                 lambda records: run_detector(records, artifacts, policy, selector, args.audit),
-                 ready=ready)
+        # the audit log opens before the bind, and stays open for the collector's life
+        with Detector(artifacts, policy, selector, args.audit) as detector:
+            _collect(args.bind, port, detector, ready=ready)
     else:
         flows = [lf.flow for lf in _load_dataset(args.input)]
         decisions, positives = run_detector(flows, artifacts, policy, selector, args.audit)

@@ -103,11 +103,12 @@ def classify(artifact: ModelArtifact, flow: FlowRecord) -> float:
 
 
 # What each stub action records: the policy's path for its file, and
-# what its line holds besides the timestamp and the model.
+# the end of its line after the timestamp and the model, as JSON text.
 STUB_LINES = {
     "notify_stub": (lambda policy: policy.notify_path,
-                    lambda flow: {"message": "possible vulnerable device detected"}),
-    "block_stub": (lambda policy: policy.block_path, lambda flow: {"flow_key": list(flow.key)}),
+                    lambda flow: ', "message": "possible vulnerable device detected"}\n'),
+    "block_stub": (lambda policy: policy.block_path,
+                   lambda flow: f', "flow_key": {json.dumps(list(flow.key))}}}\n'),
 }
 
 
@@ -139,6 +140,109 @@ class ActionPolicy:
         self.on_positive = ["log"] + [a for a in self.on_positive if a != "log"]
 
 
+class Detector:
+    """Scores batches of flows against every artifact and logs each
+    decision, for as long as its input lasts; the UDP sink keeps one for
+    the collector's whole life.
+
+    It resolves each artifact's threshold and opens the audit log once,
+    and the stub files once, at the first positive. Two spellings of one
+    file write through one handle, so their lines stay whole and in
+    order. Each call flushes the files, so the lines of every call that
+    returned are on disk and whole; `close` (or leaving a `with` block)
+    closes them.
+    """
+
+    def __init__(self, artifacts: list[ModelArtifact], policy: ActionPolicy,
+                 threshold_selector: Union[str, int], audit_path: str):
+        if not artifacts:
+            raise ValueError("at least one artifact required")
+        self.artifacts = artifacts
+        self.policy = policy
+        self.thresholds = [a.threshold(threshold_selector) for a in artifacts]
+        # the fixed parts of each artifact's lines, as JSON text: its model,
+        # and what follows g up to the wall time, for "M" and for "non-M".
+        # json.dumps writes a float (np.float64 too) as float.__repr__ does.
+        self._models = [json.dumps(a.model.canonical()) for a in artifacts]
+        decisions = (f', "decision": "M", "action": {json.dumps(policy.on_positive[-1])}',
+                     ', "decision": "non-M", "action": "log"')
+        self._middles = [tuple(f', "threshold": {float.__repr__(th)}{d}, "wall_time_s": '
+                              for d in decisions) for th in self.thresholds]
+        self._files = ExitStack()
+        self._handles = {}  # (device, inode) -> file
+        self._stubs = None  # [(write, line end of flow)], opened at the first positive
+        self._audit = self._writer(audit_path)
+
+    def _writer(self, path: str):
+        fh = self._files.enter_context(open(path, "a", encoding="utf-8"))
+        st = os.fstat(fh.fileno())
+        return self._handles.setdefault((st.st_dev, st.st_ino), fh).write
+
+    def __call__(self, flows: list[FlowRecord]) -> tuple[int, int]:
+        """Score the flows, one batch per artifact, and log each decision:
+        (decisions, positives). A line's wall_time_s is its artifact's
+        batch time over the batch's rows."""
+        scored = []
+        for artifact in self.artifacts:
+            t0 = time.perf_counter()
+            g = normality_scores(artifact.forest, transform_many(artifact.schema, flows))
+            scored.append((g, (time.perf_counter() - t0) / max(1, len(flows))))
+        return self.write(flows, scored, datetime.now(timezone.utc).isoformat())
+
+    def write(self, flows: list[FlowRecord], scored: list, timestamp: str) -> tuple[int, int]:
+        """Log each decision of `scored`, one (g, wall time) per artifact,
+        in arrival order, each flow's in artifact order, every line
+        stamped with `timestamp`: (decisions, positives).
+
+        A decision is "M" iff g >= threshold. A positive writes a line to
+        each stub action's file, in policy order; every decision then
+        writes its line to the audit log. Each line is put together from
+        JSON text: the flow's object once per flow, g and the wall time
+        with float.__repr__, as json.dumps writes a finite float.
+        """
+        ts = json.dumps(timestamp)
+        positives = 0
+        per_artifact = []  # hits, g, line start, and what follows g for "M" and for "non-M"
+        fixed = zip(self._models, self.thresholds, self._middles)
+        for (model, th, (hit, miss)), (g, wall) in zip(fixed, scored):
+            hits = g >= th
+            positives += int(np.count_nonzero(hits))
+            start = f'{{"timestamp": {ts}, "model": {model}'
+            rest = f'{float.__repr__(wall)}, "flow": '
+            per_artifact.append((hits.tolist(), g.tolist(), start, hit + rest, miss + rest))
+        if positives and self._stubs is None:
+            actions = [STUB_LINES[a] for a in self.policy.on_positive if a in STUB_LINES]
+            self._stubs = [(self._writer(path_of(self.policy)), end) for path_of, end in actions]
+        stubs = self._stubs if positives else ()
+        audit = self._audit
+        for i, flow in enumerate(flows):
+            fields = json.dumps({"src_ip": flow.src_ip, "dst_ip": flow.dst_ip,
+                                 "dst_port": flow.dst_port, "protocol": flow.ip_protocol,
+                                 "start_ms": flow.flow_start_ms})
+            stub_ends = None
+            for hits, g, start, hit, miss in per_artifact:
+                if hits[i]:
+                    if stub_ends is None:
+                        stub_ends = [(stub, end(flow)) for stub, end in stubs]
+                    for stub, end in stub_ends:
+                        stub(start + end)
+                    audit(f'{start}, "g": {float.__repr__(g[i])}{hit}{fields}}}\n')
+                else:
+                    audit(f'{start}, "g": {float.__repr__(g[i])}{miss}{fields}}}\n')
+        for fh in self._handles.values():
+            fh.flush()
+        return len(flows) * len(per_artifact), positives
+
+    def close(self) -> None:
+        self._files.close()
+
+    def __enter__(self) -> "Detector":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def run_detector(
     flows: list[FlowRecord],
     artifacts: list[ModelArtifact],
@@ -146,51 +250,9 @@ def run_detector(
     threshold_selector: Union[str, int],
     audit_path: str,
 ) -> tuple[int, int]:
-    """Score the flows against every artifact, one batch per artifact,
-    and log each decision in arrival order, each flow's in artifact
-    order: (decisions, positives). Nothing per decision is kept.
-
-    A decision is "M" iff g >= threshold. A positive writes a line to
-    each stub action's file, in policy order; every decision then writes
-    its line to the JSONL audit log. All lines of a call carry one
+    """Score and log the flows with a Detector that lives for this one
+    call: (decisions, positives). All lines of a call carry one
     timestamp, and each file is opened once, the stub files only if some
-    flow is positive. A line's wall_time_s is its artifact's batch time
-    over the batch's rows.
-    """
-    if not artifacts:
-        raise ValueError("at least one artifact required")
-    scored = []
-    for artifact in artifacts:
-        th = artifact.threshold(threshold_selector)
-        t0 = time.perf_counter()
-        g = normality_scores(artifact.forest, transform_many(artifact.schema, flows))
-        wall = (time.perf_counter() - t0) / max(1, len(flows))
-        scored.append((artifact.model.canonical(), th, g.tolist(), wall))
-    positives = sum(v >= th for _, th, g, _ in scored for v in g)
-    actions = [STUB_LINES[a] for a in policy.on_positive if a in STUB_LINES] if positives else []
-    timestamp = datetime.now(timezone.utc).isoformat()
-    with ExitStack() as stack:
-        files = {}  # (device, inode) -> write: two spellings of one file share one handle
-
-        def writer(path: str):
-            fh = stack.enter_context(open(path, "a", encoding="utf-8"))
-            st = os.fstat(fh.fileno())
-            return files.setdefault((st.st_dev, st.st_ino), fh.write)
-
-        stubs = [(writer(path_of(policy)), detail) for path_of, detail in actions]
-        audit = writer(audit_path)
-        for i, flow in enumerate(flows):
-            fields = {"src_ip": flow.src_ip, "dst_ip": flow.dst_ip, "dst_port": flow.dst_port,
-                      "protocol": flow.ip_protocol, "start_ms": flow.flow_start_ms}
-            for model, th, g, wall in scored:
-                if g[i] >= th:
-                    for stub, detail in stubs:
-                        line = {"timestamp": timestamp, "model": model, **detail(flow)}
-                        stub(json.dumps(line) + "\n")
-                    decision, action = "M", policy.on_positive[-1]
-                else:
-                    decision, action = "non-M", "log"
-                audit(json.dumps({"timestamp": timestamp, "model": model, "g": g[i],
-                                  "threshold": th, "decision": decision, "action": action,
-                                  "wall_time_s": wall, "flow": fields}) + "\n")
-    return len(flows) * len(scored), positives
+    flow is positive and before any line is written."""
+    with Detector(artifacts, policy, threshold_selector, audit_path) as detector:
+        return detector(flows)

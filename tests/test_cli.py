@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natwatch import netflow9
+from natwatch import detect, netflow9
 from natwatch.cli import main
+from natwatch.detect import ActionPolicy, run_detector
+from natwatch.iforest import load_artifact
 from natwatch.ingest import parse_flow_csv
 
 from util import make_flow
@@ -81,11 +83,13 @@ class TestTrain:
 
 
 class TestCalibrate:
-    def test_updates_threshold(self, synth_dir, artifact_path, capsys):
-        rc = main(["calibrate", "--artifact", str(artifact_path),
+    def test_updates_threshold(self, synth_dir, artifact_path, tmp_path, capsys):
+        path = tmp_path / "model.json"  # a copy: the module's artifact keeps its thresholds
+        path.write_bytes(artifact_path.read_bytes())
+        rc = main(["calibrate", "--artifact", str(path),
                    "--validation", str(synth_dir / "flows.csv"), "--percentile", "20"])
         assert rc == 0
-        doc = json.loads(artifact_path.read_text())
+        doc = json.loads(path.read_text())
         assert "20" in doc["payload"]["calibrated_thresholds"]
         assert "P20 threshold" in capsys.readouterr().out
 
@@ -257,6 +261,72 @@ class TestDetect:
         assert all(line["model"] == MODEL for line in lines)
         assert "listening for NetFlow v9 on udp/2055" in capsys.readouterr().err
 
+    @staticmethod
+    def _counting_open(monkeypatch) -> list:
+        """The files natwatch.detect opens from now on."""
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(open(path, *args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(detect, "open", counting_open, raising=False)
+        return opened
+
+    def test_udp_sink_keeps_one_detector_for_the_collector_life(
+            self, synth_dir, artifact_path, tmp_path, monkeypatch):
+        """Over N datagrams each file is opened once and closed at the end;
+        after every datagram its lines are on disk and whole, and they are
+        those of N separate run_detector calls but for the time fields."""
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("a.json", "b.json"):
+            shutil.copy(artifact_path, models / name)
+        flows = [lf.flow for lf in parse_flow_csv(synth_dir / "flows.csv")[0]][::40]
+        audit, notify = tmp_path / "audit.jsonl", tmp_path / "notify.jsonl"
+        on_disk = []
+
+        def collect_udp(bind_addr, port, sink, stop, ready=None):
+            def sink_then_read(records):
+                sink(records)
+                on_disk.append(audit.read_text().count("\n"))
+            return _fake_collector(flows)(bind_addr, port, sink_then_read, stop, ready)
+
+        monkeypatch.setattr(netflow9, "collect_udp", collect_udp)
+        opened = self._counting_open(monkeypatch)
+        rc = main(["detect", "--artifacts", str(models), "--input", "udp:2055",
+                   "--audit", str(audit), "--threshold", "p10", "--policy", "notify_stub",
+                   "--notify-out", str(notify)])
+        assert rc == 0
+        assert [os.path.basename(fh.name) for fh in opened] == ["audit.jsonl", "notify.jsonl"]
+        assert all(fh.closed for fh in opened)
+        assert on_disk == [2 * (i + 1) for i in range(len(flows))]
+
+        policy = ActionPolicy(on_positive=["notify_stub"], notify_path=str(tmp_path / "n.jsonl"))
+        artifacts = [load_artifact(models / name) for name in ("a.json", "b.json")]
+        for flow in flows:
+            run_detector([flow], artifacts, policy, "p10", str(tmp_path / "a.jsonl"))
+
+        def untimed(path):
+            lines = [json.loads(line) for line in path.read_text().splitlines()]
+            return [{k: v for k, v in line.items() if k not in ("timestamp", "wall_time_s")}
+                    for line in lines]
+
+        assert untimed(audit) == untimed(tmp_path / "a.jsonl")
+        assert untimed(notify) == untimed(tmp_path / "n.jsonl") != []
+
+    def test_udp_sink_error_once_bound_is_no_bind_error_and_closes_the_files(
+            self, artifact_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(netflow9, "collect_udp",
+                            _fake_collector([make_flow()] * 2, OSError("recv failed")))
+        opened = self._counting_open(monkeypatch)
+        rc = main(["detect", "--artifacts", str(artifact_path), "--input", "udp:2055",
+                   "--audit", str(tmp_path / "a.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "data-error: recv failed"
+        assert len((tmp_path / "a.jsonl").read_text().splitlines()) == 1
+        assert len(opened) == 1 and opened[0].closed
+
     def test_block_stub_without_block_out_is_data_error(self, synth_dir, artifact_path,
                                                         tmp_path, capsys):
         rc = main(["detect", "--artifacts", str(artifact_path),
@@ -416,6 +486,8 @@ _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:
      "--out", "{tmp}/e"],
     ["detect", "--artifacts", "{artifact}", "--input", "udp:{port}", "--audit", "{tmp}/a.jsonl",
      "--threshold", "p29"],
+    ["detect", "--artifacts", "{artifact}", "--input", "udp:{port}",
+     "--audit", "{tmp}/missing/a.jsonl", "--threshold", "p10"],
     ["collect", "--port", "{port}", "--out", "{tmp}/c.csv", "--duration", "inf"],
     ["collect", "--port", "{port}", "--out", "{tmp}/c.csv", "--duration", "1e300"],
     ["collect", "--port", "{port}", "--out", "{tmp}/c.csv", "--duration", "nan"],
@@ -425,6 +497,7 @@ _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:
         "tolerance-negative", "min-distinct-0", "ratios-inf",
         "ratios-out-of-range", "scenario-empty", "scenario-list", "scenario-no-weights",
         "scenario-deep", "artifact-deep", "detect-udp-threshold-missing",
+        "detect-udp-audit-unwritable",
         "collect-duration-inf", "collect-duration-1e300", "collect-duration-nan",
         "collect-duration-negative"])
 def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tmp_path, capsys,
@@ -443,6 +516,7 @@ def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tm
         err.splitlines()[-1]
     ]
     assert "Traceback" not in err
+    assert "bind-error" not in err  # no bind failed
     assert "listening" not in err  # nothing was bound
     assert not (tmp_path / "b").exists()  # no baseline report was written
     assert not (tmp_path / "c.csv").exists()  # nothing was collected

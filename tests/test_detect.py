@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import os
 import tempfile
@@ -10,13 +12,21 @@ from hypothesis import strategies as st
 from natwatch import detect
 from natwatch.detect import (
     ActionPolicy,
+    Detector,
     TrainConfig,
     calibrate_threshold,
     classify,
     run_detector,
     train_pipeline,
 )
-from natwatch.flowdata import NON_IOT, FlowDataset, LabeledFlow, chronological_split, filter_model
+from natwatch.flowdata import (
+    NON_IOT,
+    DeviceModelId,
+    FlowDataset,
+    LabeledFlow,
+    chronological_split,
+    filter_model,
+)
 from natwatch.iforest import (
     CHUNK_ROWS,
     ModelArtifact,
@@ -375,3 +385,90 @@ class TestRunDetector:
     def test_no_artifacts_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_detector([make_flow()], [], ActionPolicy(), "default", str(tmp_path / "a.jsonl"))
+
+
+def reference_lines(flows, artifacts, policy, scored, timestamp, audit_path) -> list:
+    """[(path, line)] in the order the detector writes them, each line the
+    json.dumps of its dict literal, as the detector wrote every line
+    before it built them from parts."""
+    written = []
+    for i, flow in enumerate(flows):
+        fields = {"src_ip": flow.src_ip, "dst_ip": flow.dst_ip, "dst_port": flow.dst_port,
+                  "protocol": flow.ip_protocol, "start_ms": flow.flow_start_ms}
+        for artifact, (g, wall) in zip(artifacts, scored):
+            model, th, v = artifact.model.canonical(), artifact.threshold("default"), g.tolist()[i]
+            if v >= th:
+                for action in policy.on_positive:
+                    if action == "notify_stub":
+                        written.append((policy.notify_path, json.dumps(
+                            {"timestamp": timestamp, "model": model,
+                             "message": "possible vulnerable device detected"}) + "\n"))
+                    elif action == "block_stub":
+                        written.append((policy.block_path, json.dumps(
+                            {"timestamp": timestamp, "model": model,
+                             "flow_key": list(flow.key)}) + "\n"))
+                decision, action = "M", policy.on_positive[-1]
+            else:
+                decision, action = "non-M", "log"
+            written.append((audit_path, json.dumps(
+                {"timestamp": timestamp, "model": model, "g": v, "threshold": th,
+                 "decision": decision, "action": action, "wall_time_s": wall,
+                 "flow": fields}) + "\n"))
+    return written
+
+
+@functools.lru_cache(maxsize=1)
+def _one_artifact():
+    return trained_artifact()
+
+
+MODELS = [WEBCAM, DeviceModelId("plug", "TP_Link", "HS110"), DeviceModelId("hub", "Hue", "v2")]
+# any text a record takes as an address: quotes, backslashes, control,
+# non-ASCII and lone surrogate characters
+address_st = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\u00e9\ud800'),
+                               st.characters(exclude_categories=())), max_size=6)
+record_st = st.builds(make_flow, ingress_interface=st.integers(0, 2**64 - 1), src_ip=address_st,
+                      dst_ip=address_st, ip_protocol=st.integers(0, 255),
+                      src_port=st.integers(0, 65535), dst_port=st.integers(0, 65535),
+                      tos=st.integers(0, 255), flow_start_ms=st.integers(0, 2**64 - 1),
+                      flow_end_ms=st.just(2**64 - 1))
+g_st = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
+                     -0.5, -0.49999999999999994, 0.49999999999999994]),
+    st.floats(-0.5, 0.5, exclude_max=True))
+finite_st = st.floats(allow_nan=False, allow_infinity=False)
+threshold_st = st.builds(lambda v, kind: kind(v), st.one_of(g_st, finite_st),
+                         st.sampled_from([float, np.float64]))
+policy_st = st.lists(st.sampled_from(["log", "notify_stub", "block_stub"]), unique=True)
+
+
+@given(data=st.data(), flows=st.lists(record_st, min_size=1, max_size=4),
+       thresholds=st.lists(threshold_st, min_size=1, max_size=3), on_positive=policy_st,
+       one_file=st.booleans())
+def test_lines_built_from_parts_are_the_json_dumps_of_their_dicts(data, flows, thresholds,
+                                                                  on_positive, one_file):
+    """Audit, notify and block lines, byte for byte, for any flow a record
+    accepts, any g in [-0.5, 0.5), any finite threshold (a float or an
+    np.float64) and wall time, and every policy order; a file given for
+    all three gets every line, in turn."""
+    artifacts = [dataclasses.replace(_one_artifact(), model=MODELS[k], default_threshold=th)
+                 for k, th in enumerate(thresholds)]
+    scored = [(np.array(data.draw(st.lists(g_st, min_size=len(flows), max_size=len(flows)))),
+               data.draw(finite_st)) for _ in artifacts]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "all.jsonl" if one_file else f"{name}.jsonl")
+                 for name in ("audit", "notify", "block")]
+        policy = ActionPolicy(on_positive=on_positive, notify_path=paths[1], block_path=paths[2])
+        with Detector(artifacts, policy, "default", paths[0]) as detector:
+            counts = detector.write(flows, scored, "2019-06-01T12:00:00.000001+00:00")
+        written = reference_lines(flows, artifacts, policy, scored,
+                                  "2019-06-01T12:00:00.000001+00:00", paths[0])
+        positives = sum(int(np.count_nonzero(g >= th)) for (g, _), th in zip(scored, thresholds))
+        assert counts == (len(flows) * len(artifacts), positives)
+        for path in set(paths):
+            expected = "".join(line for p, line in written if p == path)
+            if not os.path.exists(path):
+                assert expected == "" and path != paths[0]
+                continue
+            with open(path, "rb") as fh:
+                assert fh.read() == expected.encode("utf-8")

@@ -1,5 +1,6 @@
 """Pins on what a seed must keep giving: a synthetic flows.csv, one trained
-forest's levels, node table and artifact bytes, and the g of a few fixed flows. numpy's Generator may
+forest's levels, node table and artifact bytes, the g of a few fixed flows,
+and the lines the detector writes for them. numpy's Generator may
 change what choice, integers and uniform return between releases (NEP 19),
 and the reference builder in test_iforest draws through the same calls,
 so only fixed values catch such a change. A change that alters a model on
@@ -7,11 +8,16 @@ purpose updates these pins."""
 
 import functools
 import hashlib
+import itertools
 import json
+from datetime import datetime, timezone
+from types import SimpleNamespace
 
+from natwatch import detect
 from natwatch.cli import main
 from natwatch.detect import TrainConfig, train_pipeline
 from natwatch.flowdata import DeviceModelId, chronological_split
+from natwatch.ingest import write_flow_csv
 from natwatch.iforest import CHUNK_ROWS, FOREST_COLUMNS, _column, _forest_to_dict, \
     _table_from_columns, load_artifact, normality_scores, save_artifact
 from natwatch.preprocess import transform_many
@@ -25,6 +31,8 @@ FOREST_SHA256 = "c9cdb35f9ccdcd7466c8b5aa5262fa6209d4111e5377c1e7034f8a459bada62
 FLOWS_CSV_SHA256 = "8cca9e6cec66b87e8135f91e7db36b67b4b1914e22a7942386034156f1fe3adc"
 G_HEX = ["-0x1.31b029f316028p-4", "0x1.7b015736f3240p-8", "0x1.94c072c200cf0p-5",
          "-0x1.5b17947e36b60p-5", "0x1.02f4876c2d400p-10"]
+# the audit, notify and block files of `natwatch detect` on the test split
+AUDIT_SHA256 = "d874c52ec58023f02438b64ea502f3f0e01da5a9888afb346198d135bb20cdec"
 
 
 @functools.lru_cache(maxsize=1)
@@ -99,3 +107,31 @@ def test_a_seed_gives_the_pinned_flows_csv(tmp_path):
     assert main(["synth", "--scenario", "separable-13", "--flows", "20", "--seed", "1",
                  "--out", str(out)]) == 0
     assert hashlib.sha256((out / "flows.csv").read_bytes()).hexdigest() == FLOWS_CSV_SHA256
+
+
+def test_a_seed_gives_the_pinned_audit_lines(tmp_path, monkeypatch):
+    """`natwatch detect --threshold p10 --policy log,notify_stub,block_stub`
+    over the test split, with the clock and the timestamp fixed."""
+    _model, artifact, test = _trained()
+    save_artifact(artifact, tmp_path / "model.json")
+    write_flow_csv(test, tmp_path / "test.csv")
+
+    class FixedDatetime(datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return datetime(2019, 6, 1, 12, 0, tzinfo=timezone.utc)
+
+    ticks = itertools.count()
+    monkeypatch.setattr(detect, "datetime", FixedDatetime)
+    monkeypatch.setattr(detect, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 8))
+    paths = {name: tmp_path / f"{name}.jsonl" for name in ("audit", "notify", "block")}
+    assert main(["detect", "--artifacts", str(tmp_path / "model.json"),
+                 "--input", str(tmp_path / "test.csv"), "--audit", str(paths["audit"]),
+                 "--threshold", "p10", "--policy", "log,notify_stub,block_stub",
+                 "--notify-out", str(paths["notify"]), "--block-out", str(paths["block"])]) == 0
+    digest = hashlib.sha256()
+    for name, path in paths.items():
+        data = path.read_bytes()
+        digest.update(b"%s %d\n" % (name.encode(), len(data)))
+        digest.update(data)
+    assert digest.hexdigest() == AUDIT_SHA256
