@@ -9,6 +9,7 @@ machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import os
 import sys
@@ -89,36 +90,12 @@ def _or_na(rate) -> str:
     return "n/a" if rate is None else str(rate)
 
 
-def _collect(bind: str, port: int, sink, duration=None, ready=None):
-    """Run the v9 collector into `sink` until Ctrl-C or `duration`
-    seconds: its stats, or None after Ctrl-C. A failed bind is a data
-    error, and so is a duration a timer cannot wait, checked first. An
-    OSError once the socket is bound, such as a failed audit write, is
-    not a bind error and propagates as it is."""
-    if duration is not None and not 0 < duration <= threading.TIMEOUT_MAX:
-        raise DataError(f"bad-duration: {duration} is not a number of seconds in "
-                        f"(0, {threading.TIMEOUT_MAX:.0f}]")
-    stop = threading.Event()
-    timer = threading.Timer(duration, stop.set)
-    if duration is not None:
-        timer.start()
-    bound = threading.Event()
-
-    def on_bound():
-        bound.set()
-        if ready is not None:
-            ready()
-
+def _open_udp(bind: str, port: int):
+    """The bound collector socket; a failed bind is a data error."""
     try:
-        return netflow9.collect_udp(bind, port, sink, stop, on_bound)
-    except KeyboardInterrupt:
-        return None
+        return netflow9.open_udp(bind, port)
     except OSError as exc:
-        if bound.is_set():
-            raise
         raise DataError(f"bind-error: {exc}") from exc
-    finally:
-        timer.cancel()  # a pending timer would keep the process alive until it fired
 
 
 def cmd_synth(args) -> int:
@@ -202,14 +179,18 @@ def cmd_detect(args) -> int:
     for artifact in artifacts:
         artifact.threshold(selector)  # a missing threshold fails before any input
     if args.input.startswith("udp:"):
-        port = int(args.input.split(":", 1)[1])
-
-        def ready():
-            print(f"listening for NetFlow v9 on udp/{port}; Ctrl-C to stop", file=sys.stderr)
-
-        # the audit log opens before the bind, and stays open for the collector's life
-        with Detector(artifacts, policy, selector, args.audit) as detector:
-            _collect(args.bind, port, detector, ready=ready)
+        text = args.input.removeprefix("udp:")
+        try:
+            port = int(text)
+        except ValueError:
+            raise DataError(f"bad-port: {text!r} is not a port number") from None
+        # the bind, then the audit log: a port refused leaves no file behind
+        with _open_udp(args.bind, port) as sock, \
+                Detector(artifacts, policy, selector, args.audit) as detector:
+            print(f"listening for NetFlow v9 on udp/{sock.getsockname()[1]}; Ctrl-C to stop",
+                  file=sys.stderr)
+            with contextlib.suppress(KeyboardInterrupt):
+                netflow9.collect_udp(sock, detector)
     else:
         flows = [lf.flow for lf in _load_dataset(args.input)]
         decisions, positives = run_detector(flows, artifacts, policy, selector, args.audit)
@@ -218,8 +199,15 @@ def cmd_detect(args) -> int:
 
 
 def cmd_collect(args) -> int:
+    duration = args.duration
+    if duration is not None and not 0 < duration <= threading.TIMEOUT_MAX:
+        raise DataError(f"bad-duration: {duration} is not a number of seconds in "
+                        f"(0, {threading.TIMEOUT_MAX:.0f}]")
     collected = []
-    stats = _collect(args.bind, args.port, collected.extend, args.duration)
+    stats = None  # after Ctrl-C
+    with _open_udp(args.bind, args.port) as sock, contextlib.suppress(KeyboardInterrupt):
+        until = None if duration is None else time.monotonic() + duration
+        stats = netflow9.collect_udp(sock, collected.extend, until)
     dataset = FlowDataset(
         [LabeledFlow(flow=f, label=None, source_mac=f.src_ip) for f in collected]
     )

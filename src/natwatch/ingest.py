@@ -17,6 +17,7 @@ from natwatch.flowdata import (
     format_label,
     parse_label,
 )
+from natwatch.preprocess import _exact
 
 # The flow CSV columns in the order write_flow_csv writes them, each with
 # the FlowRecord field it holds. All are mandatory but the last, TOS,
@@ -185,14 +186,14 @@ def normalize_qname(qname: str) -> str:
 
 
 # The DNS JSONL keys in the order write_dns_jsonl writes them: (key,
-# DnsEvent field, converter from the parsed JSON value). An optional
-# "label" key follows them.
+# DnsEvent field, the JSON type its value must have, not coerced). An
+# optional "label" key follows them.
 _DNS_KEYS = (
     ("ts_ms", "timestamp_ms", int),
     ("src_ip", "observed_src_ip", str),
     ("ip_id", "ip_id", int),
     ("resolver_ip", "resolver_ip", str),
-    ("qname", "qname", lambda qname: normalize_qname(str(qname))),
+    ("qname", "qname", str),
 )
 
 
@@ -200,9 +201,10 @@ def parse_dns_jsonl(path) -> tuple[list[DnsEvent], list[RejectedRow]]:
     """Parse DNS events from a JSONL file, one object per line.
 
     Expected keys: ts_ms, src_ip, ip_id, resolver_ip, qname, optional
-    label. Query names are normalized to lower case without a trailing
-    dot. Malformed lines and out-of-range IP-IDs are rejected with their
-    line number.
+    label. ts_ms and ip_id must be JSON integers and the others strings;
+    nothing is coerced. Query names are normalized to lower case without
+    a trailing dot. Malformed lines and out-of-range IP-IDs are rejected
+    with their line number.
     """
     events: list[DnsEvent] = []
     rejected: list[RejectedRow] = []
@@ -214,9 +216,9 @@ def parse_dns_jsonl(path) -> tuple[list[DnsEvent], list[RejectedRow]]:
                     continue
                 obj = json.loads(line)
                 label = parse_label(obj["label"]) if obj.get("label") else None
-                event = DnsEvent(
-                    **{name: convert(obj[key]) for key, name, convert in _DNS_KEYS}, label=label
-                )
+                fields = {name: _exact(obj[key], kind, key) for key, name, kind in _DNS_KEYS}
+                fields["qname"] = normalize_qname(fields["qname"])
+                event = DnsEvent(**fields, label=label)
             # RecursionError: JSON nested deeper than the parser's stack
             except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
                     ValueError) as exc:

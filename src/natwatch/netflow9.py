@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import socket
 import struct
-import threading
+import time
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -206,47 +206,50 @@ class CollectorStats:
     drops: Counter = field(default_factory=Counter, init=False)  # the cache's, by reason
 
 
-def collect_udp(
-    bind_addr: str,
-    port: int,
-    sink: Callable[[list[FlowRecord]], None],
-    stop: threading.Event,
-    ready: Optional[Callable[[], None]] = None,
-) -> CollectorStats:
-    """Receive NetFlow v9 over UDP until `stop` is set.
-
-    Every datagram is decoded and its records handed to `sink` in
-    arrival order; malformed datagrams are counted, in all and by
-    reason (the decode error up to its first ":"), not fatal. A port
-    outside 0-65535 raises ValueError and bind failures propagate as
-    OSError, both at startup; `ready` is called once the socket is bound.
-    """
+def open_udp(bind_addr: str, port: int) -> socket.socket:
+    """A UDP socket bound to (bind_addr, port), with its receive timeout
+    set. A port outside 0-65535 raises ValueError before any socket is
+    made; a failed bind closes the socket and raises its OSError."""
     if not 0 <= port <= 65535:
         raise ValueError(f"bad-port: {port} is outside 0-65535")
-    stats = CollectorStats()
-    cache = TemplateCache()
-    stats.drops = cache.drops
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
         sock.bind((bind_addr, port))
-        sock.settimeout(0.2)
-        if ready is not None:
-            ready()
-        while not stop.is_set():
-            try:
-                datagram, _addr = sock.recvfrom(65535)
-            except socket.timeout:
-                continue
-            stats.datagrams += 1
-            try:
-                records = decode_netflow_v9(datagram, cache)
-            except NetflowDecodeError as exc:
-                stats.malformed += 1
-                stats.malformed_reasons[str(exc).split(":", 1)[0]] += 1
-                continue
-            if records:
-                stats.records += len(records)
-                sink(records)
-    finally:
+    except OSError:
         sock.close()
+        raise
+    sock.settimeout(0.2)
+    return sock
+
+
+def collect_udp(
+    sock: socket.socket,
+    sink: Callable[[list[FlowRecord]], None],
+    until: Optional[float] = None,
+) -> CollectorStats:
+    """Receive NetFlow v9 on the bound `sock` until `time.monotonic()`
+    passes `until`, or, with None, until Ctrl-C; the socket stays open.
+
+    Every datagram is decoded and its records handed to `sink` in
+    arrival order; malformed datagrams are counted, in all and by
+    reason (the decode error up to its first ":"), not fatal.
+    """
+    stats = CollectorStats()
+    cache = TemplateCache()
+    stats.drops = cache.drops
+    while until is None or time.monotonic() < until:
+        try:
+            datagram = sock.recv(65535)
+        except socket.timeout:
+            continue
+        stats.datagrams += 1
+        try:
+            records = decode_netflow_v9(datagram, cache)
+        except NetflowDecodeError as exc:
+            stats.malformed += 1
+            stats.malformed_reasons[str(exc).split(":", 1)[0]] += 1
+            continue
+        if records:
+            stats.records += len(records)
+            sink(records)
     return stats

@@ -7,7 +7,7 @@ import os
 import shutil
 import socket
 import tempfile
-import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -168,9 +168,7 @@ def _fake_collector(records, then=None):
     """A stand-in for netflow9.collect_udp that hands `records` to the
     sink one datagram each, then raises `then` or returns its stats."""
 
-    def collect_udp(bind_addr, port, sink, stop, ready=None):
-        if ready is not None:
-            ready()
+    def collect_udp(sock, sink, until=None):
         stats = netflow9.CollectorStats(datagrams=len(records), records=len(records))
         for record in records:
             sink([record])
@@ -181,13 +179,6 @@ def _fake_collector(records, then=None):
         return stats
 
     return collect_udp
-
-
-def _no_live_timer():
-    timers = [t for t in threading.enumerate() if isinstance(t, threading.Timer)]
-    for t in timers:
-        t.join(timeout=5)
-    return not any(t.is_alive() for t in timers)
 
 
 class TestDetect:
@@ -251,15 +242,23 @@ class TestDetect:
         for name in ("a.json", "b.json"):
             shutil.copy(artifact_path, models / name)
         flows = [make_flow(dst_port=p) for p in (53, 443, 8080)]
-        monkeypatch.setattr(netflow9, "collect_udp", _fake_collector(flows))
+        bound = []
+
+        def collect_udp(sock, sink, until=None):
+            bound.append(sock.getsockname())
+            return _fake_collector(flows)(sock, sink, until)
+
+        monkeypatch.setattr(netflow9, "collect_udp", collect_udp)
         audit = tmp_path / "audit.jsonl"
-        rc = main(["detect", "--artifacts", str(models), "--input", "udp:2055",
-                   "--audit", str(audit)])
+        rc = main(["detect", "--artifacts", str(models), "--input", "udp:0",
+                   "--bind", "127.0.0.1", "--audit", str(audit)])
         assert rc == 0
         lines = [json.loads(line) for line in audit.read_text().splitlines()]
         assert len(lines) == len(flows) * 2
         assert all(line["model"] == MODEL for line in lines)
-        assert "listening for NetFlow v9 on udp/2055" in capsys.readouterr().err
+        [(host, port)] = bound
+        assert host == "127.0.0.1" and port != 0
+        assert f"listening for NetFlow v9 on udp/{port};" in capsys.readouterr().err
 
     @staticmethod
     def _counting_open(monkeypatch) -> list:
@@ -286,15 +285,15 @@ class TestDetect:
         audit, notify = tmp_path / "audit.jsonl", tmp_path / "notify.jsonl"
         on_disk = []
 
-        def collect_udp(bind_addr, port, sink, stop, ready=None):
+        def collect_udp(sock, sink, until=None):
             def sink_then_read(records):
                 sink(records)
                 on_disk.append(audit.read_text().count("\n"))
-            return _fake_collector(flows)(bind_addr, port, sink_then_read, stop, ready)
+            return _fake_collector(flows)(sock, sink_then_read, until)
 
         monkeypatch.setattr(netflow9, "collect_udp", collect_udp)
         opened = self._counting_open(monkeypatch)
-        rc = main(["detect", "--artifacts", str(models), "--input", "udp:2055",
+        rc = main(["detect", "--artifacts", str(models), "--input", "udp:0", "--bind", "127.0.0.1",
                    "--audit", str(audit), "--threshold", "p10", "--policy", "notify_stub",
                    "--notify-out", str(notify)])
         assert rc == 0
@@ -317,15 +316,21 @@ class TestDetect:
 
     def test_udp_sink_error_once_bound_is_no_bind_error_and_closes_the_files(
             self, artifact_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(netflow9, "collect_udp",
-                            _fake_collector([make_flow()] * 2, OSError("recv failed")))
+        socks = []
+
+        def collect_udp(sock, sink, until=None):
+            socks.append(sock)
+            return _fake_collector([make_flow()] * 2, OSError("recv failed"))(sock, sink, until)
+
+        monkeypatch.setattr(netflow9, "collect_udp", collect_udp)
         opened = self._counting_open(monkeypatch)
-        rc = main(["detect", "--artifacts", str(artifact_path), "--input", "udp:2055",
-                   "--audit", str(tmp_path / "a.jsonl")])
+        rc = main(["detect", "--artifacts", str(artifact_path), "--input", "udp:0",
+                   "--bind", "127.0.0.1", "--audit", str(tmp_path / "a.jsonl")])
         assert rc == 2
         assert capsys.readouterr().err.splitlines()[-1] == "data-error: recv failed"
         assert len((tmp_path / "a.jsonl").read_text().splitlines()) == 1
         assert len(opened) == 1 and opened[0].closed
+        assert len(socks) == 1 and socks[0].fileno() == -1  # the socket is closed too
 
     def test_block_stub_without_block_out_is_data_error(self, synth_dir, artifact_path,
                                                         tmp_path, capsys):
@@ -358,18 +363,26 @@ class TestFrozenArtifacts:
 class TestCollect:
     def test_duration_run_writes_flows_and_summary(self, tmp_path, monkeypatch, capsys):
         flows = [make_flow(dst_port=53), make_flow(dst_port=443)]
-        monkeypatch.setattr(netflow9, "collect_udp", _fake_collector(flows))
+        deadlines = []
+
+        def collect_udp(sock, sink, until=None):
+            deadlines.append((time.monotonic(), until))
+            return _fake_collector(flows)(sock, sink, until)
+
+        monkeypatch.setattr(netflow9, "collect_udp", collect_udp)
         out = tmp_path / "c.csv"
-        rc = main(["collect", "--port", "2055", "--out", str(out), "--duration", "5"])
+        rc = main(["collect", "--port", "0", "--bind", "127.0.0.1", "--out", str(out),
+                   "--duration", "5"])
         assert rc == 0
+        [(now, until)] = deadlines
+        assert now < until <= now + 5  # 5 s from the bind
         parsed, rejected = parse_flow_csv(str(out))
         assert rejected == [] and [lf.flow for lf in parsed] == flows
         assert capsys.readouterr().out == (
             f"2 datagrams, 2 records, 0 malformed, 2 invalid-record -> {out}\n")
-        assert _no_live_timer()
 
     def test_summary_names_each_malformed_reason(self, tmp_path, monkeypatch, capsys):
-        def collect_udp(bind_addr, port, sink, stop, ready=None):
+        def collect_udp(sock, sink, until=None):
             stats = netflow9.CollectorStats(datagrams=4, malformed=3)
             stats.malformed_reasons.update({"unsupported-version": 1, "truncated-flowset": 2})
             stats.drops["pending-dropped"] = 5
@@ -377,7 +390,8 @@ class TestCollect:
 
         monkeypatch.setattr(netflow9, "collect_udp", collect_udp)
         out = tmp_path / "c.csv"
-        assert main(["collect", "--port", "2055", "--out", str(out), "--duration", "5"]) == 0
+        assert main(["collect", "--port", "0", "--bind", "127.0.0.1", "--out", str(out),
+                     "--duration", "5"]) == 0
         assert capsys.readouterr().out == (
             "4 datagrams, 0 records, 3 malformed, 2 truncated-flowset, 1 unsupported-version, "
             f"5 pending-dropped -> {out}\n")
@@ -386,21 +400,21 @@ class TestCollect:
         flows = [make_flow(dst_port=53), make_flow(dst_port=443)]
         monkeypatch.setattr(netflow9, "collect_udp", _fake_collector(flows, KeyboardInterrupt))
         out = tmp_path / "c.csv"
-        rc = main(["collect", "--port", "2055", "--out", str(out)])
+        rc = main(["collect", "--port", "0", "--bind", "127.0.0.1", "--out", str(out)])
         assert rc == 0
         parsed, _ = parse_flow_csv(str(out))
         assert [lf.flow.dst_port for lf in parsed] == [53]
         assert capsys.readouterr().out == ""
-        assert _no_live_timer()
 
-    def test_bind_error_leaves_no_timer(self, tmp_path):
+    def test_taken_port_is_one_bind_error_line(self, tmp_path, capsys):
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
             taken.bind(("127.0.0.1", 0))
             port = taken.getsockname()[1]
             rc = main(["collect", "--port", str(port), "--bind", "127.0.0.1",
                        "--out", str(tmp_path / "c.csv"), "--duration", "30"])
         assert rc == 2
-        assert _no_live_timer()
+        assert capsys.readouterr().err.startswith("data-error: bind-error: ")
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestBaseline:
@@ -457,6 +471,10 @@ class TestSplit:
         assert rc == 2
 
 
+# The error that each case naming a UDP port ends in
+_PORT_ERRORS = {"port-70000": "bad-port", "port-minus-1": "bad-port",
+                "detect-udp-70000": "bad-port", "detect-udp-abc": "bad-port",
+                "detect-udp-empty": "bad-port", "detect-udp-port-taken": "bind-error"}
 _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:01"]}]}
 
 
@@ -464,6 +482,10 @@ _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:
     ["collect", "--port", "70000", "--out", "{tmp}/c.csv"],
     ["collect", "--port", "-1", "--out", "{tmp}/c.csv"],
     ["detect", "--artifacts", "{artifact}", "--input", "udp:70000", "--audit", "{tmp}/a.jsonl"],
+    ["detect", "--artifacts", "{artifact}", "--input", "udp:abc", "--audit", "{tmp}/a.jsonl"],
+    ["detect", "--artifacts", "{artifact}", "--input", "udp:", "--audit", "{tmp}/a.jsonl"],
+    ["detect", "--artifacts", "{artifact}", "--input", "udp:{taken}", "--bind", "127.0.0.1",
+     "--audit", "{tmp}/a.jsonl"],
     ["detect", "--artifacts", "{artifact}", "--input", "{synth}/flows.csv", "--audit",
      "{tmp}/a.jsonl", "--policy", "notify_stub,notify_stub", "--notify-out", "{tmp}/n.jsonl"],
     ["train", "--data", "{synth}/flows.csv", "--model", MODEL, "--out", "{tmp}/m.json",
@@ -486,13 +508,14 @@ _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:
      "--out", "{tmp}/e"],
     ["detect", "--artifacts", "{artifact}", "--input", "udp:{port}", "--audit", "{tmp}/a.jsonl",
      "--threshold", "p29"],
-    ["detect", "--artifacts", "{artifact}", "--input", "udp:{port}",
+    ["detect", "--artifacts", "{artifact}", "--input", "udp:{port}", "--bind", "127.0.0.1",
      "--audit", "{tmp}/missing/a.jsonl", "--threshold", "p10"],
     ["collect", "--port", "{port}", "--out", "{tmp}/c.csv", "--duration", "inf"],
     ["collect", "--port", "{port}", "--out", "{tmp}/c.csv", "--duration", "1e300"],
     ["collect", "--port", "{port}", "--out", "{tmp}/c.csv", "--duration", "nan"],
     ["collect", "--port", "{port}", "--out", "{tmp}/c.csv", "--duration", "-4"],
-], ids=["port-70000", "port-minus-1", "detect-udp-70000", "detect-policy-repeated",
+], ids=["port-70000", "port-minus-1", "detect-udp-70000", "detect-udp-abc", "detect-udp-empty",
+        "detect-udp-port-taken", "detect-policy-repeated",
         "train-subsample-0", "window-0", "tolerance-nan",
         "tolerance-negative", "min-distinct-0", "ratios-inf",
         "ratios-out-of-range", "scenario-empty", "scenario-list", "scenario-no-weights",
@@ -501,26 +524,32 @@ _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:
         "collect-duration-inf", "collect-duration-1e300", "collect-duration-nan",
         "collect-duration-negative"])
 def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tmp_path, capsys,
-                                              monkeypatch):
+                                              monkeypatch, request):
     if any("{port}" in a for a in argv):  # a valid port: a stand-in collector never blocks
         monkeypatch.setattr(netflow9, "collect_udp", _fake_collector([make_flow()]))
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "no_weights.json").write_text(json.dumps(_NO_WEIGHTS))
-    paths = {"tmp": tmp_path, "synth": synth_dir, "artifact": artifact_path, "port": 2055}
-    rc = main([a.format(**paths) for a in argv])
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
+        taken.bind(("127.0.0.1", 0))
+        paths = {"tmp": tmp_path, "synth": synth_dir, "artifact": artifact_path, "port": 0,
+                 "taken": taken.getsockname()[1]}
+        rc = main([a.format(**paths) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2
     assert [line for line in err.splitlines() if line.startswith("data-error:")] == [
         err.splitlines()[-1]
     ]
     assert "Traceback" not in err
-    assert "bind-error" not in err  # no bind failed
-    assert "listening" not in err  # nothing was bound
+    expected = _PORT_ERRORS.get(request.node.callspec.id)
+    if expected is not None:
+        assert err.splitlines()[-1].startswith(f"data-error: {expected}: ")
+    assert ("bind-error" in err) == (expected == "bind-error")  # only a taken port fails its bind
+    assert "listening" not in err  # no detector ran
+    assert not (tmp_path / "a.jsonl").exists()  # no audit log was left behind
     assert not (tmp_path / "b").exists()  # no baseline report was written
     assert not (tmp_path / "c.csv").exists()  # nothing was collected
-    assert _no_live_timer()
 
 
 # What a fuzzed CSV cell or DNS value may become: numbers out of range or

@@ -251,6 +251,19 @@ class TestParseDnsJsonl:
         path.write_text("")
         assert parse_dns_jsonl(path) == ([], [])
 
+    @pytest.mark.parametrize("key, value", [
+        ("ts_ms", 1.9), ("ts_ms", "1000"), ("ip_id", True), ("ip_id", 6.99), ("src_ip", 7),
+        ("resolver_ip", None),
+    ])
+    def test_value_of_the_wrong_json_type_is_rejected_not_coerced(self, key, value, tmp_path):
+        path = tmp_path / "dns.jsonl"
+        valid = {"ts_ms": 1, "src_ip": "a", "ip_id": 7, "resolver_ip": "b", "qname": "x.com"}
+        path.write_text(json.dumps({**valid, key: value}) + "\n" + json.dumps(valid) + "\n")
+        events, rejected = parse_dns_jsonl(path)
+        assert [e.qname for e in events] == ["x.com"]
+        assert [(r.line_no, r.reason.split(":")[0]) for r in rejected] == [(1, "malformed")]
+        assert key in rejected[0].reason
+
     def test_writer_round_trip(self, tmp_path):
         events = [
             DnsEvent(1000, "10.0.0.2", 7, "8.8.8.8", "a.example", WEBCAM),

@@ -1,6 +1,5 @@
 import socket
 import struct
-import threading
 import time
 from collections import Counter
 from unittest import mock
@@ -338,50 +337,37 @@ def test_decode_rejects_only_with_decode_error_and_atomically(datagrams, limit):
 
 
 class TestCollector:
-    def _send(self, port, payloads):
-        s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        for p in payloads:
-            s.sendto(p, ("127.0.0.1", port))
-        s.close()
-
-    def _run_collector(self, port, sink, stop, ready):
-        return netflow9.collect_udp("127.0.0.1", port, sink, stop, ready=ready.set)
-
     def test_delivery_order_and_malformed_counting(self):
         received = []
-        stop = threading.Event()
-        ready = threading.Event()
-        port = 47655
-        result = {}
-
-        def run():
-            result["stats"] = self._run_collector(port, received.extend, stop, ready)
-
-        t = threading.Thread(target=run, daemon=True)
-        t.start()
-        assert ready.wait(2)
-        self._send(
-            port,
-            [
+        with netflow9.open_udp("127.0.0.1", 0) as sock, \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as exporter:
+            for payload in [
                 template_then_data(records=[{**RECORD, 11: 1}]),
                 b"garbage",
                 template_then_data(records=[{**RECORD, 11: 2}, {**RECORD, 11: 3},
                                             {**RECORD, 11: 4, 152: 5000}]),  # ends before it starts
-            ],
-        )
-        deadline = time.time() + 2
-        while len(received) < 3 and time.time() < deadline:
-            time.sleep(0.02)
-        stop.set()
-        t.join(timeout=2)
-        assert not t.is_alive()
+            ]:
+                exporter.sendto(payload, sock.getsockname())
+            stats = netflow9.collect_udp(sock, received.extend, time.monotonic() + 0.3)
+            assert sock.fileno() != -1  # the collector leaves the socket open
         assert [r.dst_port for r in received] == [1, 2, 3]
-        assert result["stats"].malformed == 1
-        assert result["stats"].malformed_reasons == Counter({"truncated-header": 1})
-        assert result["stats"].datagrams == 3
-        assert result["stats"].drops == Counter({"invalid-record": 1})
+        assert stats.malformed == 1
+        assert stats.malformed_reasons == Counter({"truncated-header": 1})
+        assert stats.datagrams == 3
+        assert stats.drops == Counter({"invalid-record": 1})
 
-    def test_bind_failure_raises(self):
-        stop = threading.Event()
+    def test_bind_failure_raises(self, monkeypatch):
+        made = []
+        real_socket = socket.socket
+        monkeypatch.setattr(socket, "socket", lambda *a: made.append(real_socket(*a)) or made[-1])
         with pytest.raises(OSError):
-            netflow9.collect_udp("203.0.113.99", 47656, lambda r: None, stop)
+            netflow9.open_udp("203.0.113.99", 0)
+        assert len(made) == 1 and made[0].fileno() == -1  # the failed socket is closed
+
+    @pytest.mark.parametrize("port", [70000, -1])
+    def test_port_out_of_range_is_refused_before_any_socket(self, port, monkeypatch):
+        made = []
+        monkeypatch.setattr(socket, "socket", lambda *a: made.append(a))
+        with pytest.raises(ValueError, match="^bad-port: "):
+            netflow9.open_udp("127.0.0.1", port)
+        assert made == []
