@@ -11,6 +11,7 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as quote
 from typing import Optional, Union
 
 import numpy as np
@@ -30,7 +31,13 @@ from natwatch.iforest import (
     normality_scores,
     train_forest,
 )
-from natwatch.preprocess import InsufficientDataError, fit_schema, transform, transform_many
+from natwatch.preprocess import (
+    InsufficientDataError,
+    fit_schema,
+    flow_columns,
+    transform,
+    transform_many,
+)
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +67,7 @@ def train_pipeline(dataset: FlowDataset, cfg: TrainConfig) -> ModelArtifact:
             f"insufficient-data: no {cfg.model} flows in the training portion"
         )
     schema = fit_schema(training, cfg.model)
-    X = transform_many(schema, [lf.flow for lf in training])
+    X = transform_many(schema, flow_columns(training))
     forest = train_forest(X, cfg.n_trees, cfg.subsample, cfg.master_seed)
     artifact = ModelArtifact(
         model=cfg.model,
@@ -90,7 +97,7 @@ def calibrate_threshold(
         raise InsufficientDataError("insufficient-data: empty validation set")
     if not 0 <= percentile <= 30:
         raise ValueError(f"percentile out of [0, 30]: {percentile}")
-    X = transform_many(artifact.schema, [lf.flow for lf in validation])
+    X = transform_many(artifact.schema, flow_columns(validation))
     g = np.sort(normality_scores(artifact.forest, X))
     k = max(1, math.ceil(percentile / 100 * len(g)))
     return float(g[k - 1])
@@ -181,11 +188,13 @@ class Detector:
     def __call__(self, flows: list[FlowRecord]) -> tuple[int, int]:
         """Score the flows, one batch per artifact, and log each decision:
         (decisions, positives). A line's wall_time_s is its artifact's
-        batch time over the batch's rows."""
+        batch time over the batch's rows, after the batch is read into
+        columns once for every artifact."""
+        columns = flow_columns(flows)
         scored = []
         for artifact in self.artifacts:
             t0 = time.perf_counter()
-            g = normality_scores(artifact.forest, transform_many(artifact.schema, flows))
+            g = normality_scores(artifact.forest, transform_many(artifact.schema, columns))
             scored.append((g, (time.perf_counter() - t0) / max(1, len(flows))))
         return self.write(flows, scored, datetime.now(timezone.utc).isoformat())
 
@@ -197,7 +206,8 @@ class Detector:
         A decision is "M" iff g >= threshold. A positive writes a line to
         each stub action's file, in policy order; every decision then
         writes its line to the audit log. Each line is put together from
-        JSON text: the flow's object once per flow, g and the wall time
+        JSON text: the flow's object once per flow, its addresses quoted
+        and its integers written as json.dumps does, g and the wall time
         with float.__repr__, as json.dumps writes a finite float.
         """
         ts = json.dumps(timestamp)
@@ -216,9 +226,10 @@ class Detector:
         stubs = self._stubs if positives else ()
         audit = self._audit
         for i, flow in enumerate(flows):
-            fields = json.dumps({"src_ip": flow.src_ip, "dst_ip": flow.dst_ip,
-                                 "dst_port": flow.dst_port, "protocol": flow.ip_protocol,
-                                 "start_ms": flow.flow_start_ms})
+            fields = (f'{{"src_ip": {quote(flow.src_ip)}, "dst_ip": {quote(flow.dst_ip)}, '
+                      f'"dst_port": {int.__repr__(flow.dst_port)}, '
+                      f'"protocol": {int.__repr__(flow.ip_protocol)}, '
+                      f'"start_ms": {int.__repr__(flow.flow_start_ms)}}}')
             stub_ends = None
             for hits, g, start, hit, miss in per_artifact:
                 if hits[i]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from natwatch.flowdata import FlowDataset, flow_duration
 from natwatch.iforest import ModelArtifact, normality_scores
-from natwatch.preprocess import InsufficientDataError, transform_many
+from natwatch.preprocess import InsufficientDataError, flow_columns, transform_many
 
 
 def rates(hit, positive) -> tuple[Optional[float], Optional[float]]:
@@ -87,12 +87,14 @@ def evaluate_artifact(
     artifact_size_bytes: Optional[int] = None,
 ) -> tuple[ModelReport, list[tuple[float, float]]]:
     """Score the mixed test set against one artifact and compute the
-    report row plus ROC points."""
-    flows = [lf.flow for lf in test]
-    labels = np.array([lf.label == artifact.model for lf in test], dtype=bool)
+    report row plus ROC points. The test set's columns and label codes
+    are built at its first evaluation and reused by every other."""
+    columns = flow_columns(test)
+    code_of, label_codes = test.label_codes
+    labels = label_codes == code_of.get(artifact.model, -1)
     t0 = time.perf_counter()
-    g = normality_scores(artifact.forest, transform_many(artifact.schema, flows))
-    per_flow = (time.perf_counter() - t0) / max(1, len(flows))
+    g = normality_scores(artifact.forest, transform_many(artifact.schema, columns))
+    per_flow = (time.perf_counter() - t0) / max(1, len(test))
 
     tpr_d, fpr_d = rates(g >= artifact.default_threshold, labels)
     tpr_p = fpr_p = None
@@ -101,7 +103,8 @@ def evaluate_artifact(
     points, auc = roc(g, labels)
 
     try:
-        ttd = time_to_detect(FlowDataset([lf for lf, is_m in zip(test, labels) if is_m]), per_flow)
+        ttd = time_to_detect(FlowDataset([test.flows[i] for i in np.flatnonzero(labels)]),
+                             per_flow)
     except InsufficientDataError:
         ttd = None
 

@@ -5,7 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterator, Optional, Union
+
+import numpy as np
 
 # Reserved label for laptops, smartphones and other non-IoT hosts.
 NON_IOT = "non-IoT"
@@ -158,12 +162,27 @@ class LabeledFlow:
 
 @dataclass
 class FlowDataset:
-    """Ordered collection of labeled flows."""
+    """Ordered collection of labeled flows.
+
+    Nothing changes `flows` once the dataset is made, so what is derived
+    from them is built at first use and kept: the label codes, and the
+    raw feature columns that preprocess.flow_columns puts in `columns`.
+    """
 
     flows: list[LabeledFlow] = field(default_factory=list)
+    columns: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.flows)
+
+    @cached_property
+    def label_codes(self) -> tuple[dict, np.ndarray]:
+        """Each distinct label's code, in order of first appearance, and
+        each flow's code, as intp."""
+        labels = attrgetter("label")
+        codes = {label: i for i, label in enumerate(dict.fromkeys(map(labels, self.flows)))}
+        return codes, np.fromiter(map(codes.__getitem__, map(labels, self.flows)), np.intp,
+                                  len(self.flows))
 
     def __iter__(self) -> Iterator[LabeledFlow]:
         return iter(self.flows)

@@ -202,9 +202,10 @@ def parse_dns_jsonl(path) -> tuple[list[DnsEvent], list[RejectedRow]]:
 
     Expected keys: ts_ms, src_ip, ip_id, resolver_ip, qname, optional
     label. ts_ms and ip_id must be JSON integers and the others strings;
-    nothing is coerced. Query names are normalized to lower case without
-    a trailing dot. Malformed lines and out-of-range IP-IDs are rejected
-    with their line number.
+    nothing is coerced, and an absent label, null or "" is no label.
+    Query names are normalized to lower case without a trailing dot.
+    Malformed lines and out-of-range IP-IDs are rejected with their line
+    number.
     """
     events: list[DnsEvent] = []
     rejected: list[RejectedRow] = []
@@ -215,7 +216,9 @@ def parse_dns_jsonl(path) -> tuple[list[DnsEvent], list[RejectedRow]]:
                 if not line:
                     continue
                 obj = json.loads(line)
-                label = parse_label(obj["label"]) if obj.get("label") else None
+                label = obj.get("label")
+                label = None if label is None or label == "" else parse_label(
+                    _exact(label, str, "label"))
                 fields = {name: _exact(obj[key], kind, key) for key, name, kind in _DNS_KEYS}
                 fields["qname"] = normalize_qname(fields["qname"])
                 event = DnsEvent(**fields, label=label)

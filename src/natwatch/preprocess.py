@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, count
+from operator import attrgetter
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -34,8 +37,27 @@ def _numeric_values(flow: FlowRecord) -> tuple[float, float, float]:
     return (float(flow.in_bytes), float(flow.out_bytes), float(flow_duration(flow)))
 
 
-def _categorical_values(flow: FlowRecord) -> tuple:
-    return (flow.ip_protocol, flow.dst_port, flow.l7_proto_name, flow.src_tos, flow.dst_tos)
+# The FlowRecord field each categorical feature reads, in feature order
+_CATEGORICAL_FIELDS = tuple(map(attrgetter, ("ip_protocol", "dst_port", "l7_proto_name",
+                                             "src_tos", "dst_tos")))
+
+
+@dataclass(frozen=True)
+class FlowColumns:
+    """A batch of flows read once into raw columns, which every schema
+    encodes without walking the flows again.
+
+    `numeric` is an (n, 3) float64 matrix of the numeric features, each
+    row as _numeric_values gives it. For each categorical feature,
+    `values` maps the batch's distinct values, in order of first
+    appearance, to their codes, which number the values of all features
+    laid end to end; `codes` is (5, n) intp, codes[f, r] the code of row
+    r's value of feature f.
+    """
+
+    numeric: np.ndarray
+    values: tuple[dict, ...]
+    codes: np.ndarray
 
 
 @dataclass
@@ -63,14 +85,21 @@ class FeatureSchema:
         for name, vocab in self.categories.items():
             if len(set(vocab)) != len(vocab):
                 raise ValueError(f"duplicate category value in {name}")
-        self._index = {
-            name: {v: i for i, v in enumerate(vocab)}
-            for name, vocab in self.categories.items()
-        }
+        # what transform_many reads, in feature order: each numeric feature's
+        # lo, span and whether it scales (hi > lo; else it maps to +0.0), and
+        # each categorical feature's first column and its value -> column index
+        ranges = [self.numeric_ranges[name] for name in NUMERIC_FEATURES]
+        self._lo = np.array([lo for lo, _ in ranges])
+        self._span = np.array([hi - lo for lo, hi in ranges])
+        self._scaled = np.array([hi > lo for lo, hi in ranges])
+        vocabs = [self.categories[name] for name in CATEGORICAL_FEATURES]
+        self._offsets = list(accumulate([len(NUMERIC_FEATURES)] + [len(v) for v in vocabs]))
+        self._dimension = self._offsets.pop()
+        self._indexes = [{v: i for i, v in enumerate(vocab)} for vocab in vocabs]
 
     @property
     def dimension(self) -> int:
-        return len(NUMERIC_FEATURES) + sum(len(v) for v in self.categories.values())
+        return self._dimension
 
     def to_dict(self) -> dict:
         return {
@@ -98,20 +127,41 @@ class FeatureSchema:
 
 
 def fit_schema(training: FlowDataset, m: DeviceModelId) -> FeatureSchema:
-    """Fit the schema on model-m training flows only."""
+    """Fit the schema on model-m training flows only, from their columns."""
     if len(training) == 0:
         raise InsufficientDataError("insufficient-data: empty training set")
-    for lf in training:
-        if lf.label != m:
-            raise ValueError(f"training flow labeled {lf.label}, expected {m}")
+    code_of, _ = training.label_codes
+    for label in code_of:
+        if label != m:
+            raise ValueError(f"training flow labeled {label}, expected {m}")
 
-    numerics = zip(NUMERIC_FEATURES, zip(*(_numeric_values(lf.flow) for lf in training)))
-    categories = zip(CATEGORICAL_FEATURES, zip(*(_categorical_values(lf.flow) for lf in training)))
+    columns = flow_columns(training)
+    lows, highs = columns.numeric.min(axis=0).tolist(), columns.numeric.max(axis=0).tolist()
     return FeatureSchema(
         model=m,
-        numeric_ranges={name: (min(v), max(v)) for name, v in numerics},
-        categories={name: list(dict.fromkeys(v)) for name, v in categories},
+        numeric_ranges={name: (lo, hi) for name, lo, hi in zip(NUMERIC_FEATURES, lows, highs)},
+        categories={name: list(v) for name, v in zip(CATEGORICAL_FEATURES, columns.values)},
     )
+
+
+def flow_columns(flows: Union[FlowDataset, Sequence[FlowRecord]]) -> FlowColumns:
+    """The raw columns of a batch of flows. A FlowDataset's are built at
+    first use and kept with it, so each schema that encodes it reuses them."""
+    if isinstance(flows, FlowDataset):
+        if flows.columns is None:
+            flows.columns = flow_columns([lf.flow for lf in flows])
+        return flows.columns
+    n = len(flows)
+    numeric = np.fromiter(chain.from_iterable(map(_numeric_values, flows)), np.float64,
+                          n * len(NUMERIC_FEATURES)).reshape(n, len(NUMERIC_FEATURES))
+    values, base = [], 0
+    for get in _CATEGORICAL_FIELDS:
+        values.append(dict(zip(dict.fromkeys(map(get, flows)), count(base))))
+        base += len(values[-1])
+    codes = np.fromiter(chain.from_iterable(map(coded.__getitem__, map(get, flows))
+                                            for get, coded in zip(_CATEGORICAL_FIELDS, values)),
+                        np.intp, n * len(values)).reshape(len(values), n)
+    return FlowColumns(numeric, tuple(values), codes)
 
 
 def transform(schema: FeatureSchema, flow: FlowRecord) -> np.ndarray:
@@ -119,22 +169,20 @@ def transform(schema: FeatureSchema, flow: FlowRecord) -> np.ndarray:
     return transform_many(schema, [flow])[0]
 
 
-def transform_many(schema: FeatureSchema, flows: list[FlowRecord]) -> np.ndarray:
-    """Vectorize flows into an (n, dimension) matrix: the one transform."""
-    n = len(flows)
+def transform_many(schema: FeatureSchema,
+                   flows: Union[FlowColumns, Sequence[FlowRecord]]) -> np.ndarray:
+    """Vectorize flows, or their columns, into an (n, dimension) matrix:
+    the one transform."""
+    columns = flows if isinstance(flows, FlowColumns) else flow_columns(flows)
+    n = len(columns.numeric)
     out = np.zeros((n, schema.dimension))
-    ranges = [schema.numeric_ranges[name] for name in NUMERIC_FEATURES]
-    cat_offsets = []
-    offset = len(NUMERIC_FEATURES)
-    for name in CATEGORICAL_FEATURES:
-        cat_offsets.append((name, offset, schema._index[name]))
-        offset += len(schema.categories[name])
-    for r, flow in enumerate(flows):
-        for i, x in enumerate(_numeric_values(flow)):
-            lo, hi = ranges[i]
-            out[r, i] = (x - lo) / (hi - lo) if hi > lo else 0.0
-        for (name, off, index), value in zip(cat_offsets, _categorical_values(flow)):
-            j = index.get(value)
-            if j is not None:
-                out[r, off + j] = 1.0
+    # each distinct value of the batch -> its one-hot column, or 0 if unseen;
+    # an unseen value writes its 0.0 to column 0, which the numerics then set
+    lut = np.array([index.get(v, -off) + off
+                    for index, off, values in zip(schema._indexes, schema._offsets, columns.values)
+                    for v in values], dtype=np.intp)
+    hot = lut[columns.codes]
+    out[np.arange(n), hot] = hot > 0
+    np.divide(columns.numeric - schema._lo, schema._span, out=out[:, :len(NUMERIC_FEATURES)],
+              where=schema._scaled)
     return out

@@ -559,8 +559,8 @@ _FUZZ_CELLS = ["", "-1", "0", "-0", "1.5", "1e400", "nan", "inf", "-inf", "0x1F"
                "99999999999999999999999", "18446744073709551616", "abc", "\u00e9", "\x00",
                '"', "a,b", "\n", "true", "null", "[]", "{}", MODEL, "web..cam", "1.2.3.4",
                "300.1.1.1", "::1", "02:00:00:00:01:08", "9" * 300]
-_FUZZ_VALUES = [-1, 0, 2**64, 2**70, 1.5, -0.0, 1e308, "x", "", None, True, [], {}, [1], MODEL,
-                "1.2.3.4", "8.8.8.8"]
+_FUZZ_VALUES = [-1, 0, 7, 2**64, 2**70, 1.5, -0.0, 1e308, "x", "", None, True, False, [], {}, [1],
+                MODEL, "1.2.3.4", "8.8.8.8"]
 
 
 def _fuzz_csv(data, rows: list) -> str:

@@ -3,13 +3,14 @@ import functools
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from natwatch import detect
+from natwatch import detect, evaluation
 from natwatch.detect import (
     ActionPolicy,
     Detector,
@@ -19,6 +20,7 @@ from natwatch.detect import (
     run_detector,
     train_pipeline,
 )
+from natwatch.evaluation import evaluate_artifact
 from natwatch.flowdata import (
     NON_IOT,
     DeviceModelId,
@@ -37,6 +39,8 @@ from natwatch.iforest import (
 from natwatch.preprocess import InsufficientDataError, fit_schema, transform, transform_many
 
 from util import WEBCAM, make_flow, make_labeled
+
+OTHER = DeviceModelId("plug", "TP_Link", "HS110")
 
 
 def webcam_dataset(n=60, seed=0):
@@ -248,10 +252,34 @@ def test_g_is_bit_identical_through_every_scoring_call(train, queries, n_trees, 
         assert normality_scores(forest, Q[again]).tolist() == [batch[i] for i in again]
     assert [normality_score(forest, transform(schema, f)) for f in queries] == batch
     assert [classify(artifact, f) for f in queries] == batch
+    # a second artifact, with its own schema, shares the detector's columns
+    other_schema = fit_schema(FlowDataset([LabeledFlow(f, OTHER, "m") for f in queries]), OTHER)
+    other = ModelArtifact(model=OTHER, schema=other_schema, forest=train_forest(
+        transform_many(other_schema, queries), n_trees, subsample, seed + 1))
+    other_batch = normality_scores(other.forest, transform_many(other_schema, queries)).tolist()
     with tempfile.TemporaryDirectory() as tmp:
         audit = os.path.join(tmp, "audit.jsonl")
         run_detector(queries, [artifact], ActionPolicy(), "default", audit)
         assert [line["g"] for line in read_jsonl(audit)] == batch
+        shared = os.path.join(tmp, "shared.jsonl")
+        run_detector(queries, [artifact, other], ActionPolicy(), "default", shared)
+        assert [line["g"] for line in read_jsonl(shared)] == [
+            g for pair in zip(batch, other_batch) for g in pair]
+    # evaluation scores the test set's kept columns, built at its first evaluation
+    test = FlowDataset([LabeledFlow(f, WEBCAM if i % 2 else NON_IOT, "m")
+                        for i, f in enumerate(queries)])
+    scored = []
+
+    def spy(forest, X):
+        g = normality_scores(forest, X)
+        scored.append(g.tolist())
+        return g
+
+    with mock.patch.object(evaluation, "normality_scores", spy):
+        evaluate_artifact(artifact, test)
+        columns = test.columns
+        evaluate_artifact(artifact, test)
+    assert test.columns is columns and scored == [batch, batch]
 
 
 POSITIVE_FLOW = make_flow(in_bytes=800, out_bytes=120)
@@ -422,7 +450,7 @@ def _one_artifact():
     return trained_artifact()
 
 
-MODELS = [WEBCAM, DeviceModelId("plug", "TP_Link", "HS110"), DeviceModelId("hub", "Hue", "v2")]
+MODELS = [WEBCAM, OTHER, DeviceModelId("hub", "Hue", "v2")]
 # any text a record takes as an address: quotes, backslashes, control,
 # non-ASCII and lone surrogate characters
 address_st = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\u00e9\ud800'),

@@ -232,3 +232,11 @@ class TestFilterModel:
         kept = filter_model(d, WEBCAM)
         complement = [lf for lf in d if lf.label != WEBCAM]
         assert len(kept) + len(complement) == len(d)
+
+
+def test_label_codes_follow_first_appearance():
+    data = dataset(make_labeled(label=NON_IOT), make_labeled(), make_labeled(label=None),
+                   make_labeled())
+    code_of, codes = data.label_codes
+    assert code_of == {NON_IOT: 0, WEBCAM: 1, None: 2}
+    assert codes.tolist() == [0, 1, 2, 1]

@@ -264,6 +264,24 @@ class TestParseDnsJsonl:
         assert [(r.line_no, r.reason.split(":")[0]) for r in rejected] == [(1, "malformed")]
         assert key in rejected[0].reason
 
+    @pytest.mark.parametrize("label", [0, False, [], {}, 7, 1.5, True, ["a.b.c"]])
+    def test_label_that_is_not_a_string_is_rejected(self, label, tmp_path):
+        path = tmp_path / "dns.jsonl"
+        valid = {"ts_ms": 1, "src_ip": "a", "ip_id": 7, "resolver_ip": "b", "qname": "x.com"}
+        path.write_text(json.dumps({**valid, "label": label}) + "\n" + json.dumps(valid) + "\n")
+        events, rejected = parse_dns_jsonl(path)
+        assert [e.qname for e in events] == ["x.com"]
+        assert [(r.line_no, r.reason) for r in rejected] == [
+            (1, f"malformed:label {label!r:.30}: not str")]
+
+    @pytest.mark.parametrize("line", [{}, {"label": None}, {"label": ""}])
+    def test_absent_null_or_empty_label_is_unlabeled(self, line, tmp_path):
+        path = tmp_path / "dns.jsonl"
+        valid = {"ts_ms": 1, "src_ip": "a", "ip_id": 7, "resolver_ip": "b", "qname": "x.com"}
+        path.write_text(json.dumps({**valid, **line}) + "\n")
+        events, rejected = parse_dns_jsonl(path)
+        assert rejected == [] and [e.label for e in events] == [None]
+
     def test_writer_round_trip(self, tmp_path):
         events = [
             DnsEvent(1000, "10.0.0.2", 7, "8.8.8.8", "a.example", WEBCAM),

@@ -1,14 +1,21 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from natwatch.preprocess import (
+    CATEGORICAL_FEATURES,
+    NUMERIC_FEATURES,
     InsufficientDataError,
     FeatureSchema,
     fit_schema,
+    flow_columns,
     transform,
     transform_many,
 )
-from natwatch.flowdata import FlowDataset
+from natwatch.flowdata import FlowDataset, LabeledFlow
 
 from util import WEBCAM, dataset, make_labeled, make_flow
 
@@ -108,3 +115,101 @@ class TestTransform:
         restored = FeatureSchema.from_dict(schema.to_dict())
         f = make_flow(in_bytes=217, dst_port=443, l7_proto_name="SSL")
         assert np.array_equal(transform(schema, f), transform(restored, f))
+
+
+def _row_values(flow):
+    """A flow's numeric and categorical feature values, in feature order."""
+    numeric = (float(flow.in_bytes), float(flow.out_bytes),
+               float(flow.flow_end_ms - flow.flow_start_ms))
+    return numeric, (flow.ip_protocol, flow.dst_port, flow.l7_proto_name, flow.src_tos,
+                     flow.dst_tos)
+
+
+def reference_transform_many(schema, flows):
+    """The transform one row and one feature at a time, in Python floats:
+    what the column transform must give bit for bit."""
+    out = np.zeros((len(flows), schema.dimension))
+    ranges = [schema.numeric_ranges[name] for name in NUMERIC_FEATURES]
+    blocks, offset = [], len(NUMERIC_FEATURES)
+    for name in CATEGORICAL_FEATURES:
+        blocks.append((offset, {v: i for i, v in enumerate(schema.categories[name])}))
+        offset += len(schema.categories[name])
+    for r, flow in enumerate(flows):
+        numeric, categorical = _row_values(flow)
+        for i, x in enumerate(numeric):
+            lo, hi = ranges[i]
+            out[r, i] = (x - lo) / (hi - lo) if hi > lo else 0.0
+        for (off, index), value in zip(blocks, categorical):
+            j = index.get(value)
+            if j is not None:
+                out[r, off + j] = 1.0
+    return out
+
+
+def reference_fit(flows):
+    """fit_schema one flow at a time: each range the min and max of the
+    training values, each vocabulary in order of first appearance."""
+    numeric, categorical = zip(*map(_row_values, flows))
+    return FeatureSchema(
+        model=WEBCAM,
+        numeric_ranges={name: (min(v), max(v)) for name, v in zip(NUMERIC_FEATURES, zip(*numeric))},
+        categories={name: list(dict.fromkeys(v))
+                    for name, v in zip(CATEGORICAL_FEATURES, zip(*categorical))},
+    )
+
+
+# byte counts and times up to the FlowRecord bound, around 2^53, where
+# float64 stops holding every integer, and small
+_counts = st.one_of(st.integers(0, 5000), st.integers(2**53 - 3, 2**53 + 3),
+                    st.integers(0, 2**64 - 1), st.just(2**64 - 1))
+# each categorical feature's pool: flows and vocabularies both draw from it,
+# so a vocabulary may lack a flow's value
+_POOLS = {"protocol": [1, 6, 17, 47], "l4_dst_port": [53, 80, 123, 443, 8080],
+          "l7_proto_name": ["DNS", "HTTP", "SSL", "", "\u00e9"], "src_tos": [0, 1, 255],
+          "dst_tos": [0, 32, 255]}
+
+
+@st.composite
+def _flows(draw):
+    start, end = sorted((draw(_counts), draw(_counts)))
+    protocol, port, l7, src_tos, dst_tos = (draw(st.sampled_from(pool)) for pool in _POOLS.values())
+    return make_flow(in_bytes=draw(_counts), out_bytes=draw(_counts), flow_start_ms=start,
+                     flow_end_ms=end, ip_protocol=protocol, dst_port=port, l7_proto_name=l7,
+                     src_tos=src_tos, dst_tos=dst_tos)
+
+
+_bounds = st.one_of(st.floats(-1e6, 2.0**65), st.sampled_from([0.0, 2.0**53, 2.0**53 + 2, 2.0**64]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _schemas(draw):
+    ranges = {}
+    for name in NUMERIC_FEATURES:
+        lo, hi = sorted((draw(_bounds), draw(_bounds)))
+        ranges[name] = (lo, lo) if draw(st.booleans()) else (lo, hi)  # hi == lo: constant
+    categories = {name: draw(st.lists(st.sampled_from(pool), unique=True))
+                  for name, pool in _POOLS.items()}
+    return FeatureSchema(model=WEBCAM, numeric_ranges=ranges, categories=categories)
+
+
+@given(schema=_schemas(), flows=st.lists(_flows(), max_size=8))
+def test_column_transform_is_bit_identical_to_the_row_reference(schema, flows):
+    """Batches of 0 to 8 rows, a list or a dataset's kept columns, against
+    any schema: a constant feature, values past 2^53 and unseen values."""
+    expected = reference_transform_many(schema, flows).tobytes()
+    data = FlowDataset([LabeledFlow(f, WEBCAM, "m") for f in flows])
+    # a span near 0 with a count near 2^64 overflows to inf, as in the
+    # reference; numpy warns of it
+    with np.errstate(over="ignore"):
+        assert transform_many(schema, flows).tobytes() == expected
+        assert transform_many(schema, flow_columns(data)).tobytes() == expected
+        assert transform_many(schema, flow_columns(data)).tobytes() == expected
+    assert flow_columns(data) is data.columns
+
+
+@given(flows=st.lists(_flows(), min_size=1, max_size=8))
+def test_schema_fitted_from_columns_is_the_row_reference(flows):
+    schema = fit_schema(FlowDataset([LabeledFlow(f, WEBCAM, "m") for f in flows]), WEBCAM)
+    assert json.dumps(schema.to_dict()) == json.dumps(reference_fit(flows).to_dict())
+
