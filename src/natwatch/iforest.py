@@ -9,12 +9,10 @@ for thresholding is g = 0.5 - s (classify as the model iff g >= th).
 from __future__ import annotations
 
 import base64
-import gc
 import hashlib
 import json
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -74,22 +72,6 @@ class IsolationTree:
     root: TreeNode
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic collector over work that builds many objects and
-    no cycles, where a collection would find nothing. If the caller had it
-    on, the young generation is collected once at the end, at the work's
-    cost rather than at the caller's next allocation, and it is on again."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.collect(0)
-            gc.enable()
-
-
 def _tree_rng(master_seed: int, tree_index: int) -> np.random.Generator:
     # Per-tree stream derived deterministically from (master_seed, index);
     # PCG64 output is platform-independent.
@@ -117,12 +99,24 @@ class IsolationForest:
     sample_count: int  # psi, the subsample each tree was built on
     master_seed: int
     dimension: int
-    # train_forest's linked trees, kept for bench/spans to count; a loaded forest has none
-    trees: list[IsolationTree] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def tree_count(self) -> int:
         return len(self.leaf) >> len(self.values)
+
+    @property
+    def trees(self) -> list[IsolationTree]:
+        """The trees as linked nodes, decoded from _forest_columns on each
+        access. Only bench/spans reads it, to count the nodes; it goes with
+        TreeNode and IsolationTree once the benchmark counts the columns.
+        Read backwards, a preorder meets a split's subtrees before it: a
+        split pops its left child, then its right, off the stack."""
+        _, dims, values = _forest_columns(self)
+        stack = []
+        for dim, value in zip(dims.tolist()[::-1], values.tolist()[::-1]):
+            stack.append(TreeNode(-1, 0.0, int(value)) if dim < 0 else
+                         TreeNode(dim, value, 0, stack.pop(), stack.pop()))
+        return [IsolationTree(root) for root in stack[::-1]]
 
 
 DEFAULT_TREES = 100
@@ -153,12 +147,8 @@ def train_forest(
     n, d = X.shape
     psi = min(subsample, n)
     rngs = [_tree_rng(master_seed, t) for t in range(n_trees)]
-    with _collector_paused():  # the trees are acyclic
-        roots = _grow_trees(X.T, rngs, psi)
-    dims, values = zip(*map(_tree_to_columns, roots))
-    table = _table_from_columns(np.array([*map(len, dims)]), np.concatenate(dims, dtype=np.int32),
-                                np.concatenate(values, dtype=float), d, psi)
-    return _forest_from_table(table, psi, master_seed, d, [IsolationTree(root) for root in roots])
+    table = _table_from_columns(*_grow_trees(X.T, rngs, psi), d, psi)
+    return _forest_from_table(table, psi, master_seed, d)
 
 
 # A numpy pass of _grow_trees takes the next nodes of consecutive trees up
@@ -167,9 +157,11 @@ def train_forest(
 PASS_ROWS = 4096
 
 
-def _grow_trees(cols: np.ndarray, rngs: list, psi: int) -> list[TreeNode]:
-    """The roots of one tree per stream in rngs, grown on the columns cols
-    of the training matrix.
+def _grow_trees(cols: np.ndarray, rngs: list, psi: int) -> tuple:
+    """Format 4's columns (lengths, dims, values) of one tree per stream in
+    rngs, grown on the columns cols of the training matrix: each tree's
+    nodes in preorder, a split as its dim and value, a leaf as -1 and its
+    size.
 
     A tree draws its subsample of psi rows (choice). Then, depth first from
     the root, it splits each node of two or more rows above the height
@@ -186,61 +178,67 @@ def _grow_trees(cols: np.ndarray, rngs: list, psi: int) -> list[TreeNode]:
     rows = np.empty(len(rngs) * psi, dtype=np.intp)
     for t, rng in enumerate(rngs):  # one at a time: choice returns a view of all n rows
         rows[t * psi:(t + 1) * psi] = rng.choice(n, size=psi, replace=False)
-    roots = [TreeNode(-1, 0.0, psi) for _ in rngs]
-    # Each growing tree's stream and its nodes to split, the next on top,
-    # as (node, a, b, depth).
-    growing = [(rng, [(root, t * psi, (t + 1) * psi, 0)])
-               for t, (rng, root) in enumerate(zip(rngs, roots))] if height_limit else []
-    while growing:
+    # Each tree's stream, its columns dims and values so far, and the nodes
+    # it has still to write, the next on top, as slices (a, b, depth).
+    trees = [(rng, [], [], [(t * psi, (t + 1) * psi, 0)]) for t, rng in enumerate(rngs)]
+    growing = trees
+    while True:
+        for _, dims, values, todo in growing:  # the nodes on top that cannot split are leaves
+            while todo and (todo[-1][1] - todo[-1][0] < 2 or todo[-1][2] >= height_limit):
+                a, b, _ = todo.pop()
+                dims.append(-1)
+                values.append(b - a)
+        growing = [tree for tree in growing if tree[3]]
+        if not growing:
+            break
         first = held = 0
-        for last, (_, todo) in enumerate(growing):
-            _, a, b, _ = todo[-1]
+        for last, (*_, todo) in enumerate(growing):
+            a, b, _ = todo[-1]
             if held + b - a > PASS_ROWS and last > first:
-                _split_next(cols, rows, growing[first:last], height_limit)
+                _split_next(cols, rows, growing[first:last])
                 first, held = last, 0
             held += b - a
-        _split_next(cols, rows, growing[first:], height_limit)
-        growing = [tree for tree in growing if tree[1]]
-    return roots
+        _split_next(cols, rows, growing[first:])
+    return (np.array([len(dims) for _, dims, _, _ in trees]),
+            np.concatenate([dims for _, dims, _, _ in trees], dtype=np.int32),
+            np.concatenate([values for _, _, values, _ in trees], dtype=float))
 
 
-def _split_next(cols: np.ndarray, rows: np.ndarray, trees: list, height_limit: int) -> None:
-    """Split the next node of each of trees, (stream, nodes to split) as in
-    _grow_trees, in one numpy pass, and push the children left to split."""
-    nodes, a, b, depth = zip(*[todo.pop() for _, todo in trees])
+def _split_next(cols: np.ndarray, rows: np.ndarray, trees: list) -> None:
+    """Split the next node of each of trees, (stream, dims, values, nodes
+    to write) as in _grow_trees, in one numpy pass: write it, and push its
+    right child, then its left, so that the left is written next."""
+    a, b, depth = zip(*[todo.pop() for *_, todo in trees])
     a = np.array(a)
     size = np.array(b) - a
     taken, at = rows[_slices(a, size)], _starts(size)
     lo, hi = np.empty((len(cols), len(a))), np.empty((len(cols), len(a)))
     for j, col in enumerate(cols):  # one column at a time, not a d x rows block
-        values = col[taken]
-        lo[j] = np.minimum.reduceat(values, at)
-        hi[j] = np.maximum.reduceat(values, at)
+        cells = col[taken]
+        lo[j] = np.minimum.reduceat(cells, at)
+        hi[j] = np.maximum.reduceat(cells, at)
     splittable = hi > lo
     picks = [rng.integers(m) if m else -1
-             for (rng, _), m in zip(trees, splittable.sum(axis=0).tolist())]
+             for (rng, *_), m in zip(trees, splittable.sum(axis=0).tolist())]
     dim = (np.cumsum(splittable, axis=0) <= picks).sum(axis=0)  # the picks-th splittable
     node_no = np.arange(len(a))
     split = [rng.uniform(low, high) if pick >= 0 else math.nan  # nan: all rows go right
-             for (rng, _), low, high, pick in zip(
+             for (rng, *_), low, high, pick in zip(
                  trees, lo[dim, node_no].tolist(), hi[dim, node_no].tolist(), picks)]
     goes_left = cols[np.repeat(dim, size), taken] < np.repeat(split, size)
     n_left = np.add.reduceat(goes_left, at, dtype=np.intp)
     rows[_slices(a, n_left)] = taken[goes_left]
     rows[_slices(a + n_left, size - n_left)] = taken[~goes_left]
-    for (_, todo), node, pick, node_dim, value, start, end, left_size, node_depth in zip(
-            trees, nodes, picks, dim.tolist(), split, a.tolist(), b, n_left.tolist(), depth):
-        if pick < 0:
-            continue  # its rows are all alike: it stays a leaf
+    for (_, dims, values, todo), pick, node_dim, value, start, end, left_size, node_depth in zip(
+            trees, picks, dim.tolist(), split, a.tolist(), b, n_left.tolist(), depth):
+        if pick < 0:  # its rows are all alike: a leaf
+            dims.append(-1)
+            values.append(end - start)
+            continue
+        dims.append(node_dim)
+        values.append(value)
         mid = start + left_size
-        node.split_dim, node.split_value, node.size = node_dim, value, 0
-        node.left = left = TreeNode(-1, 0.0, left_size)
-        node.right = right = TreeNode(-1, 0.0, end - mid)
-        if node_depth + 1 < height_limit:
-            if end - mid > 1:
-                todo.append((right, mid, end, node_depth + 1))
-            if left_size > 1:
-                todo.append((left, start, mid, node_depth + 1))
+        todo += ((mid, end, node_depth + 1), (start, mid, node_depth + 1))
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -356,8 +354,8 @@ def _table_from_columns(lengths: np.ndarray, dims: np.ndarray, values: np.ndarra
 LEVEL_SLOTS_PER_NODE = 4
 
 
-def _forest_from_table(table: NodeTable, sample_count: int, master_seed: int, dimension: int,
-                       trees: Optional[list] = None) -> IsolationForest:
+def _forest_from_table(table: NodeTable, sample_count: int, master_seed: int,
+                       dimension: int) -> IsolationForest:
     """The forest of table's trees, laid out level by level from the rows
     at each slot: a split's children are its next row and its right, a
     leaf's are itself. The levels stop at the deepest leaf, or before
@@ -387,7 +385,7 @@ def _forest_from_table(table: NodeTable, sample_count: int, master_seed: int, di
         below = NodeTable(table.dim[keep], table.value[keep], at[table.right[keep]].astype(np.int32),
                           table.leaf[keep], table.size, at[row], table.steps - len(dims))
     return IsolationForest(dims, values, table.leaf.take(row), below, table.size, sample_count,
-                           master_seed, dimension, trees or [])
+                           master_seed, dimension)
 
 
 def _forest_paths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
@@ -492,25 +490,12 @@ class ModelArtifact:
         return self.calibrated_thresholds[selector]
 
 
-def _tree_to_columns(root: TreeNode) -> list:
-    """The tree's nodes in preorder as two columns [dims, values]: a split
-    is its dim and value, a leaf is -1 and its size."""
-    dims, values, stack = [], [], [root]
-    while stack:
-        node = stack.pop()
-        dims.append(node.split_dim)  # -1 at a leaf
-        values.append(node.size if node.split_dim < 0 else node.split_value)
-        if node.split_dim >= 0:
-            stack += (node.right, node.left)
-    return [dims, values]
-
-
-def _forest_to_dict(forest: IsolationForest) -> dict:
-    """Format 4, written from the levels: a leaf is -1 and its size. A
-    split at level k, slot j, ranks in preorder by j << (K - k), K the last
-    level, and then by k, its ancestors first. Each slot of level K a row
-    can reach comes after them: the leaf on it or copied down to it, or
-    the nodes of its subtree in below, in below's order."""
+def _forest_columns(forest: IsolationForest) -> tuple:
+    """Format 4's columns (lengths, dims, values), read off the levels: a
+    leaf is -1 and its size. A split at level k, slot j, ranks in preorder
+    by j << (K - k), K the last level, and then by k, its ancestors first.
+    Each slot of level K a row can reach comes after them: the leaf on it or
+    copied down to it, or the nodes of its subtree in below, in below's order."""
     K, trees = len(forest.values), forest.tree_count
     splits = [value > -math.inf for value in forest.values]
     reached = np.ones(trees, dtype=bool)
@@ -530,11 +515,15 @@ def _forest_to_dict(forest: IsolationForest) -> dict:
     order = np.lexsort((np.repeat(np.arange(K + 1), [*map(len, at), len(low_dims)]), keys))
     dims = np.concatenate([dim[j] for dim, j in zip(forest.dims, at)] + [low_dims])
     values = np.concatenate([value[j] for value, j in zip(forest.values, at)] + [low_values])
-    columns = (np.bincount(keys >> K, minlength=trees), dims[order], values[order])
+    return np.bincount(keys >> K, minlength=trees), dims[order], values[order]
+
+
+def _forest_to_dict(forest: IsolationForest) -> dict:
+    """Format 4: the forest's parameters and its columns (_forest_columns)."""
     return {"sample_count": forest.sample_count, "master_seed": forest.master_seed,
             "dimension": forest.dimension,
             **{name: base64.b64encode(column.astype(dtype).tobytes()).decode()
-               for (name, dtype), column in zip(FOREST_COLUMNS.items(), columns)}}
+               for (name, dtype), column in zip(FOREST_COLUMNS.items(), _forest_columns(forest))}}
 
 
 def _column(d: dict, name: str) -> np.ndarray:

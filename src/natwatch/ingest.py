@@ -216,10 +216,16 @@ def parse_dns_jsonl(path) -> tuple[list[DnsEvent], list[RejectedRow]]:
                 if not line:
                     continue
                 obj = json.loads(line)
+                if type(obj) is not dict:
+                    raise ValueError(f"line {line:.30}: not an object")
                 label = obj.get("label")
                 label = None if label is None or label == "" else parse_label(
                     _exact(label, str, "label"))
-                fields = {name: _exact(obj[key], kind, key) for key, name, kind in _DNS_KEYS}
+                fields = {}
+                for key, name, kind in _DNS_KEYS:
+                    if key not in obj:
+                        raise ValueError(f"missing key {key}")
+                    fields[name] = _exact(obj[key], kind, key)
                 fields["qname"] = normalize_qname(fields["qname"])
                 event = DnsEvent(**fields, label=label)
             # RecursionError: JSON nested deeper than the parser's stack

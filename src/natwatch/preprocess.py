@@ -183,6 +183,7 @@ def transform_many(schema: FeatureSchema,
                     for v in values], dtype=np.intp)
     hot = lut[columns.codes]
     out[np.arange(n), hot] = hot > 0
-    np.divide(columns.numeric - schema._lo, schema._span, out=out[:, :len(NUMERIC_FEATURES)],
-              where=schema._scaled)
+    with np.errstate(over="ignore"):  # a loaded span may be subnormal: the value is inf
+        np.divide(columns.numeric - schema._lo, schema._span, out=out[:, :len(NUMERIC_FEATURES)],
+                  where=schema._scaled)
     return out

@@ -46,6 +46,7 @@ from natwatch.synth import (
 )
 
 from netflow_encoder import build_datagram, encode_data_flowset, encode_template_flowset
+from test_iforest import reference_forest_from_dict
 from util import make_labeled
 
 
@@ -87,8 +88,8 @@ def test_criterion_1_isolation_forest_correctness():
             max_err = max(max_err, abs(c_factor(n) - exact))
         assert max_err < 0.01
 
-        # the scoring walk's path lengths vs the recursive oracle on the linked
-        # trees, on tiny trees (psi <= 8, dim <= 2)
+        # the scoring walk's path lengths vs the recursive oracle on the saved
+        # trees, decoded node by node, on tiny trees (psi <= 8, dim <= 2)
         rng = np.random.default_rng(0)
         checked = 0
         for trial in range(200):
@@ -96,7 +97,7 @@ def test_criterion_1_isolation_forest_correctness():
             d = int(rng.integers(1, 3))
             X = rng.uniform(size=(n, d))
             forest = train_forest(X, n_trees=4, subsample=8, master_seed=trial)
-            for t, tree in enumerate(forest.trees):
+            for t, tree in enumerate(reference_forest_from_dict(iforest._forest_to_dict(forest))):
                 queries = rng.uniform(-0.5, 1.5, size=(10, d))
                 # the tree's row of the walk that scores every batch
                 walked = iforest._forest_paths(forest, queries)[t]

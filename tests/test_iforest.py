@@ -2,7 +2,6 @@ import base64
 import binascii
 import errno
 import functools
-import gc
 import hashlib
 import io
 import json
@@ -80,6 +79,19 @@ def _reference_node(X, idx, depth, height_limit, rng) -> TreeNode:
     )
 
 
+def preorder_columns(root: TreeNode) -> list:
+    """A linked tree's nodes in preorder as two columns [dims, values]: a
+    split is its dim and value, a leaf is -1 and its size."""
+    dims, values, stack = [], [], [root]
+    while stack:
+        node = stack.pop()
+        dims.append(node.split_dim)  # -1 at a leaf
+        values.append(node.size if node.split_dim < 0 else node.split_value)
+        if node.split_dim >= 0:
+            stack += (node.right, node.left)
+    return [dims, values]
+
+
 @st.composite
 def training_matrices(draw):
     """An (n, d) matrix, n in 1..300 and d in 1..8, of real, integer-valued,
@@ -111,9 +123,8 @@ def test_train_forest_grows_the_reference_trees(X, subsample, n_trees, seed, pas
         forest = train_forest(X, n_trees, subsample, seed)
     finally:
         iforest.PASS_ROWS = default
-    columns = iforest._tree_to_columns
-    assert [columns(tree.root) for tree in forest.trees] == \
-        [columns(reference_tree(X, subsample, seed, t)) for t in range(n_trees)]
+    assert decode_trees(iforest._forest_to_dict(forest)) == \
+        [preorder_columns(reference_tree(X, subsample, seed, t)) for t in range(n_trees)]
 
 
 def linked_path_length(tree: IsolationTree, x) -> float:
@@ -150,12 +161,10 @@ CHUNK_EDGES = [1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 1]
        query_seed=st.integers(0, 2**32 - 1))
 def test_node_table_adds_every_trees_path_length(X, subsample, n_trees, seed, rows, query_seed):
     """A batch of one or more chunks of rows, NaN and +-inf cells among
-    them, scores bit for bit as the path lengths of the linked trees add
-    up in forest order, and as its rows score in a batch of another size;
-    the trained forest saves the linked trees node for node."""
+    them, scores bit for bit as the path lengths of the saved trees, decoded
+    node by node, add up in forest order, and as its rows score in a batch
+    of another size."""
     forest = train_forest(X, n_trees, subsample, seed)
-    assert decode_trees(iforest._forest_to_dict(forest)) == \
-        [iforest._tree_to_columns(tree.root) for tree in forest.trees]
     rng = np.random.default_rng(query_seed)
     # training rows, some moved off the values the trees split between
     Q = X[rng.integers(0, len(X), rows)] + rng.normal(size=(rows, X.shape[1])) \
@@ -164,7 +173,8 @@ def test_node_table_adds_every_trees_path_length(X, subsample, n_trees, seed, ro
     Q[cells < 0.1], Q[(0.1 <= cells) & (cells < 0.15)] = math.nan, math.inf
     Q[(0.15 <= cells) & (cells < 0.2)] = -math.inf
     scores = anomaly_scores(forest, Q)
-    expected = reference_scores(forest.trees, forest.sample_count, Q)
+    expected = reference_scores(reference_forest_from_dict(iforest._forest_to_dict(forest)),
+                                forest.sample_count, Q)
     assert scores.shape == (rows,) and scores.tobytes() == expected.tobytes()
     if rows:  # the same rows repeated past the next chunk boundary
         tiled = anomaly_scores(forest, np.tile(Q, (CHUNK_ROWS // rows + 1, 1)))[:rows]
@@ -336,7 +346,7 @@ class TestTrainForest:
     def test_height_limit(self):
         X = np.random.default_rng(4).normal(size=(500, 3))
         forest = train_forest(X, n_trees=3, subsample=256, master_seed=0)
-        for tree in forest.trees:
+        for tree in reference_forest_from_dict(iforest._forest_to_dict(forest)):
             deepest, stack = 0, [(tree.root, 0)]
             while stack:
                 node, depth = stack.pop()
@@ -909,12 +919,27 @@ def test_schema_edits_load_as_corrupt_artifacts(data):
 
 
 class TestArtifact:
+    def test_trees_view_encodes_back_to_the_columns(self, monkeypatch):
+        """A trained and a loaded forest's linked trees, which the benchmark
+        counts, are its columns node for node: 2 x leaves - trees nodes. The
+        loaded one lays out fewer levels and keeps more nodes below them."""
+        trained = train_forest(np.random.default_rng(5).normal(size=(300, 3)), n_trees=20)
+        monkeypatch.setattr(iforest, "LEVEL_SLOTS_PER_NODE", 1)
+        loaded = iforest._forest_from_dict(iforest._forest_to_dict(trained))
+        assert len(loaded.values) < len(trained.values)
+        for forest in (trained, loaded):
+            trees = [preorder_columns(tree.root) for tree in forest.trees]
+            lengths, dims, values = iforest._forest_columns(forest)
+            assert [len(tree_dims) for tree_dims, _ in trees] == lengths.tolist()
+            assert [dim for tree_dims, _ in trees for dim in tree_dims] == dims.tolist()
+            assert [value for _, tree_values in trees for value in tree_values] == values.tolist()
+            assert len(dims) == 2 * len(forest.size) - forest.tree_count
+
     def test_round_trip_scores_identical(self, tmp_path):
         artifact = small_artifact()
         path = tmp_path / "model.json"
         save_artifact(artifact, path)
         restored = load_artifact(path)
-        assert restored.forest.trees == []  # a loaded forest is its levels alone
         assert restored.model == WEBCAM
         assert restored.calibrated_thresholds == {10: -0.03}
         assert restored.training_flow_count == 3
@@ -1083,39 +1108,6 @@ class TestArtifact:
         write_with_checksum(path, payload)
         with pytest.raises(ArtifactError, match=f"^corrupt-artifact: .*{reason}"):
             load_artifact(path)
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-    @pytest.mark.parametrize("call", ["trains"])
-    def test_load_pauses_and_restores_the_collector(self, monkeypatch, enabled, call):
-        """train_forest builds its nodes with the collector off, then
-        restores the caller's setting and leaves no collection to the
-        caller's next allocations."""
-        # thousands of nodes, more than the young generation's threshold
-        X = np.random.default_rng(13).uniform(size=(256, small_artifact().schema.dimension))
-        during = []
-        build = iforest._grow_trees
-        monkeypatch.setattr(iforest, "_grow_trees",
-                            lambda *args: during.append(gc.isenabled()) or build(*args))
-        collections = []
-
-        def record(phase, info):
-            collections.append(phase)
-
-        was = gc.isenabled()
-        (gc.enable if enabled else gc.disable)()
-        try:
-            forest = train_forest(X, n_trees=20, subsample=256, master_seed=0)
-            assert gc.isenabled() is enabled
-            gc.callbacks.append(record)
-            try:
-                [[] for _ in range(3)]  # the caller's next allocations
-            finally:
-                gc.callbacks.remove(record)
-        finally:
-            (gc.enable if was else gc.disable)()
-        assert during == [False]
-        assert collections == []  # no collection was left for the caller's allocations
-        assert forest.tree_count == 20
 
     def test_a_deep_chain_at_the_largest_psi_loads_and_scores_in_bounded_memory(self, tmp_path):
         """psi 2^53 - 1 lets a tree be 52 splits deep. One chain that deep

@@ -264,6 +264,18 @@ class TestParseDnsJsonl:
         assert [(r.line_no, r.reason.split(":")[0]) for r in rejected] == [(1, "malformed")]
         assert key in rejected[0].reason
 
+    @pytest.mark.parametrize("line", ["[1]", '"x"', "1", "NaN", "null"])
+    def test_line_that_is_not_an_object_is_rejected_by_name(self, line, tmp_path):
+        path = tmp_path / "dns.jsonl"
+        path.write_text(line + "\n")
+        reason = f"malformed:line {line}: not an object"
+        assert parse_dns_jsonl(path) == ([], [RejectedRow(1, reason)])
+
+    def test_line_missing_a_key_is_rejected_by_name(self, tmp_path):
+        path = tmp_path / "dns.jsonl"
+        path.write_text('{"src_ip":"a","ip_id":7,"resolver_ip":"b","qname":"x.com"}\n')
+        assert parse_dns_jsonl(path) == ([], [RejectedRow(1, "malformed:missing key ts_ms")])
+
     @pytest.mark.parametrize("label", [0, False, [], {}, 7, 1.5, True, ["a.b.c"]])
     def test_label_that_is_not_a_string_is_rejected(self, label, tmp_path):
         path = tmp_path / "dns.jsonl"

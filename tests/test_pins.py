@@ -13,7 +13,7 @@ import json
 from datetime import datetime, timezone
 from types import SimpleNamespace
 
-from natwatch import detect
+from natwatch import detect, iforest
 from natwatch.cli import main
 from natwatch.detect import TrainConfig, train_pipeline
 from natwatch.flowdata import DeviceModelId, chronological_split
@@ -35,14 +35,16 @@ G_HEX = ["-0x1.31b029f316028p-4", "0x1.7b015736f3240p-8", "0x1.94c072c200cf0p-5"
 AUDIT_SHA256 = "d874c52ec58023f02438b64ea502f3f0e01da5a9888afb346198d135bb20cdec"
 
 
-@functools.lru_cache(maxsize=1)
-def _trained():
+def _train():
     """separable-13 at 200 flows per device (seed 1), the first IoT model
     trained at master seed 3 (psi 140), and its test split."""
     dataset = generate_flows(builtin_scenario("separable-13", flows_per_device=200, seed=1))
     model = next(lf.label for lf in dataset if isinstance(lf.label, DeviceModelId))
     artifact = train_pipeline(dataset, TrainConfig(model=model, master_seed=3))
     return model, artifact, chronological_split(dataset).test
+
+
+_trained = functools.lru_cache(maxsize=1)(_train)
 
 
 def _forest_sha256(forest) -> str:
@@ -99,6 +101,16 @@ def test_a_seed_gives_the_pinned_forest_and_g(tmp_path):
         assert [float(g).hex() for g in normality_scores(artifact.forest, X)[:5]] == G_HEX
     assert [float(normality_scores(artifact.forest, X[i:i + 1])[0]).hex()
             for i in range(5)] == G_HEX
+
+
+def test_training_makes_no_linked_node(monkeypatch):
+    """The pinned forest grows straight into its columns: not one TreeNode."""
+    def no_node(*args, **kwargs):
+        raise AssertionError("training made a TreeNode")
+
+    monkeypatch.setattr(iforest, "TreeNode", no_node)
+    _model, artifact, _test = _train()
+    assert _forest_sha256(artifact.forest) == FOREST_SHA256
 
 
 def test_a_seed_gives_the_pinned_flows_csv(tmp_path):

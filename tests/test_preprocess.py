@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,17 @@ class TestTransform:
         X = transform_many(schema, flows)
         for i, f in enumerate(flows):
             assert np.array_equal(X[i], transform(schema, f))
+
+    def test_overflow_past_a_subnormal_span_is_inf_without_a_warning(self):
+        """A loaded schema may hold a span no fit gives: a scaled value past
+        the largest double is inf, quietly."""
+        d = fit_schema(training_set(), WEBCAM).to_dict()
+        d["numeric_ranges"]["in_bytes"] = [0.0, 5e-324]
+        schema = FeatureSchema.from_dict(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = transform_many(schema, [make_flow(in_bytes=2**63)])
+        assert v[0, 0] == np.inf
 
     def test_serialization_round_trip(self):
         schema = fit_schema(training_set(), WEBCAM)
