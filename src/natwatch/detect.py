@@ -20,7 +20,6 @@ from natwatch.flowdata import (
     DeviceModelId,
     FlowDataset,
     FlowRecord,
-    chronological_split,
     filter_model,
 )
 from natwatch.iforest import (
@@ -57,9 +56,10 @@ class TrainConfig:
 
 
 def train_pipeline(dataset: FlowDataset, cfg: TrainConfig) -> ModelArtifact:
-    """Full per-model training: chronological split, model filtering,
-    schema fit, forest training, and threshold calibration."""
-    split = chronological_split(dataset)
+    """Full per-model training: chronological split (the dataset's kept
+    one), model filtering, schema fit, forest training, and threshold
+    calibration."""
+    split = dataset.split
     training = filter_model(split.training, cfg.model)
     validation = filter_model(split.validation, cfg.model)
     if len(training) == 0:

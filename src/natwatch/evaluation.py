@@ -8,11 +8,12 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
-from natwatch.flowdata import FlowDataset, flow_duration
+from natwatch.flowdata import FlowDataset, filter_model
 from natwatch.iforest import ModelArtifact, normality_scores
 from natwatch.preprocess import InsufficientDataError, flow_columns, transform_many
 
@@ -57,9 +58,10 @@ def time_to_detect(model_flows: FlowDataset, compute_s: float = 0.0) -> float:
     flows = [lf.flow for lf in model_flows]
     if len(flows) < 2:
         raise InsufficientDataError("insufficient-data: need >= 2 flows to estimate IAT")
-    starts = [f.flow_start_ms for f in flows]
+    starts = list(map(attrgetter("flow_start_ms"), flows))
     mean_iat_s = (max(starts) - min(starts)) / (len(starts) - 1) / 1000.0
-    mean_dur_s = sum(flow_duration(f) for f in flows) / len(flows) / 1000.0
+    # the exact integer sum of the durations, as sum(end) - sum(start)
+    mean_dur_s = (sum(map(attrgetter("flow_end_ms"), flows)) - sum(starts)) / len(flows) / 1000.0
     return mean_iat_s + mean_dur_s + compute_s
 
 
@@ -103,8 +105,7 @@ def evaluate_artifact(
     points, auc = roc(g, labels)
 
     try:
-        ttd = time_to_detect(FlowDataset([test.flows[i] for i in np.flatnonzero(labels)]),
-                             per_flow)
+        ttd = time_to_detect(filter_model(test, artifact.model), per_flow)
     except InsufficientDataError:
         ttd = None
 

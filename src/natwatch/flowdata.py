@@ -165,8 +165,9 @@ class FlowDataset:
     """Ordered collection of labeled flows.
 
     Nothing changes `flows` once the dataset is made, so what is derived
-    from them is built at first use and kept: the label codes, and the
-    raw feature columns that preprocess.flow_columns puts in `columns`.
+    from them is built at first use and kept: the label codes, the
+    chronological split at the default ratios, and the raw feature
+    columns that preprocess.flow_columns puts in `columns`.
     """
 
     flows: list[LabeledFlow] = field(default_factory=list)
@@ -183,6 +184,12 @@ class FlowDataset:
         codes = {label: i for i, label in enumerate(dict.fromkeys(map(labels, self.flows)))}
         return codes, np.fromiter(map(codes.__getitem__, map(labels, self.flows)), np.intp,
                                   len(self.flows))
+
+    @cached_property
+    def split(self) -> DatasetSplit:
+        """chronological_split(self) at the default ratios, so that every
+        model trained from this dataset trains from one split."""
+        return chronological_split(self)
 
     def __iter__(self) -> Iterator[LabeledFlow]:
         return iter(self.flows)
@@ -285,5 +292,8 @@ def chronological_split(
 
 
 def filter_model(dataset: FlowDataset, m: DeviceModelId) -> FlowDataset:
-    """Keep exactly the flows labeled with model m (all three segments match)."""
-    return FlowDataset([lf for lf in dataset.flows if lf.label == m])
+    """Keep exactly the flows labeled with model m (all three segments
+    match), in input order, selected by the dataset's label codes."""
+    code_of, codes = dataset.label_codes
+    flows = dataset.flows
+    return FlowDataset([flows[i] for i in np.flatnonzero(codes == code_of.get(m, -1)).tolist()])

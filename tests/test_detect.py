@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from natwatch import detect, evaluation
+from natwatch import detect, evaluation, flowdata
 from natwatch.detect import (
     ActionPolicy,
     Detector,
@@ -34,9 +34,11 @@ from natwatch.iforest import (
     ModelArtifact,
     normality_score,
     normality_scores,
+    save_artifact,
     train_forest,
 )
 from natwatch.preprocess import InsufficientDataError, fit_schema, transform, transform_many
+from natwatch.synth import builtin_scenario, generate_flows
 
 from util import WEBCAM, make_flow, make_labeled
 
@@ -129,6 +131,40 @@ class TestTrainPipeline:
         # 3 flows split 0.70/0.10/0.20 -> boundaries 2 and 2, empty validation
         artifact = train_pipeline(ds, TrainConfig(model=WEBCAM, n_trees=5))
         assert artifact.calibrated_thresholds == {}
+
+    def test_models_of_one_dataset_train_from_one_split(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return chronological_split(*args, **kwargs)
+
+        monkeypatch.setattr(flowdata, "chronological_split", counted)
+        ds = generate_flows(builtin_scenario("separable-13", flows_per_device=40, seed=1))
+        models = sorted({lf.label for lf in ds if isinstance(lf.label, DeviceModelId)},
+                        key=str)[:2]
+        for model in models:
+            train_pipeline(ds, TrainConfig(model=model, n_trees=5, subsample=16))
+        assert len(calls) == 1
+
+    def test_one_shared_dataset_gives_the_artifacts_of_fresh_copies(self, tmp_path):
+        """All 13 models of separable-13, trained from one dataset (one
+        kept split), save the same bytes as each trained from a copy of
+        its own."""
+        shared = generate_flows(builtin_scenario("separable-13", flows_per_device=200, seed=1))
+        models = sorted({lf.label for lf in shared if isinstance(lf.label, DeviceModelId)},
+                        key=str)
+        assert len(models) == 13
+
+        def saved(dataset, model, name):
+            artifact = train_pipeline(dataset, TrainConfig(model=model, master_seed=3))
+            artifact.trained_at = "2019-06-01T12:00:00+00:00"
+            save_artifact(artifact, tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        for model in models:
+            fresh = FlowDataset(list(shared.flows))
+            assert saved(shared, model, "shared.json") == saved(fresh, model, "fresh.json")
 
 
 class TestCalibrateThreshold:

@@ -203,6 +203,15 @@ class TestTimeToDetect:
         )
         assert time_to_detect(flows) == pytest.approx(20.0)
 
+    def test_durations_past_2_53_sum_exactly(self):
+        # 2^53 + 1 has no float64, so a sum of float durations loses its 1 ms
+        flows = dataset(
+            make_labeled(flow_start_ms=0, flow_end_ms=2**53 + 1),
+            make_labeled(flow_start_ms=1000, flow_end_ms=1001),
+        )
+        assert time_to_detect(flows) == 1.0 + (2**53 + 2) / 2 / 1000.0
+        assert time_to_detect(flows) != 1.0 + (2.0**53 + 1.0) / 2 / 1000.0
+
 
 class TestEvaluateArtifact:
     def _setup(self):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from natwatch.flowdata import (
     NON_IOT,
@@ -209,6 +211,20 @@ class TestChronologicalSplit:
         with pytest.raises(ConfigError):
             chronological_split(dataset(*_device_flows("m1", 10)), (0.5, 0.2, 0.2))
 
+    def test_kept_split_is_built_once_at_the_default_ratios(self):
+        d = dataset(*_device_flows("m1", 10))
+        split = d.split
+        assert d.split is split
+        assert split == chronological_split(d)
+
+    def test_other_ratios_split_afresh(self):
+        d = dataset(*_device_flows("m1", 10))
+        kept = d.split
+        other = chronological_split(d, (0.5, 0.3, 0.2))
+        assert (len(other.training), len(other.validation), len(other.test)) == (5, 3, 2)
+        assert d.split is kept
+        assert len(kept.training) == 7
+
 
 class TestFilterModel:
     def test_keeps_only_matching(self):
@@ -232,6 +248,17 @@ class TestFilterModel:
         kept = filter_model(d, WEBCAM)
         complement = [lf for lf in d if lf.label != WEBCAM]
         assert len(kept) + len(complement) == len(d)
+
+
+NEAR_MISS = DeviceModelId("webcam", "D_Link", "DCS_942L")  # WEBCAM but for its version
+OTHER = DeviceModelId("socket", "TP_Link", "HS110")
+
+
+@given(labels=st.lists(st.sampled_from([None, NON_IOT, WEBCAM, OTHER, NEAR_MISS]), max_size=40),
+       model=st.sampled_from([WEBCAM, OTHER, NEAR_MISS, DeviceModelId("tv", "LG", "OLED55")]))
+def test_filter_model_keeps_the_flows_labeled_model_in_order(labels, model):
+    flows = [make_labeled(label=label, dst_port=i) for i, label in enumerate(labels)]
+    assert filter_model(dataset(*flows), model).flows == [lf for lf in flows if lf.label == model]
 
 
 def test_label_codes_follow_first_appearance():
