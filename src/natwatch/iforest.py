@@ -135,7 +135,11 @@ def train_forest(
     subsample and splits from an independent derived stream, so forests
     sharing a seed share their first k trees regardless of n_trees. The
     trees grow together (_grow_trees), each from its own stream, which
-    gives each the same draws as growing it alone.
+    gives each the same draws as growing it alone. Those draws replay
+    numpy's Generator.integers and Generator.uniform from the stream's raw
+    words (_Draws), so a NEP 19 change to either call makes the forest
+    differ from test_iforest's reference trees, which make the calls, and
+    from the pins, rather than being silently absorbed.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be at least 1, got {n_trees}")
@@ -147,7 +151,7 @@ def train_forest(
     n, d = X.shape
     psi = min(subsample, n)
     rngs = [_tree_rng(master_seed, t) for t in range(n_trees)]
-    table = _table_from_columns(*_grow_trees(X.T, rngs, psi), d, psi)
+    table = _table_from_columns(*_grow_trees(X, rngs, psi), d, psi)
     return _forest_from_table(table, psi, master_seed, d)
 
 
@@ -157,9 +161,70 @@ def train_forest(
 PASS_ROWS = 4096
 
 
-def _grow_trees(cols: np.ndarray, rngs: list, psi: int) -> tuple:
+class _Draws:
+    """The draws of numpy's Generator that growing a tree makes,
+    integers(m) and uniform(low, high), replayed for many trees at once from
+    the raw 64-bit words of each tree's PCG64 stream, by numpy's algorithms:
+    the numbers the calls give, which leave each stream where they would.
+    Each stream's words are drawn `ahead` at a time, and again when they run
+    out. Refuses (ValueError) a stream of another bit generator."""
+
+    def __init__(self, rngs: list, ahead: int):
+        states = [rng.bit_generator.state for rng in rngs]
+        if any(state["bit_generator"] != "PCG64" for state in states):
+            raise ValueError("only PCG64 streams can be replayed")
+        self.rngs = rngs
+        # integers draws 32-bit halves: the low half of a new word, and
+        # its high half, held for the next call
+        self.held = np.array([state["has_uint32"] for state in states], dtype=bool)
+        self.half = np.array([state["uinteger"] for state in states], dtype=np.uint64)
+        self.words = np.stack([rng.bit_generator.random_raw(ahead) for rng in rngs])
+        self.used = np.zeros(len(rngs), dtype=np.intp)
+
+    def _next_words(self, trees: np.ndarray) -> np.ndarray:
+        """The next word of the streams of trees, distinct indices."""
+        for t in trees[self.used[trees] == self.words.shape[1]].tolist():
+            self.words[t] = self.rngs[t].bit_generator.random_raw(self.words.shape[1])
+            self.used[t] = 0
+        words = self.words[trees, self.used[trees]]
+        self.used[trees] += 1
+        return words
+
+    def integers(self, trees: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """integers(m) of each of trees: Lemire's draw of a 32-bit half x,
+        x * m >> 32 unless the low 32 bits of x * m fall below (2^32 - m)
+        mod m, when it draws again. m = 1 draws nothing, nor does m = 0,
+        where numpy raises: 0 for both."""
+        pick = np.zeros(len(trees), dtype=np.int64)
+        at = np.flatnonzero(m > 1)
+        trees, m = trees[at], m[at].astype(np.uint64)
+        while at.size:
+            held = self.held[trees]
+            fresh = trees[~held]
+            words = self._next_words(fresh)
+            x = self.half[trees]
+            x[~held] = words & 0xFFFFFFFF
+            self.half[fresh] = words >> 32
+            self.held[trees] = ~held
+            x *= m
+            pick[at] = x >> 32
+            again = (x & 0xFFFFFFFF) < (2**32 - m) % m
+            at, trees, m = at[again], trees[again], m[again]
+        return pick
+
+    def uniform(self, trees: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        """uniform(low, high) of each of trees: low + (high - low) times a
+        whole word's top 53 bits over 2^53. A held half stays held."""
+        with np.errstate(over="ignore"):  # refused below, without a warning, as uniform does
+            span = high - low
+        if not np.isfinite(span).all():
+            raise OverflowError("high - low range exceeds valid bounds")
+        return low + span * ((self._next_words(trees) >> 11) * 2.0**-53)
+
+
+def _grow_trees(X: np.ndarray, rngs: list, psi: int) -> tuple:
     """Format 4's columns (lengths, dims, values) of one tree per stream in
-    rngs, grown on the columns cols of the training matrix: each tree's
+    rngs, grown on the rows of the training matrix X: each tree's
     nodes in preorder, a split as its dim and value, a leaf as -1 and its
     size.
 
@@ -169,87 +234,88 @@ def _grow_trees(cols: np.ndarray, rngs: list, psi: int) -> tuple:
     they differ (integers), at a value between their least and greatest
     (uniform); the rows below the value go left. The trees grow in rounds,
     in which each tree splits its next node, so each draws from its own
-    stream in the order it would alone.
+    stream in the order it would alone; _Draws replays those draws for all
+    of a pass's trees at once.
     """
-    n = cols.shape[1]
-    height_limit = math.ceil(math.log2(psi))
-    # Every tree's subsample, end to end: a node is a slice [a, b) of rows,
-    # and its split orders the slice as its left child's rows, then its right's.
-    rows = np.empty(len(rngs) * psi, dtype=np.intp)
+    n_trees, height_limit = len(rngs), math.ceil(math.log2(psi))
+    # Every tree's subsample, end to end: a node is a slice [a, a + size) of
+    # rows, and its split orders it as its left child's rows, then its right's.
+    rows = np.empty(n_trees * psi, dtype=np.intp)
     for t, rng in enumerate(rngs):  # one at a time: choice returns a view of all n rows
-        rows[t * psi:(t + 1) * psi] = rng.choice(n, size=psi, replace=False)
-    # Each tree's stream, its columns dims and values so far, and the nodes
-    # it has still to write, the next on top, as slices (a, b, depth).
-    trees = [(rng, [], [], [(t * psi, (t + 1) * psi, 0)]) for t, rng in enumerate(rngs)]
-    growing = trees
-    while True:
-        for _, dims, values, todo in growing:  # the nodes on top that cannot split are leaves
-            while todo and (todo[-1][1] - todo[-1][0] < 2 or todo[-1][2] >= height_limit):
-                a, b, _ = todo.pop()
-                dims.append(-1)
-                values.append(b - a)
-        growing = [tree for tree in growing if tree[3]]
-        if not growing:
-            break
-        first = held = 0
-        for last, (*_, todo) in enumerate(growing):
-            a, b, _ = todo[-1]
-            if held + b - a > PASS_ROWS and last > first:
-                _split_next(cols, rows, growing[first:last])
-                first, held = last, 0
-            held += b - a
-        _split_next(cols, rows, growing[first:])
-    return (np.array([len(dims) for _, dims, _, _ in trees]),
-            np.concatenate([dims for _, dims, _, _ in trees], dtype=np.int32),
-            np.concatenate([values for _, _, values, _ in trees], dtype=float))
+        rows[t * psi:(t + 1) * psi] = rng.choice(len(X), size=psi, replace=False)
+    draws = _Draws(rngs, 3 * psi // 2 + 1)  # a split takes at most a word and a half
+    # A node is (a, size, depth, rank, tree). Its rank orders its tree's
+    # nodes in preorder: at depth k and position j, (j << (height_limit - k))
+    # * (height_limit + 1) + k, which sorts as _forest_columns ranks levels'
+    # slots. Each tree's nodes still to split stand on its stack, the next on
+    # top: tree t's stack takes the rows of stack from t * (height_limit + 2),
+    # and top is its next free row.
+    tree = np.arange(n_trees)
+    stack = np.empty((n_trees * (height_limit + 2), 5), dtype=np.int64)
+    bottom = tree * (height_limit + 2)
+    top = bottom.copy()
+    written, dims, values = [], [], []  # every node's (rank, tree), dim and value, in any order
 
+    def make(nodes):
+        """Write each node of nodes (k, c, 5) that cannot split as a leaf,
+        and push each other one, nodes[:, 0] first."""
+        leaf = (nodes[..., 1] < 2) | (nodes[..., 2] >= height_limit)
+        written.append(nodes[..., 3:][leaf])
+        dims.append(np.full(len(written[-1]), -1))
+        values.append(nodes[..., 1][leaf])
+        pushed, trees = ~leaf, nodes[:, 0, 4]
+        place = top[trees, None] + np.cumsum(pushed, axis=1) - pushed
+        stack[place[pushed]] = nodes[pushed]
+        top[trees] += pushed.sum(axis=1)
 
-def _split_next(cols: np.ndarray, rows: np.ndarray, trees: list) -> None:
-    """Split the next node of each of trees, (stream, dims, values, nodes
-    to write) as in _grow_trees, in one numpy pass: write it, and push its
-    right child, then its left, so that the left is written next."""
-    a, b, depth = zip(*[todo.pop() for *_, todo in trees])
-    a = np.array(a)
-    size = np.array(b) - a
-    taken, at = rows[_slices(a, size)], _starts(size)
-    lo, hi = np.empty((len(cols), len(a))), np.empty((len(cols), len(a)))
-    for j, col in enumerate(cols):  # one column at a time, not a d x rows block
-        cells = col[taken]
-        lo[j] = np.minimum.reduceat(cells, at)
-        hi[j] = np.maximum.reduceat(cells, at)
-    splittable = hi > lo
-    picks = [rng.integers(m) if m else -1
-             for (rng, *_), m in zip(trees, splittable.sum(axis=0).tolist())]
-    dim = (np.cumsum(splittable, axis=0) <= picks).sum(axis=0)  # the picks-th splittable
-    node_no = np.arange(len(a))
-    split = [rng.uniform(low, high) if pick >= 0 else math.nan  # nan: all rows go right
-             for (rng, *_), low, high, pick in zip(
-                 trees, lo[dim, node_no].tolist(), hi[dim, node_no].tolist(), picks)]
-    goes_left = cols[np.repeat(dim, size), taken] < np.repeat(split, size)
-    n_left = np.add.reduceat(goes_left, at, dtype=np.intp)
-    rows[_slices(a, n_left)] = taken[goes_left]
-    rows[_slices(a + n_left, size - n_left)] = taken[~goes_left]
-    for (_, dims, values, todo), pick, node_dim, value, start, end, left_size, node_depth in zip(
-            trees, picks, dim.tolist(), split, a.tolist(), b, n_left.tolist(), depth):
-        if pick < 0:  # its rows are all alike: a leaf
-            dims.append(-1)
-            values.append(end - start)
-            continue
-        dims.append(node_dim)
-        values.append(value)
-        mid = start + left_size
-        todo += ((mid, end, node_depth + 1), (start, mid, node_depth + 1))
-
-
-def _starts(sizes: np.ndarray) -> np.ndarray:
-    """Where each of slices of these sizes starts, laid end to end."""
-    return np.cumsum(sizes) - sizes
-
-
-def _slices(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The positions in the slices [starts[i], starts[i] + sizes[i]), laid
-    end to end."""
-    return np.repeat(starts - _starts(sizes), sizes) + np.arange(sizes.sum())
+    make(np.stack((tree * psi, np.full(n_trees, psi), 0 * tree, 0 * tree, tree), axis=1)[:, None])
+    while (growing := np.flatnonzero(top > bottom)).size:
+        top[growing] -= 1
+        popped = stack[top[growing]]
+        ends = np.cumsum(popped[:, 1])
+        first = 0
+        while first < len(growing):  # a pass: the next nodes up to PASS_ROWS rows
+            limit = ends[first] - popped[first, 1] + PASS_ROWS
+            last = max(first + 1, int(np.searchsorted(ends, limit, "right")))
+            nodes, first = popped[first:last], last
+            a, size, _, _, trees = nodes.T
+            node_no = np.arange(len(nodes))
+            at, node_of = np.cumsum(size) - size, np.repeat(node_no, size)
+            order = np.arange(len(node_of))  # the pass's rows, node after node
+            places = (a - at)[node_of] + order  # their places in rows
+            taken = rows[places]
+            cells = X.take(taken, axis=0)
+            lo, hi = np.minimum.reduceat(cells, at), np.maximum.reduceat(cells, at)
+            splittable = hi > lo
+            m = splittable.sum(axis=1)  # 0: the node's rows are all alike, a leaf
+            pick = draws.integers(trees, m)[:, None]
+            dim = np.argmax(np.cumsum(splittable, axis=1) > pick, axis=1)  # the pick-th splittable
+            split = m > 0
+            value = np.full(len(nodes), math.nan)  # nan: all rows go right
+            lo, hi = lo[node_no, dim][split], hi[node_no, dim][split]
+            value[split] = draws.uniform(trees[split], lo, hi)
+            goes_left = cells.take(order * X.shape[1] + dim[node_of]) < value[node_of]
+            n_left = np.add.reduceat(goes_left, at, dtype=np.intp)
+            # each node's rows back in its places, its left child's first
+            rows[places] = taken[np.argsort(2 * node_of + ~goes_left, kind="stable")]
+            written.append(nodes[:, 3:].copy())
+            dims.append(np.where(split, dim, -1))
+            values.append(np.where(split, value, size))
+            # each split's children, the right one pushed first so that the left splits next
+            nodes, n_left = nodes[split], n_left[split]
+            children = np.stack((nodes, nodes), axis=1)
+            children[:, :, 2:4] += 1  # a level down: depth and rank
+            children[:, 0, 0] += n_left
+            children[:, 0, 1] -= n_left
+            children[:, 0, 3] += (1 << (height_limit - children[:, 0, 2])) * (height_limit + 1)
+            children[:, 1, 1] = n_left
+            make(children)
+    del rows, draws  # freed before the sort, the peak of a build's memory
+    ranks = np.concatenate(written)
+    written.clear()
+    order = np.lexsort(ranks.T)  # by tree, then rank
+    return np.bincount(ranks[:, 1], minlength=n_trees), \
+        np.concatenate(dims, dtype=np.int32)[order], np.concatenate(values, dtype=float)[order]
 
 
 @dataclass(frozen=True)

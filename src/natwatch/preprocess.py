@@ -146,10 +146,14 @@ def fit_schema(training: FlowDataset, m: DeviceModelId) -> FeatureSchema:
 
 def flow_columns(flows: Union[FlowDataset, Sequence[FlowRecord]]) -> FlowColumns:
     """The raw columns of a batch of flows. A FlowDataset's are built at
-    first use and kept with it, so each schema that encodes it reuses them."""
+    first use and kept with it, so each schema that encodes it reuses them;
+    a subset that filter_model took has its rows of the dataset's columns."""
     if isinstance(flows, FlowDataset):
         if flows.columns is None:
-            flows.columns = flow_columns([lf.flow for lf in flows])
+            if flows.taken_from is None:
+                flows.columns = flow_columns([lf.flow for lf in flows])
+            else:
+                flows.columns = _take_rows(flow_columns(flows.taken_from[0]), flows.taken_from[1])
         return flows.columns
     n = len(flows)
     numeric = np.fromiter(chain.from_iterable(map(_numeric_values, flows)), np.float64,
@@ -162,6 +166,21 @@ def flow_columns(flows: Union[FlowDataset, Sequence[FlowRecord]]) -> FlowColumns
                                             for get, coded in zip(_CATEGORICAL_FIELDS, values)),
                         np.intp, n * len(values)).reshape(len(values), n)
     return FlowColumns(numeric, tuple(values), codes)
+
+
+def _take_rows(columns: FlowColumns, rows: np.ndarray) -> FlowColumns:
+    """The columns of the flows at rows of a batch, taken from the batch's
+    columns: as flow_columns gives them, each feature's values numbered in
+    order of their first appearance among those flows."""
+    codes = columns.codes[:, rows]
+    names = [value for values in columns.values for value in values]
+    renumber, values, base = np.zeros(len(names), dtype=np.intp), [], 0
+    for feature in codes:
+        kept = list(dict.fromkeys(feature.tolist()))  # its codes in order of first appearance
+        renumber[kept] = np.arange(base, base + len(kept))
+        values.append(dict(zip([names[code] for code in kept], count(base))))
+        base += len(kept)
+    return FlowColumns(columns.numeric[rows], tuple(values), renumber[codes])
 
 
 def transform(schema: FeatureSchema, flow: FlowRecord) -> np.ndarray:

@@ -32,8 +32,9 @@ from natwatch.iforest import (
     save_artifact,
     train_forest,
 )
-from natwatch.flowdata import FlowDataset, LabeledFlow
-from natwatch.preprocess import InsufficientDataError, fit_schema, transform_many
+from natwatch.flowdata import DeviceModelId, FlowDataset, LabeledFlow, filter_model
+from natwatch.preprocess import InsufficientDataError, fit_schema, flow_columns, transform_many
+from natwatch.synth import builtin_scenario, generate_flows
 
 from util import WEBCAM, dataset, make_flow, make_labeled
 
@@ -125,6 +126,101 @@ def test_train_forest_grows_the_reference_trees(X, subsample, n_trees, seed, pas
         iforest.PASS_ROWS = default
     assert decode_trees(iforest._forest_to_dict(forest)) == \
         [preorder_columns(reference_tree(X, subsample, seed, t)) for t in range(n_trees)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_bench_size_forest_grows_the_reference_trees(seed):
+    """One separable-13 model at bench size: 100 trees at psi 256 on 12
+    features, grown in passes cut at the default PASS_ROWS, as in training."""
+    data = generate_flows(builtin_scenario("separable-13", flows_per_device=2000, seed=seed))
+    model = next(lf.label for lf in data if isinstance(lf.label, DeviceModelId))
+    training = filter_model(data.split.training, model)
+    X = transform_many(fit_schema(training, model), flow_columns(training))
+    assert X.shape == (1400, 12) and 100 * 256 > 2 * iforest.PASS_ROWS  # rounds of many passes
+    forest = train_forest(X, 100, 256, seed)
+    assert decode_trees(iforest._forest_to_dict(forest)) == \
+        [preorder_columns(reference_tree(X, 256, seed, t)) for t in range(100)]
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def crafted_generator(first_word: int, has_uint32: int = 0, uinteger: int = 0,
+                      inc: int = 0x5851F42D4C957F2D14057B7EF767814F) -> np.random.Generator:
+    """A PCG64 generator whose next raw word is first_word: its state steps
+    to first_word itself (high 64 bits 0), whose output is its low 64 bits."""
+    bit_generator = np.random.PCG64(0)
+    before = (first_word - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                           "has_uint32": has_uint32, "uinteger": uinteger}
+    return np.random.Generator(bit_generator)
+
+
+def replay_matches_the_calls(make_rngs, calls, ahead: int) -> None:
+    """The draws of calls, (m, lo, hi) per stream or None, replayed by
+    _Draws from streams drawn `ahead` words at a time, are those of
+    rng.integers(m) then rng.uniform(lo, hi) on twin streams, neither at m =
+    0 (no split), and leave the twins' streams where the replay leaves its."""
+    draws, twins = iforest._Draws(make_rngs(), ahead), make_rngs()
+    for call in calls:
+        trees = np.array([t for t, drawn in enumerate(call) if drawn], dtype=np.intp)
+        m, lo, hi = (np.array([call[t][i] for t in trees.tolist()]) for i in range(3))
+        expected_picks = [twins[t].integers(call[t][0]) if call[t][0] else 0
+                          for t in trees.tolist()]
+        assert draws.integers(trees, m).tolist() == expected_picks
+        trees, lo, hi = trees[m > 0], lo[m > 0], hi[m > 0]
+        expected_values = [twins[t].uniform(call[t][1], call[t][2]) for t in trees.tolist()]
+        assert draws.uniform(trees, lo, hi).tobytes() == np.array(expected_values).tobytes()
+    states = [twin.bit_generator.state for twin in twins]
+    assert draws.held.tolist() == [bool(state["has_uint32"]) for state in states]
+    assert draws.half[draws.held].tolist() == [state["uinteger"] for state in states
+                                               if state["has_uint32"]]
+    assert draws._next_words(np.arange(len(twins))).tolist() == \
+        [twin.bit_generator.random_raw() for twin in twins]
+
+
+def test_draws_replay_a_lemire_rejection():
+    """A first half of 0 is rejected at m = 3, (2^32 - 3) mod 3 = 1: the
+    pick comes from the word's high half, the next half."""
+    first = 0x9E3779B900000000
+    assert crafted_generator(first).bit_generator.random_raw() == first
+    twin = crafted_generator(first)
+    assert twin.integers(3) == (0x9E3779B9 * 3) >> 32
+    assert twin.bit_generator.state["has_uint32"] == 0  # both halves taken
+    replay_matches_the_calls(lambda: [crafted_generator(first)],
+                             [[(3, 0.0, 1.0)], [(5, -2.0, 3.5)], [(2, 1.0, 2.0)]], 8)
+
+
+def test_draws_replay_a_half_held_on_entry():
+    """A half held before the first call is the first integers draws, and
+    uniform leaves a held half held."""
+    def rngs():
+        return [crafted_generator(0x0123456789ABCDEF, has_uint32=1, uinteger=0xFFFFFFFF),
+                crafted_generator(0xFEDCBA9876543210, has_uint32=1, uinteger=7)]
+    replay_matches_the_calls(rngs, [[(1, 0.5, 0.75), (7, -1.0, 0.0)], [(12, 2.0, 3.0), None],
+                                    [None, (1, 0.0, 1.0)], [(2, 0.0, 1e-300), (3, -1e300, 1e300)]],
+                             4)
+
+
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+       ahead=st.integers(1, 4),
+       calls=st.lists(st.lists(st.one_of(st.none(), st.tuples(
+           st.integers(0, 40), st.floats(-1e6, 1e6), st.floats(0.0, 1e6, exclude_min=True))),
+           min_size=4, max_size=4), max_size=25))
+def test_draws_replay_past_the_words_drawn_ahead(seeds, ahead, calls):
+    """Streams drawn 1 to 4 words ahead, with calls that take many more,
+    some streams skipped: each draws the further words from its stream."""
+    calls = [[c and (c[0], c[1], c[1] + c[2]) for c in call[:len(seeds)]] for call in calls]
+    replay_matches_the_calls(lambda: [iforest._tree_rng(seed, t) for t, seed in enumerate(seeds)],
+                             calls, ahead)
+
+
+def test_draws_refuse_a_stream_that_is_not_pcg64():
+    other = np.random.Generator(np.random.MT19937(1))
+    with pytest.raises(ValueError, match="PCG64"):
+        iforest._Draws([iforest._tree_rng(0, 0), other], 4)
+    with pytest.raises(ValueError, match="PCG64"):
+        iforest._grow_trees(np.zeros((10, 2)), [np.random.Generator(np.random.PCG64DXSM(1))], 8)
 
 
 def linked_path_length(tree: IsolationTree, x) -> float:
@@ -337,6 +433,15 @@ class TestTrainForest:
         b = train_forest(X, n_trees=10, subsample=64, master_seed=2)
         q = rng.normal(size=(20, 4))
         assert not np.array_equal(anomaly_scores(a, q), anomaly_scores(b, q))
+
+    @pytest.mark.parametrize("column", [[0.0, math.inf], [-math.inf, 0.0], [-1e308, 1e308]])
+    def test_a_split_range_past_float64_raises_as_uniform_does(self, column):
+        """uniform refuses a range high - low that overflows; so does its
+        replay, and no forest is built."""
+        with pytest.raises(OverflowError, match="range exceeds valid bounds"):
+            np.random.default_rng(0).uniform(*column)
+        with pytest.raises(OverflowError, match="range exceeds valid bounds"):
+            train_forest(np.array([column, column]).T, n_trees=3, subsample=2)
 
     def test_subsample_capped_at_n(self):
         X = np.random.default_rng(3).normal(size=(40, 3))

@@ -1,10 +1,13 @@
 """Pins on what a seed must keep giving: a synthetic flows.csv, one trained
 forest's levels, node table and artifact bytes, the g of a few fixed flows,
 and the lines the detector writes for them. numpy's Generator may
-change what choice, integers and uniform return between releases (NEP 19),
-and the reference builder in test_iforest draws through the same calls,
-so only fixed values catch such a change. A change that alters a model on
-purpose updates these pins."""
+change what choice, integers and uniform return between releases (NEP 19).
+Training calls choice, and replays integers and uniform from the raw PCG64
+words; the reference builder in test_iforest calls all three. So a change
+to integers or uniform makes training differ from the reference trees and
+is caught there and here, not silently absorbed, and a change to choice or
+to the PCG64 words is caught only by these fixed values. A change that
+alters a model on purpose updates these pins."""
 
 import functools
 import hashlib

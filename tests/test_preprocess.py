@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from natwatch import preprocess
 from natwatch.preprocess import (
     CATEGORICAL_FEATURES,
     NUMERIC_FEATURES,
@@ -16,7 +17,7 @@ from natwatch.preprocess import (
     transform,
     transform_many,
 )
-from natwatch.flowdata import FlowDataset, LabeledFlow
+from natwatch.flowdata import NON_IOT, DeviceModelId, FlowDataset, LabeledFlow, filter_model
 
 from util import WEBCAM, dataset, make_labeled, make_flow
 
@@ -225,3 +226,37 @@ def test_schema_fitted_from_columns_is_the_row_reference(flows):
     schema = fit_schema(FlowDataset([LabeledFlow(f, WEBCAM, "m") for f in flows]), WEBCAM)
     assert json.dumps(schema.to_dict()) == json.dumps(reference_fit(flows).to_dict())
 
+
+
+OTHER = DeviceModelId("socket", "TP_Link", "HS110")
+
+
+@given(labeled=st.lists(st.tuples(_flows(), st.sampled_from([None, NON_IOT, WEBCAM, OTHER])),
+                        max_size=12),
+       model=st.sampled_from([WEBCAM, OTHER]), parent_first=st.booleans())
+def test_a_filtered_models_columns_are_taken_from_the_datasets(labeled, model, parent_first):
+    """filter_model's subset has the label codes and the columns, values in
+    order of first appearance among its flows, that its flows would give
+    read afresh, and takes them from the dataset's without reading a flow."""
+    data = FlowDataset([LabeledFlow(flow, label, "m") for flow, label in labeled])
+    if parent_first:
+        flow_columns(data)
+    subset = filter_model(data, model)
+    flows = [lf.flow for lf in subset]
+    assert flows == [flow for flow, label in labeled if label == model]
+    fresh = FlowDataset(subset.flows)
+    assert subset.label_codes[0] == fresh.label_codes[0]
+    assert subset.label_codes[1].tobytes() == fresh.label_codes[1].tobytes()
+    expected = flow_columns(flows)
+    flow_columns(data)
+    with pytest.MonkeyPatch.context() as patch:  # the dataset's columns are built: no flow is read
+        patch.setattr(preprocess, "_numeric_values", None)
+        patch.setattr(preprocess, "_CATEGORICAL_FIELDS", None)
+        columns = flow_columns(subset)
+    assert columns is flow_columns(subset)
+    assert columns.numeric.tobytes() == expected.numeric.tobytes()
+    assert [list(values.items()) for values in columns.values] == \
+        [list(values.items()) for values in expected.values]
+    assert columns.codes.dtype == expected.codes.dtype
+    assert columns.codes.shape == expected.codes.shape
+    assert columns.codes.tobytes() == expected.codes.tobytes()
