@@ -9,6 +9,7 @@ for thresholding is g = 0.5 - s (classify as the model iff g >= th).
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
 import math
@@ -53,6 +54,10 @@ def c_factor(n: int) -> float:
     if n <= 1:
         return 0.0
     return 2.0 * _harmonic(n - 1) - 2.0 * (n - 1) / n
+
+
+# c(0)..c(1024), which a decoded forest's leaf sizes are looked up in
+_C_TABLE = np.array([c_factor(m) for m in range(len(_HARMONIC))])
 
 
 @dataclass(slots=True)
@@ -359,11 +364,11 @@ def _table_from_columns(lengths: np.ndarray, dims: np.ndarray, values: np.ndarra
     # leaves two: the count pending after each node. It, the right children
     # and the depths hold up to the first fault, all that naming it needs. A
     # fault ranks by where a node-by-node read meets it: 4 x node + check.
-    after = 2 * split.astype(np.int32) - 1
-    after[roots] += 1
-    np.cumsum(after, out=after)
-    faults, early, short = [], after == 0, ~grown
-    early[lasts], short[grown] = False, after[lasts] > 0
+    pending = 2 * split.astype(np.int32) - 1
+    pending[roots] += 1
+    np.cumsum(pending, out=pending)
+    faults, early, short = [], pending == 0, ~grown
+    early[lasts], short[grown] = False, pending[lasts] > 0
     if early.any():
         faults.append((4 * int(early.argmax()) + 4, "nodes after the last leaf of a tree"))
     if bad.any():
@@ -373,44 +378,55 @@ def _table_from_columns(lengths: np.ndarray, dims: np.ndarray, values: np.ndarra
         faults.append((4 * int(ends[short.argmax()]) - 1, "truncated node list"))
     del early, bad
     # A split's right child is the next node with as many subtrees pending
-    # before it (n: none). Up to the first fault a split is above the height
-    # limit, and no node has more pending than its depth + 1.
-    before = after - split - split + 1
-    del after
-    right = np.arange(n, dtype=np.int32)
-    right[split] = n
+    # before it: its successor in a stable sort by that count. Up to the
+    # first fault a split is above the height limit, and no node has more
+    # pending than its depth + 1, so counts outside [1, height_limit] may
+    # share a group. Each count's sentinel, row n + count, sorts after its
+    # nodes and stands for no right child; every row from n on leads to n.
     height_limit = math.ceil(math.log2(psi))
-    for count in range(1, height_limit + 1):
-        at = np.flatnonzero(before == count)
-        forks = split[at[:-1]]
-        right[at[:-1][forks]] = at[1:][forks]
-    del before
-    depth = np.full(n, -1, dtype=np.int32)
-    level, reached = 0, roots
-    while reached.size:
-        depth[reached] = level
-        forks = reached[split[reached]]
-        if level == height_limit and forks.size:
-            faults.append((4 * int(forks.min()) + 2, "a tree is deeper than its height limit"))
-            break
-        children = np.zeros(n + 1, dtype=bool)
-        children[forks + 1] = children[right[forks]] = True
-        reached = np.flatnonzero(children[:n] & (depth < 0))
-        level += 1
+    pending -= split  # now the count pending before each node
+    pending -= split
+    pending += 1
+    before = np.empty(n + height_limit + 2, dtype=np.int8)
+    np.clip(pending, 0, height_limit + 1, out=before[:n], casting="unsafe")
+    before[n:] = np.arange(height_limit + 2)
+    del pending
+    order = np.argsort(before, kind="stable")  # a radix sort, for int8
+    right = np.empty(len(order), dtype=np.intp)
+    right[order[:-1]] = order[1:]
+    right[n:] = n
+    leaves = np.flatnonzero(~split)
+    right[leaves] = leaves  # a leaf, or a node that is neither, is its own right child
+    del before, order
+    # A node's depth is the count of nodes before it whose subtrees have not
+    # ended by it. A subtree ends one past the leaf its right chain ends on,
+    # found by pointer doubling: up to the first fault a chain takes at most
+    # height_limit steps, and every step goes on to a later row.
+    last = right
+    for _ in range(max(height_limit - 1, 0).bit_length()):
+        last = last.take(last)
+    ended = np.bincount(last[:n] + 1, minlength=n)[:n]  # the subtrees that end just before each row
+    del last
+    depth = np.subtract(1, ended, out=ended)
+    depth[:1] -= 1
+    np.cumsum(depth, out=depth)  # row i: i, less the subtrees ended by it
+    deep = split & (depth >= height_limit)
+    if deep.any():
+        faults.append((4 * int(deep.argmax()) + 2, "a tree is deeper than its height limit"))
     if faults:
         raise ValueError(min(faults)[1])
-    leaves = ~split
-    size, leaf_depth = values[leaves].astype(np.int64), depth[leaves]
+    size, leaf_depth = values.take(leaves).astype(np.int64), depth.take(leaves)
     del depth
-    dim, value = np.where(split, dims, 0), np.where(split, values, -math.inf)
-    # each distinct size once, without np.unique (it imports numpy.ma: about
-    # 1.7 MB more resident) or np.sort (its SIMD sorts: about 0.4 MB)
-    sizes = sorted(set(size.tolist()))
-    path = np.array([c_factor(m) for m in sizes])[np.searchsorted(sizes, size)]
+    path = _C_TABLE.take(np.minimum(size, len(_C_TABLE) - 1))
+    larger = np.flatnonzero(size >= len(_C_TABLE))  # psi above 1024 only
+    path[larger] = [c_factor(m) for m in size.take(larger).tolist()]
     path += leaf_depth  # c(size) + depth: addition commutes, bit for bit
     leaf = np.zeros(n)
     leaf[leaves] = path
-    return NodeTable(dim, value, right, leaf, size, roots, int(leaf_depth.max()))
+    value = values.copy()
+    value[leaves] = -math.inf
+    return NodeTable(np.maximum(dims, 0), value, right[:n].astype(np.int32), leaf, size, roots,
+                     int(leaf_depth.max()))
 
 
 # A forest lays out its next level only while its levels' slots stay
@@ -428,28 +444,27 @@ def _forest_from_table(table: NodeTable, sample_count: int, master_seed: int,
     their slots pass LEVEL_SLOTS_PER_NODE per node; then below keeps
     table's leaves and the splits under the last level, its roots the
     row of each of the last level's slots."""
-    n = len(table.dim)
-    row, room = table.roots, LEVEL_SLOTS_PER_NODE * n - len(table.roots)
-    dims, values, above = [], [], []
-    while len(dims) < table.steps and 2 * len(row) <= room:
-        room -= 2 * len(row)
-        value = table.value.take(row)
+    n, trees = len(table.dim), len(table.roots)
+    levels = 0  # levels 0..k and level k's children take trees * (2^(k+2) - 1) slots
+    while levels < table.steps and trees * ((4 << levels) - 1) <= LEVEL_SLOTS_PER_NODE * n:
+        levels += 1
+    children = np.empty((n, 2), dtype=np.intp)  # each row's, left then right
+    np.add(np.arange(n), table.value > -math.inf, out=children[:, 0])
+    children[:, 1] = table.right
+    keep = np.ones(n, dtype=bool) if levels < table.steps else None  # the rows below the levels
+    row, dims, values = table.roots, [], []
+    for _ in range(levels):
         dims.append(table.dim.take(row))
-        values.append(value)
-        split = value > -math.inf
-        above.append(row[split])
-        children = np.empty(2 * len(row), dtype=np.intp)
-        children[0::2] = row + split
-        children[1::2] = table.right.take(row)
-        row = children
+        values.append(table.value.take(row))
+        if keep is not None:
+            keep[row[values[-1] > -math.inf]] = False
+        row = children.take(row, axis=0).ravel()
+    del children
     below = None
-    if len(dims) < table.steps:
-        keep = np.ones(n, dtype=bool)
-        for rows in above:
-            keep[rows] = False
+    if keep is not None:
         at = np.cumsum(keep) - 1  # a kept row's row in below
         below = NodeTable(table.dim[keep], table.value[keep], at[table.right[keep]].astype(np.int32),
-                          table.leaf[keep], table.size, at[row], table.steps - len(dims))
+                          table.leaf[keep], table.size, at[row], table.steps - levels)
     return IsolationForest(dims, values, table.leaf.take(row), below, table.size, sample_count,
                            master_seed, dimension)
 
@@ -595,16 +610,24 @@ def _forest_to_dict(forest: IsolationForest) -> dict:
 def _column(d: dict, name: str) -> np.ndarray:
     """Column name, taken out of the forest d so that its string is freed
     once read (13 loads otherwise left about 1 MB more resident); refused
-    (ValueError) unless it is the canonical base64 of whole items."""
+    (ValueError) unless it is the canonical base64 of whole items. The
+    string is decoded as it stands, and nothing is encoded but its last
+    quad's bytes."""
     text, dtype = d.pop(name), np.dtype(FOREST_COLUMNS[name])
     if type(text) is not str:
         raise ValueError(f"{name} is not a base64 string: {text!r:.30}")
     try:
-        text = text.encode("ascii")
-        raw = base64.b64decode(text, validate=True)
+        # a string that is not ASCII: encode raises, naming the character
+        raw = binascii.a2b_base64(text if text.isascii() else text.encode("ascii"),
+                                  strict_mode=True)
     except ValueError as exc:  # UnicodeEncodeError or binascii.Error
         raise ValueError(f"{name} is not base64: {exc}") from None
-    if base64.b64encode(raw) != text:
+    # Strictly decoded, raw's whole quads have no other spelling. Its last
+    # quad may set bits the padding leaves unused, or "=" or "==" may follow
+    # a whole quad: either way the text's last four characters are not
+    # those of the last quad's canonical spelling.
+    quads = -(-len(raw) // 3)
+    if text[-4:] != base64.b64encode(raw[3 * quads - 3:]).decode():
         raise ValueError(f"{name} is not canonical base64")
     if len(raw) % dtype.itemsize:
         raise ValueError(f"{name} holds {len(raw)} bytes, not whole {dtype.itemsize}-byte items")
@@ -617,8 +640,10 @@ def _forest_from_dict(d: dict) -> IsolationForest:
     psi = _exact(d["sample_count"], int, "sample_count", 1, 2**53)
     dimension = _exact(d["dimension"], int, "dimension")
     columns = [_column(d, name) for name in FOREST_COLUMNS]
-    return _forest_from_table(_table_from_columns(*columns, dimension, psi), psi,
-                              _exact(d["master_seed"], int, "master_seed", 0), dimension)
+    table = _table_from_columns(*columns, dimension, psi)
+    del columns  # freed before the layout, where a load's memory peaks
+    return _forest_from_table(table, psi, _exact(d["master_seed"], int, "master_seed", 0),
+                              dimension)
 
 
 def _finite_threshold(value) -> float:

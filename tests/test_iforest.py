@@ -406,6 +406,58 @@ def test_level_walk_gives_the_linked_trees_path_lengths(data, psi, dimension, n_
     assert decode_trees(iforest._forest_to_dict(laid_out)) == trees
 
 
+def linked_node_table(trees: list) -> dict:
+    """The NodeTable fields of linked trees, read node by node in preorder,
+    the trees end to end: a split's dim, value and its right child's row;
+    a leaf's 0, -inf, its own row, depth + c(size) and size."""
+    table = {name: [] for name in ("dim", "value", "right", "leaf", "size", "roots")}
+    depths = []
+
+    def read(node, depth):
+        row = len(table["dim"])
+        leaf = node.split_dim < 0
+        table["dim"].append(0 if leaf else node.split_dim)
+        table["value"].append(-math.inf if leaf else node.split_value)
+        table["right"].append(row)
+        table["leaf"].append(depth + c_factor(node.size) if leaf else 0.0)
+        if leaf:
+            table["size"].append(node.size)
+            depths.append(depth)
+        else:
+            read(node.left, depth + 1)
+            table["right"][row] = len(table["dim"])
+            read(node.right, depth + 1)
+
+    for tree in trees:
+        table["roots"].append(len(table["dim"]))
+        read(tree.root, 0)
+    return {**table, "steps": max(depths)}
+
+
+@given(data=st.data(),
+       psi=st.sampled_from([1, 2, 3, 256, 1025, 2**53 - 1]) | st.integers(1, 2**53 - 1),
+       dimension=st.integers(1, 3), n_trees=st.integers(1, 5))
+def test_node_decoder_gives_the_linked_trees_node_table(data, psi, dimension, n_trees):
+    """The NodeTable that _table_from_columns decodes from trees of any
+    shape train_forest could write (chains down to the height limit, and
+    leaf sizes past the c(size) lookup table at a psi above 1024) is, row
+    for row, that of the reference decoder's linked trees: right children,
+    roots and steps, and each leaf's depth + c(size) bit for bit."""
+    trees = [data.draw(tree_columns(psi, dimension)) for _ in range(n_trees)]
+    forest = {"sample_count": psi, "dimension": dimension}
+    encode_trees(forest, trees)
+    table = iforest._table_from_columns(*[np.array(read_column(forest, name), DTYPES[name])
+                                          for name in DTYPES], dimension, psi)
+    expected = linked_node_table([reference_tree_from_columns(
+        tree, dimension, psi, math.ceil(math.log2(psi))) for tree in trees])
+    assert [table.right.dtype, table.roots.dtype] == [np.int32, np.intp]
+    for name in ("dim", "right", "size", "roots"):
+        assert getattr(table, name).tolist() == expected[name], name
+    assert table.value.tobytes() == np.array(expected["value"]).tobytes()
+    assert [path.hex() for path in table.leaf.tolist()] == [path.hex() for path in expected["leaf"]]
+    assert table.steps == expected["steps"]
+
+
 class TestTrainForest:
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(0)
@@ -727,7 +779,7 @@ def _edit_bytes(data, forest: dict) -> None:
     elif edit == "ragged":  # bytes cut from or added to the last item
         try:
             raw = base64.b64decode(text, validate=True)
-        except binascii.Error:
+        except ValueError:  # binascii.Error, or a character an earlier edit put in that is not ASCII
             return
         cut = data.draw(st.integers(1, np.dtype(DTYPES[name]).itemsize - 1))
         raw = raw[:-cut] if data.draw(st.booleans()) else raw + bytes(cut)
@@ -770,6 +822,37 @@ def test_edited_tree_columns_load_or_raise_artifact_error(data):
     # an edit that keeps a tree train_forest could write still scores
     X = np.zeros((CHUNK_ROWS + 1, forest["dimension"]))
     assert np.all(np.isfinite(normality_scores(artifact.forest, X)))
+
+
+@pytest.mark.parametrize("items", [3, 1, 2], ids=["whole-quads", "pad-2", "pad-1"])
+def test_a_column_in_strict_base64_that_is_not_canonical_is_refused(items):
+    """Strict base64 decoding gives a column's bytes from spellings other
+    than their canonical one: "=" or "==" after a whole quad, and bits set
+    that the padding leaves unused before "==" or "=". A column of 3, 1 or
+    2 int32 items (0, 1 or 2 bytes past whole 3-byte groups) loads in its
+    canonical spelling and is refused in each other."""
+    raw = np.arange(1, items + 1, dtype="<i4").tobytes()
+    text = base64.b64encode(raw).decode()
+    assert iforest._column({"lengths": text}, "lengths").tolist() == list(range(1, items + 1))
+    pad = text.count("=")
+    if pad:  # the digit before the padding, with some of its unused low bits set
+        at = len(text) - pad - 1
+        spellings = [text[:at] + _BASE64[_BASE64.index(text[at]) | bits] + text[at + 1:]
+                     for bits in range(1, 1 << 2 * pad)]
+    else:
+        spellings = [text + "=", text + "=="]
+    for spelling in spellings:
+        assert binascii.a2b_base64(spelling, strict_mode=True) == raw
+        with pytest.raises(ValueError, match="^lengths is not canonical base64$"):
+            iforest._column({"lengths": spelling}, "lengths")
+
+
+def test_a_column_that_is_not_ascii_is_refused_naming_the_character():
+    text = base64.b64encode(np.arange(4, dtype="<i4").tobytes()).decode()
+    with pytest.raises(ValueError) as refused:
+        iforest._column({"dims": text[:5] + "\xe9" + text[6:]}, "dims")
+    assert str(refused.value) == ("dims is not base64: 'ascii' codec can't encode character "
+                                  "'\\xe9' in position 5: ordinal not in range(128)")
 
 
 def reference_tree_from_columns(tree, dimension: int, sample_count: int,
