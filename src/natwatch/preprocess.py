@@ -5,7 +5,7 @@ training flows only."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, chain, count
 from operator import attrgetter
 from typing import Sequence, Union
@@ -51,10 +51,9 @@ class FlowColumns:
     row as _numeric_values gives it. For each categorical feature,
     `values` maps the batch's distinct values, in order of first
     appearance, to their codes, which number the values of all features
-    laid end to end; `codes` is (5, n), codes[f, r] the code of row r's
-    value of feature f: intp for a batch, which indexes without a cast,
-    and int32 once kept with a dataset, where it costs 20 bytes a row
-    rather than 40 (there are at most a few hundred codes).
+    laid end to end; `codes` is (5, n) int32, codes[f, r] the code of row
+    r's value of feature f (there are at most a few hundred codes, so a
+    row takes 20 bytes rather than intp's 40).
     """
 
     numeric: np.ndarray
@@ -153,8 +152,7 @@ def flow_columns(flows: Union[FlowDataset, Sequence[FlowRecord]]) -> FlowColumns
     if isinstance(flows, FlowDataset):
         if flows.columns is None:
             if flows.taken_from is None:
-                columns = flow_columns([lf.flow for lf in flows])
-                flows.columns = replace(columns, codes=columns.codes.astype(np.int32))
+                flows.columns = flow_columns([lf.flow for lf in flows])
             else:
                 flows.columns = _take_rows(flow_columns(flows.taken_from[0]), flows.taken_from[1])
         return flows.columns
@@ -167,7 +165,7 @@ def flow_columns(flows: Union[FlowDataset, Sequence[FlowRecord]]) -> FlowColumns
         base += len(values[-1])
     codes = np.fromiter(chain.from_iterable(map(coded.__getitem__, map(get, flows))
                                             for get, coded in zip(_CATEGORICAL_FIELDS, values)),
-                        np.intp, n * len(values)).reshape(len(values), n)
+                        np.int32, n * len(values)).reshape(len(values), n)
     return FlowColumns(numeric, tuple(values), codes)
 
 

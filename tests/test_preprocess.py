@@ -247,7 +247,7 @@ def test_a_filtered_models_columns_are_taken_from_the_datasets(labeled, model, p
     fresh = FlowDataset(subset.flows)
     assert subset.label_codes[0] == fresh.label_codes[0]
     assert subset.label_codes[1].tobytes() == fresh.label_codes[1].tobytes()
-    expected = flow_columns(fresh)
+    expected = flow_columns(flows)
     flow_columns(data)
     with pytest.MonkeyPatch.context() as patch:  # the dataset's columns are built: no flow is read
         patch.setattr(preprocess, "_numeric_values", None)
@@ -257,6 +257,6 @@ def test_a_filtered_models_columns_are_taken_from_the_datasets(labeled, model, p
     assert columns.numeric.tobytes() == expected.numeric.tobytes()
     assert [list(values.items()) for values in columns.values] == \
         [list(values.items()) for values in expected.values]
-    assert columns.codes.dtype == expected.codes.dtype == np.int32  # kept: 4 bytes a code
+    assert columns.codes.dtype == expected.codes.dtype == np.int32  # 4 bytes a code
     assert columns.codes.shape == expected.codes.shape
     assert columns.codes.tobytes() == expected.codes.tobytes()
