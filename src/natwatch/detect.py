@@ -12,7 +12,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as quote
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -161,7 +161,7 @@ class Detector:
     """
 
     def __init__(self, artifacts: list[ModelArtifact], policy: ActionPolicy,
-                 threshold_selector: Union[str, int], audit_path: str):
+                 threshold_selector: str, audit_path: str):
         if not artifacts:
             raise ValueError("at least one artifact required")
         self.artifacts = artifacts
@@ -258,7 +258,7 @@ def run_detector(
     flows: list[FlowRecord],
     artifacts: list[ModelArtifact],
     policy: ActionPolicy,
-    threshold_selector: Union[str, int],
+    threshold_selector: str,
     audit_path: str,
 ) -> tuple[int, int]:
     """Score and log the flows with a Detector that lives for this one

@@ -166,15 +166,15 @@ class FlowDataset:
 
     Nothing changes `flows` once the dataset is made, so what is derived
     from them is built at first use and kept: the label codes, the
-    chronological split at the default ratios, and the raw feature
-    columns that preprocess.flow_columns puts in `columns`. A subset that
-    filter_model takes keeps in `taken_from` the dataset and the rows it
-    was taken from, and its columns are taken from that dataset's.
+    chronological split at the default ratios, each model's subset that
+    filter_model puts in `subsets`, and the raw feature columns that
+    preprocess.flow_columns puts in `columns`.
     """
 
     flows: list[LabeledFlow] = field(default_factory=list)
     columns: Optional[object] = field(default=None, init=False, repr=False, compare=False)
-    taken_from: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    subsets: dict[DeviceModelId, FlowDataset] = field(default_factory=dict, init=False,
+                                                      repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.flows)
@@ -297,12 +297,9 @@ def chronological_split(
 def filter_model(dataset: FlowDataset, m: DeviceModelId) -> FlowDataset:
     """Keep exactly the flows labeled with model m (all three segments
     match), in input order, selected by the dataset's label codes. The
-    subset's label codes, one label, are set here, and its columns are
-    taken from the dataset's at their first use."""
-    code_of, codes = dataset.label_codes
-    rows = np.flatnonzero(codes == code_of.get(m, -1))
-    flows = dataset.flows
-    subset = FlowDataset([flows[i] for i in rows.tolist()])
-    subset.label_codes = ({m: 0} if len(rows) else {}), np.zeros(len(rows), dtype=np.intp)
-    subset.taken_from = dataset, rows
-    return subset
+    subset is kept with the dataset, so a second call returns it."""
+    if m not in dataset.subsets:
+        code_of, codes = dataset.label_codes
+        rows = np.flatnonzero(codes == code_of.get(m, -1)).tolist()
+        dataset.subsets[m] = FlowDataset([dataset.flows[i] for i in rows])
+    return dataset.subsets[m]

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -555,20 +555,18 @@ class ModelArtifact:
                 f"{self.forest.dimension}"
             )
 
-    def threshold(self, selector: Union[str, int] = "default") -> float:
-        """Resolve "default" or "p<k>"/int percentile to a threshold value."""
+    def threshold(self, selector: str = "default") -> float:
+        """Resolve "default", or "p<k>" (p or P, then ASCII digits) for the
+        calibrated percentile k, to a threshold value."""
         if selector == "default":
             return self.default_threshold
-        if isinstance(selector, str):
-            if not selector.lower().startswith("p"):
-                raise ArtifactError(f"unknown threshold selector: {selector!r}")
-            try:
-                selector = int(selector[1:])
-            except ValueError:
-                raise ArtifactError(f"unknown threshold selector: {selector!r}") from None
-        if selector not in self.calibrated_thresholds:
-            raise ArtifactError(f"no calibrated threshold for percentile {selector}")
-        return self.calibrated_thresholds[selector]
+        digits = selector[1:] if isinstance(selector, str) and selector[:1] in ("p", "P") else ""
+        if not (digits.isascii() and digits.isdigit()):
+            raise ArtifactError(f"unknown threshold selector: {selector!r}")
+        percentile = int(digits)
+        if percentile not in self.calibrated_thresholds:
+            raise ArtifactError(f"no calibrated threshold for percentile {percentile}")
+        return self.calibrated_thresholds[percentile]
 
 
 def _forest_columns(forest: IsolationForest) -> tuple:

@@ -116,8 +116,6 @@ def _decode_records(
     template: Template, payload: bytes, sys_uptime: int, unix_secs: int, drops: Counter
 ) -> list[FlowRecord]:
     rec_len = template.record_length
-    if rec_len == 0:
-        return []
     boot_ms = unix_secs * 1000 - sys_uptime
     records: list[FlowRecord] = []
     for base in range(0, len(payload) - rec_len + 1, rec_len):  # trailing padding ignored
@@ -142,8 +140,9 @@ def decode_netflow_v9(datagram: bytes, cache: TemplateCache) -> list[FlowRecord]
     Template flowsets (id 0) register templates; data flowsets are
     decoded against cached templates or buffered until the template
     arrives (those buffered records are returned by the call that
-    delivers the template). Truncated or non-v9 datagrams raise
-    NetflowDecodeError and leave the cache untouched.
+    delivers the template). Truncated or non-v9 datagrams, and templates
+    whose records are 0 bytes long, raise NetflowDecodeError and leave the
+    cache untouched.
     """
     if len(datagram) < V9_HEADER.size:
         raise NetflowDecodeError("truncated-header")
@@ -175,8 +174,10 @@ def decode_netflow_v9(datagram: bytes, cache: TemplateCache) -> list[FlowRecord]
                 if tid < 256:
                     raise NetflowDecodeError(f"bad-template-id:{tid}")
                 pairs = struct.unpack_from(f"!{2 * field_count}H", payload, p)
-                fields = tuple(zip(pairs[::2], pairs[1::2]))
-                staged_templates[(source_id, tid)] = Template.of(fields)
+                template = Template.of(tuple(zip(pairs[::2], pairs[1::2])))
+                if template.record_length == 0:  # its data would decode to nothing
+                    raise NetflowDecodeError(f"empty-template:{tid}")
+                staged_templates[(source_id, tid)] = template
                 p += 4 * field_count
         elif flowset_id >= 256:  # 1 is an options template, not needed
             data_sets.append((flowset_id, payload))

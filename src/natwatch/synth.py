@@ -257,29 +257,45 @@ def _weights(key_type):
     return lambda w: {key_type(k): float(v) for k, v in w.items()}
 
 
+def _list(value, length=None) -> list:
+    """value if it is a JSON list, of `length` items if one is given: a
+    string is not read as its characters."""
+    if type(value) is not list or length is not None and len(value) != length:
+        items = "" if length is None else f" of {length} items"
+        raise TypeError(f"expected a list{items}, got {value!r:.40}")
+    return value
+
+
+def _lognorm(value) -> tuple:
+    """A lognormal's (mu, sigma), given as a list of two numbers."""
+    if not all(type(v) in (int, float) for v in _list(value, 2)):
+        raise TypeError(f"expected two numbers, got {value!r:.40}")
+    return tuple(value)
+
+
 # One converter from JSON data per field name of the scenario dataclasses;
 # a name shared by two of them means the same thing in both.
 _DECODERS = {
     "name": str,
-    "specs": lambda specs: [_decode(ModelTrafficSpec, m) for m in specs],
+    "specs": lambda specs: [_decode(ModelTrafficSpec, m) for m in _list(specs)],
     "flows_per_device": int,
     "seed": int,
-    "overlap_pairs": lambda pairs: [tuple(p) for p in pairs],
-    "dns": lambda specs: [_decode(DnsModelSpec, x) for x in specs],
+    "overlap_pairs": lambda pairs: [tuple(_list(p, 3)) for p in _list(pairs)],
+    "dns": lambda specs: [_decode(DnsModelSpec, x) for x in _list(specs)],
     "dns_events_per_device": int,
     "label": parse_label,
     "port_weights": _weights(int),
     "protocol_weights": _weights(int),
     "l7_weights": _weights(str),
-    "macs": list,
+    "macs": _list,
     "src_tos": int,
     "dst_tos": int,
-    "in_bytes_lognorm": tuple,
-    "out_bytes_lognorm": tuple,
-    "duration_lognorm_ms": tuple,
+    "in_bytes_lognorm": _lognorm,
+    "out_bytes_lognorm": _lognorm,
+    "duration_lognorm_ms": _lognorm,
     "mean_iat_s": float,
     "slope_per_request": float,
-    "qnames": list,
+    "qnames": _list,
     "noise": int,
     "resolver_ip": str,
 }

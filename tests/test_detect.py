@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from natwatch import detect, evaluation, flowdata
+from natwatch import detect, evaluation, flowdata, preprocess
 from natwatch.detect import (
     ActionPolicy,
     Detector,
@@ -111,6 +111,20 @@ class TestTrainPipeline:
         split = chronological_split(ds, (0.70, 0.10, 0.20))
         expected = len(filter_model(split.training, WEBCAM))
         assert trained_artifact().training_flow_count == expected
+
+    def test_one_model_reads_only_its_own_flows(self, monkeypatch):
+        """Training one model reads each flow of its training and validation
+        subsets into columns once, and no other flow of the split."""
+        ds = webcam_dataset()
+        read = []
+        numeric_values = preprocess._numeric_values
+        monkeypatch.setattr(preprocess, "_numeric_values",
+                            lambda flow: read.append(flow) or numeric_values(flow))
+        train_pipeline(ds, TrainConfig(model=WEBCAM, n_trees=5, subsample=16))
+        assert ds.split.training.columns is None and ds.split.validation.columns is None
+        subsets = [filter_model(portion, WEBCAM) for portion in (ds.split.training,
+                                                                 ds.split.validation)]
+        assert sorted(map(id, read)) == sorted(id(lf.flow) for s in subsets for lf in s)
 
     def test_no_model_flows_raises(self):
         ds = FlowDataset(

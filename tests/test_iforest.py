@@ -1342,12 +1342,14 @@ class TestArtifact:
     def test_threshold_selectors(self):
         artifact = small_artifact()
         assert artifact.threshold("default") == 0.0
-        assert artifact.threshold("p10") == -0.03
-        assert artifact.threshold(10) == -0.03
-        with pytest.raises(ArtifactError):
+        assert artifact.threshold("p10") == artifact.threshold("P10") == -0.03
+        with pytest.raises(ArtifactError, match="no calibrated threshold"):
             artifact.threshold("p20")
-        with pytest.raises(ArtifactError):
-            artifact.threshold("bogus")
+        # int() would read each of these as 10 (True as 1): none is "p" and ASCII digits
+        for selector in ["bogus", "p", "p1_0", "p 10", "p+10", "p\u0661\u0660", "p10 ", "q10",
+                         10, True, None]:
+            with pytest.raises(ArtifactError, match="unknown threshold selector"):
+                artifact.threshold(selector)
 
     def test_schema_forest_dimension_must_agree(self):
         artifact = small_artifact()

@@ -261,14 +261,23 @@ class TestLayout:
         assert decode_netflow_v9(template, cache) == decode_netflow_v9(
             template_then_data(), TemplateCache())
 
-    def test_template_of_zero_length_yields_no_records(self):
+    def test_template_of_zero_length_is_refused(self):
+        for fields in ([], [(10, 0), (8, 0)]):  # no fields, or only zero-length ones
+            cache = TemplateCache()
+            datagram = build_datagram(
+                [encode_template_flowset([(300, fields)]), _flowset(300, bytes(8))])
+            with pytest.raises(NetflowDecodeError, match="^empty-template:300$"):
+                decode_netflow_v9(datagram, cache)
+            assert cache.templates == {} and cache.pending == {}
+            assert cache.drops == Counter()
+
+    def test_live_template_still_decodes_after_a_spoofed_empty_one(self):
         cache = TemplateCache()
-        fields = [(10, 0), (8, 0)]
-        datagram = build_datagram(
-            [encode_template_flowset([(300, fields)]), _flowset(300, bytes(8))])
-        assert decode_netflow_v9(datagram, cache) == []
-        assert cache.pending == {}
-        assert cache.drops == Counter()
+        expected = decode_netflow_v9(template_then_data(), cache)
+        with pytest.raises(NetflowDecodeError, match="^empty-template:300$"):
+            decode_netflow_v9(build_datagram([encode_template_flowset([(300, [])])]), cache)
+        data = build_datagram([encode_data_flowset(300, FIELDS, [RECORD])])
+        assert decode_netflow_v9(data, cache) == expected != []
 
     def test_interface_index_beyond_64_bits_is_dropped_and_counted(self):
         fields = [(10, 9)] + FIELDS[1:]

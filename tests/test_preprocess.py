@@ -234,10 +234,10 @@ OTHER = DeviceModelId("socket", "TP_Link", "HS110")
 @given(labeled=st.lists(st.tuples(_flows(), st.sampled_from([None, NON_IOT, WEBCAM, OTHER])),
                         max_size=12),
        model=st.sampled_from([WEBCAM, OTHER]), parent_first=st.booleans())
-def test_a_filtered_models_columns_are_taken_from_the_datasets(labeled, model, parent_first):
+def test_a_filtered_models_subset_is_kept_and_reads_its_own_flows(labeled, model, parent_first):
     """filter_model's subset has the label codes and the columns, values in
     order of first appearance among its flows, that its flows would give
-    read afresh, and takes them from the dataset's without reading a flow."""
+    read afresh; it is kept with the dataset, and so are its columns."""
     data = FlowDataset([LabeledFlow(flow, label, "m") for flow, label in labeled])
     if parent_first:
         flow_columns(data)
@@ -248,12 +248,12 @@ def test_a_filtered_models_columns_are_taken_from_the_datasets(labeled, model, p
     assert subset.label_codes[0] == fresh.label_codes[0]
     assert subset.label_codes[1].tobytes() == fresh.label_codes[1].tobytes()
     expected = flow_columns(flows)
-    flow_columns(data)
-    with pytest.MonkeyPatch.context() as patch:  # the dataset's columns are built: no flow is read
+    columns = flow_columns(subset)
+    assert filter_model(data, model) is subset
+    with pytest.MonkeyPatch.context() as patch:  # the subset's columns are kept: no flow is read
         patch.setattr(preprocess, "_numeric_values", None)
         patch.setattr(preprocess, "_CATEGORICAL_FIELDS", None)
-        columns = flow_columns(subset)
-    assert columns is flow_columns(subset)
+        assert flow_columns(filter_model(data, model)) is columns
     assert columns.numeric.tobytes() == expected.numeric.tobytes()
     assert [list(values.items()) for values in columns.values] == \
         [list(values.items()) for values in expected.values]

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import pytest
 
 from natwatch.baselines import fit_slope, unwrap_ipid
@@ -184,6 +187,27 @@ class TestSerialization:
         path.write_text("[" * 100_000 + "]" * 100_000)
         with pytest.raises(ConfigError, match="^scenario: "):
             load_scenario(path)
+
+    @pytest.mark.parametrize("path, value", [
+        (("specs", 0, "macs"), "02:00"),  # not 5 devices, two of them sharing MAC "0"
+        (("dns", 0, "qnames"), "abc"),
+        (("specs",), "abc"),
+        (("dns",), {"label": "non-IoT"}),
+        (("overlap_pairs",), "abc"),
+        (("overlap_pairs", 0), "abc"),
+        (("overlap_pairs", 0), ["webcam.Alphacam.AC_100", "webcam.Betacam.BC_200"]),
+        (("specs", 0, "in_bytes_lognorm"), [6.0, 0.6, 1.0]),
+        (("specs", 0, "out_bytes_lognorm"), "ab"),
+        (("specs", 0, "duration_lognorm_ms"), [10.0, True]),
+        (("specs", 0, "duration_lognorm_ms"), [10.0, "0.5"]),
+    ])
+    def test_a_list_field_takes_only_a_json_list(self, path, value):
+        doc = scenario_to_dict(builtin_scenario("overlap-pair", flows_per_device=10))
+        *parents, key = path
+        functools.reduce(operator.getitem, parents, doc)[key] = value
+        name = [step for step in path if isinstance(step, str)][-1]
+        with pytest.raises(ConfigError, match=f"^scenario: malformed field '{name}'"):
+            scenario_from_dict(doc)
 
     def test_dict_round_trip_preserves_overlap(self):
         scenario = builtin_scenario("overlap-pair", flows_per_device=10)
