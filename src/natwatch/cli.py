@@ -9,7 +9,6 @@ machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import glob
 import os
 import sys
@@ -96,6 +95,15 @@ def _open_udp(bind: str, port: int):
         return netflow9.open_udp(bind, port)
     except OSError as exc:
         raise DataError(f"bind-error: {exc}") from exc
+
+
+def _collector_line(stats: netflow9.CollectorStats, out: str) -> str:
+    """The summary of a collector run: its counts, each reason a datagram
+    was refused or a record dropped, and where its output went."""
+    counts = "".join(f", {n} {reason}" for by_reason in (stats.malformed_reasons, stats.drops)
+                     for reason, n in sorted(by_reason.items()) if n)
+    return (f"{stats.datagrams} datagrams, {stats.records} records, "
+            f"{stats.malformed} malformed{counts} -> {out}")
 
 
 def cmd_synth(args) -> int:
@@ -189,8 +197,8 @@ def cmd_detect(args) -> int:
                 Detector(artifacts, policy, selector, args.audit) as detector:
             print(f"listening for NetFlow v9 on udp/{sock.getsockname()[1]}; Ctrl-C to stop",
                   file=sys.stderr)
-            with contextlib.suppress(KeyboardInterrupt):
-                netflow9.collect_udp(sock, detector)
+            stats = netflow9.collect_udp(sock, detector)
+        print(_collector_line(stats, args.audit))
     else:
         flows = [lf.flow for lf in _load_dataset(args.input)]
         decisions, positives = run_detector(flows, artifacts, policy, selector, args.audit)
@@ -204,21 +212,14 @@ def cmd_collect(args) -> int:
         raise DataError(f"bad-duration: {duration} is not a number of seconds in "
                         f"(0, {threading.TIMEOUT_MAX:.0f}]")
     collected = []
-    stats = None  # after Ctrl-C
-    with _open_udp(args.bind, args.port) as sock, contextlib.suppress(KeyboardInterrupt):
+    with _open_udp(args.bind, args.port) as sock:
         until = None if duration is None else time.monotonic() + duration
         stats = netflow9.collect_udp(sock, collected.extend, until)
     dataset = FlowDataset(
         [LabeledFlow(flow=f, label=None, source_mac=f.src_ip) for f in collected]
     )
     ingest.write_flow_csv(dataset, args.out)
-    if stats is not None:
-        counts = "".join(f", {n} {reason}" for by_reason in (stats.malformed_reasons, stats.drops)
-                         for reason, n in sorted(by_reason.items()) if n)
-        print(
-            f"{stats.datagrams} datagrams, {stats.records} records, "
-            f"{stats.malformed} malformed{counts} -> {args.out}"
-        )
+    print(_collector_line(stats, args.out))
     return 0
 
 

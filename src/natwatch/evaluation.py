@@ -9,11 +9,11 @@ import os
 import time
 from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from natwatch.flowdata import FlowDataset, filter_model
+from natwatch.flowdata import FlowDataset, LabeledFlow
 from natwatch.iforest import ModelArtifact, normality_scores
 from natwatch.preprocess import InsufficientDataError, flow_columns, transform_many
 
@@ -52,7 +52,7 @@ def roc(g: np.ndarray, positive: np.ndarray) -> tuple[list[tuple[float, float]],
     return list(zip(fpr.tolist(), tpr.tolist())), auc
 
 
-def time_to_detect(model_flows: FlowDataset, compute_s: float = 0.0) -> float:
+def time_to_detect(model_flows: Iterable[LabeledFlow], compute_s: float = 0.0) -> float:
     """Expected seconds until one of the model's flows is classified:
     mean flow inter-arrival time + mean flow duration + compute time."""
     flows = [lf.flow for lf in model_flows]
@@ -90,7 +90,8 @@ def evaluate_artifact(
 ) -> tuple[ModelReport, list[tuple[float, float]]]:
     """Score the mixed test set against one artifact and compute the
     report row plus ROC points. The test set's columns and label codes
-    are built at its first evaluation and reused by every other."""
+    are built at its first evaluation and reused by every other; it keeps
+    no per-model subset."""
     columns = flow_columns(test)
     code_of, label_codes = test.label_codes
     labels = label_codes == code_of.get(artifact.model, -1)
@@ -105,7 +106,7 @@ def evaluate_artifact(
     points, auc = roc(g, labels)
 
     try:
-        ttd = time_to_detect(filter_model(test, artifact.model), per_flow)
+        ttd = time_to_detect([test.flows[i] for i in np.flatnonzero(labels).tolist()], per_flow)
     except InsufficientDataError:
         ttd = None
 

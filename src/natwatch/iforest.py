@@ -100,7 +100,10 @@ class IsolationForest:
     # the nodes under the last level's splits, and every leaf, where the
     # levels stop above the deepest leaf (LEVEL_SLOTS_PER_NODE); else None
     below: Optional["NodeTable"]
-    size: np.ndarray  # int64, the leaves' sizes in preorder, which an artifact stores
+    # format 4's (lengths, dims, values) that the forest was grown or loaded
+    # from, which an artifact stores: each tree's node count, then its nodes
+    # in preorder, a split as its dim and value, a leaf as -1 and its size
+    columns: tuple
     sample_count: int  # psi, the subsample each tree was built on
     master_seed: int
     dimension: int
@@ -110,13 +113,19 @@ class IsolationForest:
         return len(self.leaf) >> len(self.values)
 
     @property
+    def size(self) -> np.ndarray:
+        """The leaves' sizes in preorder, as int64."""
+        _, dims, values = self.columns
+        return values[dims < 0].astype(np.int64)
+
+    @property
     def trees(self) -> list[IsolationTree]:
-        """The trees as linked nodes, decoded from _forest_columns on each
+        """The trees as linked nodes, decoded from the columns on each
         access. Only bench/spans reads it, to count the nodes; it goes with
         TreeNode and IsolationTree once the benchmark counts the columns.
         Read backwards, a preorder meets a split's subtrees before it: a
         split pops its left child, then its right, off the stack."""
-        _, dims, values = _forest_columns(self)
+        _, dims, values = self.columns
         stack = []
         for dim, value in zip(dims.tolist()[::-1], values.tolist()[::-1]):
             stack.append(TreeNode(-1, 0.0, int(value)) if dim < 0 else
@@ -156,8 +165,8 @@ def train_forest(
     n, d = X.shape
     psi = min(subsample, n)
     rngs = [_tree_rng(master_seed, t) for t in range(n_trees)]
-    table = _table_from_columns(*_grow_trees(X, rngs, psi), d, psi)
-    return _forest_from_table(table, psi, master_seed, d)
+    columns = _grow_trees(X, rngs, psi)
+    return _forest_from_table(_table_from_columns(*columns, d, psi), columns, psi, master_seed, d)
 
 
 # A numpy pass of _grow_trees takes the next nodes of consecutive trees up
@@ -251,10 +260,11 @@ def _grow_trees(X: np.ndarray, rngs: list, psi: int) -> tuple:
     draws = _Draws(rngs, 3 * psi // 2 + 1)  # a split takes at most a word and a half
     # A node is (a, size, depth, rank, tree). Its rank orders its tree's
     # nodes in preorder: at depth k and position j, (j << (height_limit - k))
-    # * (height_limit + 1) + k, which sorts as _forest_columns ranks levels'
-    # slots. Each tree's nodes still to split stand on its stack, the next on
-    # top: tree t's stack takes the rows of stack from t * (height_limit + 2),
-    # and top is its next free row.
+    # * (height_limit + 1) + k, the first position under it at the height
+    # limit, then its depth, so that it sorts after its ancestors.
+    # Each tree's nodes still to split stand on its stack, the next on top:
+    # tree t's stack takes the rows of stack from t * (height_limit + 2), and
+    # top is its next free row.
     tree = np.arange(n_trees)
     stack = np.empty((n_trees * (height_limit + 2), 5), dtype=np.int64)
     bottom = tree * (height_limit + 2)
@@ -336,7 +346,7 @@ class NodeTable:
     value: np.ndarray  # float64, -inf at a leaf
     right: np.ndarray  # int32
     leaf: np.ndarray  # float64, depth + c(size) at a leaf, 0 at a split
-    size: np.ndarray  # int64, the leaves' sizes in row order, which an artifact stores
+    size: np.ndarray  # int64, the leaves' sizes in row order
     roots: np.ndarray  # intp, where walks start: each tree's first row (in below, each slot's)
     steps: int  # the steps that take a walk from any root to its leaf
 
@@ -436,36 +446,36 @@ def _table_from_columns(lengths: np.ndarray, dims: np.ndarray, values: np.ndarra
 LEVEL_SLOTS_PER_NODE = 4
 
 
-def _forest_from_table(table: NodeTable, sample_count: int, master_seed: int,
+def _forest_from_table(table: NodeTable, columns: tuple, sample_count: int, master_seed: int,
                        dimension: int) -> IsolationForest:
-    """The forest of table's trees, laid out level by level from the rows
-    at each slot: a split's children are its next row and its right, a
-    leaf's are itself. The levels stop at the deepest leaf, or before
-    their slots pass LEVEL_SLOTS_PER_NODE per node; then below keeps
-    table's leaves and the splits under the last level, its roots the
-    row of each of the last level's slots."""
+    """The forest of table's trees, decoded from columns, which it keeps,
+    laid out level by level from the rows at each slot: a split's children
+    are its next row and its right, a leaf's are itself. The levels stop at
+    the deepest leaf, or before their slots pass LEVEL_SLOTS_PER_NODE per
+    node; then below keeps table's leaves and the splits under the last
+    level, its roots the row of each of the last level's slots."""
     n, trees = len(table.dim), len(table.roots)
     levels = 0  # levels 0..k and level k's children take trees * (2^(k+2) - 1) slots
     while levels < table.steps and trees * ((4 << levels) - 1) <= LEVEL_SLOTS_PER_NODE * n:
         levels += 1
-    children = np.empty((n, 2), dtype=np.intp)  # each row's, left then right
-    np.add(np.arange(n), table.value > -math.inf, out=children[:, 0])
-    children[:, 1] = table.right
     keep = np.ones(n, dtype=bool) if levels < table.steps else None  # the rows below the levels
     row, dims, values = table.roots, [], []
     for _ in range(levels):
         dims.append(table.dim.take(row))
         values.append(table.value.take(row))
+        split = values[-1] > -math.inf
         if keep is not None:
-            keep[row[values[-1] > -math.inf]] = False
-        row = children.take(row, axis=0).ravel()
-    del children
+            keep[row[split]] = False
+        children = np.empty((len(row), 2), dtype=np.intp)  # each row's, left then right
+        np.add(row, split, out=children[:, 0])
+        children[:, 1] = table.right.take(row)
+        row = children.ravel()
     below = None
     if keep is not None:
         at = np.cumsum(keep) - 1  # a kept row's row in below
         below = NodeTable(table.dim[keep], table.value[keep], at[table.right[keep]].astype(np.int32),
                           table.leaf[keep], table.size, at[row], table.steps - levels)
-    return IsolationForest(dims, values, table.leaf.take(row), below, table.size, sample_count,
+    return IsolationForest(dims, values, table.leaf.take(row), below, columns, sample_count,
                            master_seed, dimension)
 
 
@@ -569,40 +579,12 @@ class ModelArtifact:
         return self.calibrated_thresholds[percentile]
 
 
-def _forest_columns(forest: IsolationForest) -> tuple:
-    """Format 4's columns (lengths, dims, values), read off the levels: a
-    leaf is -1 and its size. A split at level k, slot j, ranks in preorder
-    by j << (K - k), K the last level, and then by k, its ancestors first.
-    Each slot of level K a row can reach comes after them: the leaf on it or
-    copied down to it, or the nodes of its subtree in below, in below's order."""
-    K, trees = len(forest.values), forest.tree_count
-    splits = [value > -math.inf for value in forest.values]
-    reached = np.ones(trees, dtype=bool)
-    for split in splits:  # a split's left child is reached, and every slot's right child
-        reached = np.stack((split, reached), axis=1).ravel()
-    slots = np.flatnonzero(reached)
-    if forest.below is None:  # every reached slot holds a leaf
-        low_dims, low_values, counts = np.full(len(slots), -1), forest.size.astype(float), 1
-    else:
-        below, m = forest.below, len(forest.below.dim)
-        leaf = below.right == np.arange(m)
-        low_dims, low_values = np.where(leaf, -1, below.dim), below.value.copy()
-        low_values[leaf] = forest.size
-        counts = np.diff(below.roots[slots], append=m)
-    at = [np.flatnonzero(split) for split in splits]
-    keys = np.concatenate([j << (K - k) for k, j in enumerate(at)] + [np.repeat(slots, counts)])
-    order = np.lexsort((np.repeat(np.arange(K + 1), [*map(len, at), len(low_dims)]), keys))
-    dims = np.concatenate([dim[j] for dim, j in zip(forest.dims, at)] + [low_dims])
-    values = np.concatenate([value[j] for value, j in zip(forest.values, at)] + [low_values])
-    return np.bincount(keys >> K, minlength=trees), dims[order], values[order]
-
-
 def _forest_to_dict(forest: IsolationForest) -> dict:
-    """Format 4: the forest's parameters and its columns (_forest_columns)."""
+    """Format 4: the forest's parameters and the columns it keeps."""
     return {"sample_count": forest.sample_count, "master_seed": forest.master_seed,
             "dimension": forest.dimension,
             **{name: base64.b64encode(column.astype(dtype).tobytes()).decode()
-               for (name, dtype), column in zip(FOREST_COLUMNS.items(), _forest_columns(forest))}}
+               for (name, dtype), column in zip(FOREST_COLUMNS.items(), forest.columns)}}
 
 
 def _column(d: dict, name: str) -> np.ndarray:
@@ -637,11 +619,9 @@ def _forest_from_dict(d: dict) -> IsolationForest:
     # that also keeps trees under 53 levels
     psi = _exact(d["sample_count"], int, "sample_count", 1, 2**53)
     dimension = _exact(d["dimension"], int, "dimension")
-    columns = [_column(d, name) for name in FOREST_COLUMNS]
-    table = _table_from_columns(*columns, dimension, psi)
-    del columns  # freed before the layout, where a load's memory peaks
-    return _forest_from_table(table, psi, _exact(d["master_seed"], int, "master_seed", 0),
-                              dimension)
+    columns = tuple(_column(d, name) for name in FOREST_COLUMNS)
+    return _forest_from_table(_table_from_columns(*columns, dimension, psi), columns, psi,
+                              _exact(d["master_seed"], int, "master_seed", 0), dimension)
 
 
 def _finite_threshold(value) -> float:

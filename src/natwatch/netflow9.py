@@ -7,6 +7,7 @@ cache, and buffering of data that arrives before its template.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import struct
 import time
@@ -229,7 +230,8 @@ def collect_udp(
     until: Optional[float] = None,
 ) -> CollectorStats:
     """Receive NetFlow v9 on the bound `sock` until `time.monotonic()`
-    passes `until`, or, with None, until Ctrl-C; the socket stays open.
+    passes `until` or Ctrl-C, which ends the run the same way: either
+    returns the stats. The socket stays open.
 
     Every datagram is decoded and its records handed to `sink` in
     arrival order; malformed datagrams are counted, in all and by
@@ -238,19 +240,20 @@ def collect_udp(
     stats = CollectorStats()
     cache = TemplateCache()
     stats.drops = cache.drops
-    while until is None or time.monotonic() < until:
-        try:
-            datagram = sock.recv(65535)
-        except socket.timeout:
-            continue
-        stats.datagrams += 1
-        try:
-            records = decode_netflow_v9(datagram, cache)
-        except NetflowDecodeError as exc:
-            stats.malformed += 1
-            stats.malformed_reasons[str(exc).split(":", 1)[0]] += 1
-            continue
-        if records:
-            stats.records += len(records)
-            sink(records)
+    with contextlib.suppress(KeyboardInterrupt):  # Ctrl-C ends the run as until does
+        while until is None or time.monotonic() < until:
+            try:
+                datagram = sock.recv(65535)
+            except socket.timeout:
+                continue
+            stats.datagrams += 1
+            try:
+                records = decode_netflow_v9(datagram, cache)
+            except NetflowDecodeError as exc:
+                stats.malformed += 1
+                stats.malformed_reasons[str(exc).split(":", 1)[0]] += 1
+                continue
+            if records:
+                stats.records += len(records)
+                sink(records)
     return stats

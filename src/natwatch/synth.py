@@ -4,8 +4,8 @@ DNS event streams for desk-scale testing of the whole pipeline."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -25,14 +25,20 @@ from natwatch.ingest import DnsEvent
 BASE_EPOCH_MS = 1_600_000_000_000
 
 
+# Each spec check passes only what is valid, so NaN, which fails every comparison, fails it
 def _check_weights(name: str, weights: dict) -> None:
     if not weights:
         raise ConfigError(f"{name}: empty weight map")
+    if not all(math.isfinite(w) and w >= 0 for w in weights.values()):
+        raise ConfigError(f"{name}: negative or non-finite weight")
     total = sum(weights.values())
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise ConfigError(f"{name}: weights sum to {total}, expected 1")
-    if any(w < 0 for w in weights.values()):
-        raise ConfigError(f"{name}: negative weight")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name}: must be finite and positive, got {value}")
 
 
 @dataclass
@@ -56,11 +62,12 @@ class ModelTrafficSpec:
         _check_weights(f"{name}.port_weights", self.port_weights)
         _check_weights(f"{name}.protocol_weights", self.protocol_weights)
         _check_weights(f"{name}.l7_weights", self.l7_weights)
-        for mu, sigma in (self.in_bytes_lognorm, self.out_bytes_lognorm, self.duration_lognorm_ms):
-            if sigma <= 0:
-                raise ConfigError(f"{name}: lognormal sigma must be positive")
-        if self.mean_iat_s <= 0:
-            raise ConfigError(f"{name}: mean_iat_s must be positive")
+        for field_name in ("in_bytes_lognorm", "out_bytes_lognorm", "duration_lognorm_ms"):
+            mu, sigma = getattr(self, field_name)
+            if not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0):
+                raise ConfigError(f"{name}.{field_name}: needs a finite mu and a finite, "
+                                  f"positive sigma, got {mu}, {sigma}")
+        _check_positive(f"{name}.mean_iat_s", self.mean_iat_s)
         if not self.macs:
             raise ConfigError(f"{name}: at least one device MAC required")
 
@@ -78,8 +85,9 @@ class DnsModelSpec:
     macs: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.slope_per_request <= 0:
-            raise ConfigError("dns slope must be positive")
+        name = format_label(self.label)
+        _check_positive(f"{name}.slope_per_request", self.slope_per_request)
+        _check_positive(f"{name}.mean_iat_s", self.mean_iat_s)
         if not self.qnames:
             raise ConfigError("dns qname set must be non-empty")
 
@@ -239,7 +247,7 @@ def _decode(cls, obj):
     """The cls that obj, a scenario_to_dict object, describes: each field
     present passes through its converter in _DECODERS, and each absent
     one takes the dataclass default. A missing or malformed field raises
-    ConfigError naming it."""
+    ConfigError naming it; a nested spec's own ConfigError passes through."""
     kwargs = {}
     for f in fields(cls):
         required = f.default is MISSING and f.default_factory is MISSING
@@ -248,7 +256,10 @@ def _decode(cls, obj):
                 kwargs[f.name] = _DECODERS[f.name](obj[f.name])
         except KeyError:
             raise ConfigError(f"scenario: missing field {f.name!r}") from None
-        except (TypeError, AttributeError) as exc:
+        except ConfigError:
+            raise
+        # ValueError: int("abc"); OverflowError: int(inf), float(10**400)
+        except (TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"scenario: malformed field {f.name!r}: {exc}") from None
     return cls(**kwargs)
 
@@ -270,7 +281,7 @@ def _lognorm(value) -> tuple:
     """A lognormal's (mu, sigma), given as a list of two numbers."""
     if not all(type(v) in (int, float) for v in _list(value, 2)):
         raise TypeError(f"expected two numbers, got {value!r:.40}")
-    return tuple(value)
+    return tuple(map(float, value))
 
 
 # One converter from JSON data per field name of the scenario dataclasses;

@@ -46,3 +46,58 @@ def build_datagram(
         encode_header(len(flowsets), sys_uptime, unix_secs, sequence, source_id)
         + b"".join(flowsets)
     )
+
+
+# A template of every field a flow record needs, and one record of it
+FIELDS = [
+    (10, 4),   # input interface
+    (8, 4),    # src ip
+    (12, 4),   # dst ip
+    (4, 1),    # protocol
+    (7, 2),    # src port
+    (11, 2),   # dst port
+    (5, 1),    # src tos
+    (55, 1),   # dst tos
+    (1, 4),    # in bytes
+    (23, 4),   # out bytes
+    (152, 8),  # flow start ms
+    (153, 8),  # flow end ms
+]
+
+RECORD = {
+    10: 1,
+    8: "192.168.1.5",
+    12: "8.8.8.8",
+    4: 17,
+    7: 40000,
+    11: 53,
+    5: 0,
+    55: 0,
+    1: 812,
+    23: 120,
+    152: 1000,
+    153: 4000,
+}
+
+
+def template_then_data(template_id=300, records=None):
+    records = records or [RECORD]
+    return build_datagram(
+        [
+            encode_template_flowset([(template_id, FIELDS)]),
+            encode_data_flowset(template_id, FIELDS, records),
+        ]
+    )
+
+
+class InterruptedSocket:
+    """A bound socket's stand-in for a collector: recv returns each of
+    datagrams in turn, then raises KeyboardInterrupt, as Ctrl-C does."""
+
+    def __init__(self, datagrams: list[bytes]):
+        self.datagrams = list(datagrams)
+
+    def recv(self, size: int) -> bytes:
+        if not self.datagrams:
+            raise KeyboardInterrupt
+        return self.datagrams.pop(0)

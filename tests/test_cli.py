@@ -19,6 +19,7 @@ from natwatch.detect import ActionPolicy, run_detector
 from natwatch.iforest import load_artifact
 from natwatch.ingest import parse_flow_csv
 
+from netflow_encoder import RECORD, InterruptedSocket, template_then_data
 from util import make_flow
 
 MODEL = "webcam.Alphacam.AC_100"
@@ -58,6 +59,19 @@ class TestSynth:
     def test_unknown_scenario_is_data_error(self, tmp_path):
         rc = main(["synth", "--scenario", "nope", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_a_nan_sigma_is_refused_naming_its_field_before_generating(self, synth_dir,
+                                                                       tmp_path, capsys):
+        doc = json.loads((synth_dir / "scenario.json").read_text())
+        doc["specs"][0]["in_bytes_lognorm"] = [3.0, float("nan")]  # json writes NaN
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["synth", "--scenario", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data-error: {MODEL}.in_bytes_lognorm: needs a finite mu and a finite, "
+            "positive sigma, got 3.0, nan\n")
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrain:
@@ -181,6 +195,13 @@ def _fake_collector(records, then=None):
     return collect_udp
 
 
+def _interrupt_collector(monkeypatch, datagrams):
+    """The collector receives datagrams, then Ctrl-C, on its bound socket."""
+    collect_udp = netflow9.collect_udp
+    monkeypatch.setattr(netflow9, "collect_udp", lambda sock, sink, until=None: collect_udp(
+        InterruptedSocket(datagrams), sink, until))
+
+
 class TestDetect:
     def test_csv_input_writes_audit(self, synth_dir, artifact_path, tmp_path, capsys):
         audit = tmp_path / "audit.jsonl"
@@ -259,6 +280,19 @@ class TestDetect:
         [(host, port)] = bound
         assert host == "127.0.0.1" and port != 0
         assert f"listening for NetFlow v9 on udp/{port};" in capsys.readouterr().err
+
+    def test_udp_input_ends_on_ctrl_c_with_the_collector_summary(self, artifact_path, tmp_path,
+                                                                   monkeypatch, capsys):
+        _interrupt_collector(monkeypatch, [
+            template_then_data(records=[RECORD, {**RECORD, 11: 443}]), b"garbage",
+            template_then_data(records=[{**RECORD, 152: 5000}])])  # ends before it starts
+        audit = tmp_path / "audit.jsonl"
+        rc = main(["detect", "--artifacts", str(artifact_path), "--input", "udp:0",
+                   "--bind", "127.0.0.1", "--audit", str(audit)])
+        assert rc == 0
+        assert len(audit.read_text().splitlines()) == 2
+        assert capsys.readouterr().out == ("3 datagrams, 2 records, 1 malformed, "
+                                           f"1 truncated-header, 1 invalid-record -> {audit}\n")
 
     @staticmethod
     def _counting_open(monkeypatch) -> list:
@@ -397,14 +431,16 @@ class TestCollect:
             f"5 pending-dropped -> {out}\n")
 
     def test_ctrl_c_keeps_what_was_collected(self, tmp_path, monkeypatch, capsys):
-        flows = [make_flow(dst_port=53), make_flow(dst_port=443)]
-        monkeypatch.setattr(netflow9, "collect_udp", _fake_collector(flows, KeyboardInterrupt))
+        """Ctrl-C, the only stop without --duration, ends the run as a
+        deadline does: what came before it is written and summed up."""
+        _interrupt_collector(monkeypatch, [template_then_data(), b"garbage"])
         out = tmp_path / "c.csv"
         rc = main(["collect", "--port", "0", "--bind", "127.0.0.1", "--out", str(out)])
         assert rc == 0
         parsed, _ = parse_flow_csv(str(out))
         assert [lf.flow.dst_port for lf in parsed] == [53]
-        assert capsys.readouterr().out == ""
+        assert capsys.readouterr().out == (
+            f"2 datagrams, 1 records, 1 malformed, 1 truncated-header -> {out}\n")
 
     def test_taken_port_is_one_bind_error_line(self, tmp_path, capsys):
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:

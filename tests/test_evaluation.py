@@ -1,11 +1,13 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from natwatch import evaluation
 from natwatch.evaluation import (
     ModelReport,
     emit_report,
@@ -260,6 +262,15 @@ class TestEvaluateArtifact:
         assert report.fpr_p10 is not None and report.fpr_p10 <= 0.2
         assert report.time_to_detect_s > 0
         assert points[0] == (0.0, 0.0) and points[-1] == (1.0, 1.0)
+
+    def test_time_to_detect_reads_the_models_flows_and_keeps_no_subset(self, monkeypatch):
+        artifact, test = self._setup()
+        monkeypatch.setattr(evaluation, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        report, _ = evaluate_artifact(artifact, test)
+        assert test.subsets == {}
+        model_flows = [lf for lf in test.flows if lf.label == WEBCAM]
+        assert len(model_flows) == report.test_positive_count > 2
+        assert report.time_to_detect_s == time_to_detect(model_flows)
 
 
 class TestEmitReport:

@@ -296,9 +296,9 @@ def level_path_length(tree: list, psi: int, x: list) -> float:
     """The path length of row x down one tree, given as its preorder
     columns [dims, values], on the levels loading lays out from them."""
     dims, values = tree
-    table = iforest._table_from_columns(np.array([len(dims)]), np.array(dims, np.int32),
-                                        np.array(values, np.float64), len(x), psi)
-    forest = iforest._forest_from_table(table, psi, 0, len(x))
+    columns = (np.array([len(dims)]), np.array(dims, np.int32), np.array(values, np.float64))
+    table = iforest._table_from_columns(*columns, len(x), psi)
+    forest = iforest._forest_from_table(table, columns, psi, 0, len(x))
     return float(iforest._forest_paths(forest, np.array([x], dtype=float))[0, 0])
 
 
@@ -381,11 +381,11 @@ def test_level_walk_gives_the_linked_trees_path_lengths(data, psi, dimension, n_
     trees = [data.draw(tree_columns(psi, dimension)) for _ in range(n_trees)]
     forest = {"sample_count": psi, "dimension": dimension}
     encode_trees(forest, trees)
-    table = iforest._table_from_columns(*[np.array(read_column(forest, name), DTYPES[name])
-                                          for name in DTYPES], dimension, psi)
+    columns = [np.array(read_column(forest, name), DTYPES[name]) for name in DTYPES]
+    table = iforest._table_from_columns(*columns, dimension, psi)
     default, iforest.LEVEL_SLOTS_PER_NODE = iforest.LEVEL_SLOTS_PER_NODE, slots_per_node
     try:
-        laid_out = iforest._forest_from_table(table, psi, 0, dimension)
+        laid_out = iforest._forest_from_table(table, columns, psi, 0, dimension)
     finally:
         iforest.LEVEL_SLOTS_PER_NODE = default
     slots = sum(map(len, laid_out.values)) + len(laid_out.leaf)
@@ -1117,7 +1117,7 @@ class TestArtifact:
         assert len(loaded.values) < len(trained.values)
         for forest in (trained, loaded):
             trees = [preorder_columns(tree.root) for tree in forest.trees]
-            lengths, dims, values = iforest._forest_columns(forest)
+            lengths, dims, values = forest.columns
             assert [len(tree_dims) for tree_dims, _ in trees] == lengths.tolist()
             assert [dim for tree_dims, _ in trees for dim in tree_dims] == dims.tolist()
             assert [value for _, tree_values in trees for value in tree_values] == values.tolist()

@@ -16,50 +16,14 @@ from natwatch.netflow9 import (
 )
 
 from netflow_encoder import (
+    FIELDS,
+    RECORD,
+    InterruptedSocket,
     build_datagram,
     encode_data_flowset,
     encode_template_flowset,
+    template_then_data,
 )
-
-FIELDS = [
-    (10, 4),   # input interface
-    (8, 4),    # src ip
-    (12, 4),   # dst ip
-    (4, 1),    # protocol
-    (7, 2),    # src port
-    (11, 2),   # dst port
-    (5, 1),    # src tos
-    (55, 1),   # dst tos
-    (1, 4),    # in bytes
-    (23, 4),   # out bytes
-    (152, 8),  # flow start ms
-    (153, 8),  # flow end ms
-]
-
-RECORD = {
-    10: 1,
-    8: "192.168.1.5",
-    12: "8.8.8.8",
-    4: 17,
-    7: 40000,
-    11: 53,
-    5: 0,
-    55: 0,
-    1: 812,
-    23: 120,
-    152: 1000,
-    153: 4000,
-}
-
-
-def template_then_data(template_id=300, records=None):
-    records = records or [RECORD]
-    return build_datagram(
-        [
-            encode_template_flowset([(template_id, FIELDS)]),
-            encode_data_flowset(template_id, FIELDS, records),
-        ]
-    )
 
 
 class TestDecode:
@@ -364,6 +328,15 @@ class TestCollector:
         assert stats.malformed_reasons == Counter({"truncated-header": 1})
         assert stats.datagrams == 3
         assert stats.drops == Counter({"invalid-record": 1})
+
+    def test_ctrl_c_ends_the_run_as_its_deadline_does(self):
+        received = []
+        sock = InterruptedSocket([template_then_data(), b"garbage",
+                                  template_then_data(records=[{**RECORD, 11: 2}])])
+        stats = netflow9.collect_udp(sock, received.extend)
+        assert [r.dst_port for r in received] == [53, 2]
+        assert (stats.datagrams, stats.records, stats.malformed) == (3, 2, 1)
+        assert stats.malformed_reasons == Counter({"truncated-header": 1})
 
     def test_bind_failure_raises(self, monkeypatch):
         made = []

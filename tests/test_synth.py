@@ -1,5 +1,7 @@
 import functools
+import math
 import operator
+import re
 
 import pytest
 
@@ -207,6 +209,49 @@ class TestSerialization:
         functools.reduce(operator.getitem, parents, doc)[key] = value
         name = [step for step in path if isinstance(step, str)][-1]
         with pytest.raises(ConfigError, match=f"^scenario: malformed field '{name}'"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("path, value", [
+        (("specs", 0, "in_bytes_lognorm"), [math.nan, 0.2]),
+        (("specs", 0, "in_bytes_lognorm"), [3.0, math.nan]),
+        (("specs", 0, "out_bytes_lognorm"), [math.inf, 0.2]),
+        (("specs", 0, "duration_lognorm_ms"), [5.0, math.inf]),
+        (("specs", 0, "mean_iat_s"), math.nan),
+        (("specs", 0, "mean_iat_s"), math.inf),
+        (("specs", 0, "port_weights"), {"20000": math.nan, "20001": 1.0}),
+        (("specs", 0, "protocol_weights"), {"17": math.inf, "6": math.nan}),
+        (("specs", 0, "l7_weights"), {"svc_0_a": math.nan}),
+        (("dns", 0, "mean_iat_s"), math.nan),
+        (("dns", 0, "mean_iat_s"), -1.0),
+        (("dns", 0, "slope_per_request"), math.nan),
+        (("dns", 0, "slope_per_request"), -math.inf),
+    ])
+    def test_a_nan_or_infinite_number_is_refused_naming_its_field(self, path, value):
+        """NaN passes no spec check: each is refused where the spec is made,
+        by the spec's own ConfigError, not wrapped as a malformed list."""
+        doc = scenario_to_dict(builtin_scenario("separable-13", flows_per_device=10))
+        *parents, key = path
+        spec = functools.reduce(operator.getitem, parents, doc)
+        spec[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(spec['label'])}\\.{key}: "):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("path, value", [
+        (("flows_per_device",), "abc"),
+        (("seed",), "1.5"),
+        (("dns_events_per_device",), math.inf),
+        (("specs", 0, "mean_iat_s"), "abc"),
+        (("specs", 0, "mean_iat_s"), 10**400),
+        (("specs", 0, "in_bytes_lognorm"), [10**400, 0.2]),
+        (("specs", 0, "port_weights"), {"80": "x"}),
+        (("specs", 0, "label"), "webcam"),
+    ], ids=["int-abc", "int-1.5", "int-inf", "float-abc", "float-10e400", "lognorm-10e400",
+            "weight-x", "label"])
+    def test_a_value_its_converter_refuses_names_the_field(self, path, value):
+        doc = scenario_to_dict(builtin_scenario("separable-13", flows_per_device=10))
+        *parents, key = path
+        functools.reduce(operator.getitem, parents, doc)[key] = value
+        with pytest.raises(ConfigError, match=f"^scenario: malformed field '{key}'"):
             scenario_from_dict(doc)
 
     def test_dict_round_trip_preserves_overlap(self):
