@@ -104,6 +104,11 @@ class IsolationForest:
     # from, which an artifact stores: each tree's node count, then its nodes
     # in preorder, a split as its dim and value, a leaf as -1 and its size
     columns: tuple
+    # float64 per dimension, its least and greatest split value (+inf and
+    # -inf where no tree splits it): no x < v tells a cell below low from
+    # -inf, nor one above high from high (anomaly_scores)
+    low: np.ndarray
+    high: np.ndarray
     sample_count: int  # psi, the subsample each tree was built on
     master_seed: int
     dimension: int
@@ -453,7 +458,8 @@ def _forest_from_table(table: NodeTable, columns: tuple, sample_count: int, mast
     are its next row and its right, a leaf's are itself. The levels stop at
     the deepest leaf, or before their slots pass LEVEL_SLOTS_PER_NODE per
     node; then below keeps table's leaves and the splits under the last
-    level, its roots the row of each of the last level's slots."""
+    level, its roots the row of each of the last level's slots. The split
+    range (low, high) is read off columns' splits."""
     n, trees = len(table.dim), len(table.roots)
     levels = 0  # levels 0..k and level k's children take trees * (2^(k+2) - 1) slots
     while levels < table.steps and trees * ((4 << levels) - 1) <= LEVEL_SLOTS_PER_NODE * n:
@@ -475,8 +481,14 @@ def _forest_from_table(table: NodeTable, columns: tuple, sample_count: int, mast
         at = np.cumsum(keep) - 1  # a kept row's row in below
         below = NodeTable(table.dim[keep], table.value[keep], at[table.right[keep]].astype(np.int32),
                           table.leaf[keep], table.size, at[row], table.steps - levels)
-    return IsolationForest(dims, values, table.leaf.take(row), below, columns, sample_count,
-                           master_seed, dimension)
+    # a split's dim j, in [0, dimension) as table checked, at j + 1, and
+    # every leaf's -1 at 0, which is dropped
+    at = np.add(columns[1], 1, dtype=np.intp)  # ufunc.at is slower on int32
+    low, high = np.full(dimension + 1, math.inf), np.full(dimension + 1, -math.inf)
+    np.minimum.at(low, at, columns[2])
+    np.maximum.at(high, at, columns[2])
+    return IsolationForest(dims, values, table.leaf.take(row), below, columns, low[1:], high[1:],
+                           sample_count, master_seed, dimension)
 
 
 def _forest_paths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
@@ -508,8 +520,25 @@ def _table_paths(table: NodeTable, cells: np.ndarray, row_at: np.ndarray,
 
 
 # A batch is walked this many rows at a time, so that the walk's
-# (trees x rows) arrays stay small however large the batch is.
+# (trees x rows) arrays stay small however large the batch is. A batch of
+# more rows walks one row of each class its forest cannot tell apart.
 CHUNK_ROWS = 128
+
+
+def _row_classes(forest: IsolationForest, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row for each class of X's rows that take one path in every tree,
+    and each row's class. A walk reads a cell only through x < v, v a split
+    value or a leaf's -inf, so clamping a cell below its dimension's least
+    split to -inf, and one above its greatest to that split, changes no
+    step (NaN stays NaN): rows equal once clamped are one class."""
+    clamped = np.where(X < forest.low, -math.inf, np.minimum(X, forest.high))
+    order = np.lexsort(clamped.T)
+    ranked = clamped[order]
+    first = np.ones(len(X), dtype=bool)  # the first row of each run of equal rows
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    classes = np.empty(len(X), dtype=np.intp)
+    classes[order] = np.cumsum(first) - 1
+    return ranked[first], classes
 
 
 def anomaly_scores(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
@@ -523,13 +552,16 @@ def anomaly_scores(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     if c == 0.0:
         # psi <= 1 or unsplittable data: 0/0 pinned to the midpoint
         return np.full(X.shape[0], 0.5)
+    # a batch of one chunk or less is walked as it stands: sorting it
+    # costs more than its repeated rows save
+    rows, classes = _row_classes(forest, X) if len(X) > CHUNK_ROWS else (X, slice(None))
     # accumulate adds tree after tree (sum(axis=0) may add pairwise: another
     # last bit); only its last row outlives the chunk
-    total = np.empty(len(X))
-    for a in range(0, len(X), CHUNK_ROWS):
+    total = np.empty(len(rows))
+    for a in range(0, len(rows), CHUNK_ROWS):
         total[a:a + CHUNK_ROWS] = np.add.accumulate(
-            _forest_paths(forest, X[a:a + CHUNK_ROWS]), axis=0)[-1]
-    mean_h = total / forest.tree_count
+            _forest_paths(forest, rows[a:a + CHUNK_ROWS]), axis=0)[-1]
+    mean_h = total[classes] / forest.tree_count
     return np.power(2.0, -mean_h / c)
 
 
@@ -614,11 +646,14 @@ def _column(d: dict, name: str) -> np.ndarray:
     return np.frombuffer(raw, dtype)
 
 
-def _forest_from_dict(d: dict) -> IsolationForest:
+def _forest_from_dict(d: dict, dimension: int) -> IsolationForest:
+    """The forest d, whose dimension must be dimension, its schema's:
+    checked before anything of its length is allocated."""
     # psi, and so every leaf size, is read as a float64, exact below 2^53;
     # that also keeps trees under 53 levels
     psi = _exact(d["sample_count"], int, "sample_count", 1, 2**53)
-    dimension = _exact(d["dimension"], int, "dimension")
+    if _exact(d["dimension"], int, "dimension") != dimension:
+        raise ValueError(f"forest dimension {d['dimension']} != schema dimension {dimension}")
     columns = tuple(_column(d, name) for name in FOREST_COLUMNS)
     return _forest_from_table(_table_from_columns(*columns, dimension, psi), columns, psi,
                               _exact(d["master_seed"], int, "master_seed", 0), dimension)
@@ -689,8 +724,8 @@ def load_artifact(path) -> ModelArtifact:
         thresholds = payload["calibrated_thresholds"]
         artifact = ModelArtifact(
             model=DeviceModelId.parse(payload["model"]),
-            schema=FeatureSchema.from_dict(payload["schema"]),
-            forest=_forest_from_dict(payload["forest"]),
+            schema=(schema := FeatureSchema.from_dict(payload["schema"])),
+            forest=_forest_from_dict(payload["forest"], schema.dimension),
             default_threshold=_finite_threshold(payload["default_threshold"]),
             calibrated_thresholds={int(k): _finite_threshold(v) for k, v in thresholds.items()},
             trained_at=_exact(payload["trained_at"], str, "trained_at"),

@@ -406,6 +406,66 @@ def test_level_walk_gives_the_linked_trees_path_lengths(data, psi, dimension, n_
     assert decode_trees(iforest._forest_to_dict(laid_out)) == trees
 
 
+@given(n=st.integers(2, 300), dimension=st.integers(2, 4), n_trees=st.integers(1, 5),
+       subsample=st.sampled_from([2, 3, 256]), one_leaf=st.booleans(),
+       rows=st.sampled_from([CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5, CHUNK_ROWS - 1, CHUNK_ROWS]),
+       distinct=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_a_batch_of_repeated_rows_scores_as_each_row_alone(n, dimension, n_trees, subsample,
+                                                           one_leaf, rows, distinct, seed):
+    """A few rows repeated in shuffled order, in a batch of a chunk more or
+    less than CHUNK_ROWS or of several chunks, score bit for bit as each row
+    alone and as the saved trees, decoded node by node, score them. Their
+    cells fall below a dimension's least split, above its greatest, on
+    either, NaN, +-inf, and -0.0 beside +0.0. The forest is trained on a
+    last column that is constant, which no tree splits, or on rows all
+    alike, which makes every tree one leaf."""
+    rng = np.random.default_rng(seed)
+    X = np.zeros((n, dimension)) if one_leaf else rng.normal(size=(n, dimension))
+    X[:, -1] = 0.5
+    forest = train_forest(X, n_trees, subsample, seed)
+    assert forest.low[-1] == math.inf and forest.high[-1] == -math.inf
+    base = np.empty((distinct, dimension))
+    for j, (low, high) in enumerate(zip(forest.low.tolist(), forest.high.tolist())):
+        edges = [low - 0.5, low, high, high + 0.5] if low <= high else []
+        base[:, j] = rng.choice([-0.0, 0.0, math.nan, math.inf, -math.inf, *edges,
+                                 *rng.normal(size=2)], distinct)
+    twins = np.repeat(base[:1], 2, axis=0)  # one row with +0.0, one with -0.0
+    twins[:, rng.integers(dimension)] = [0.0, -0.0]
+    base = np.vstack([base, twins])
+    Q = base[rng.permutation(np.arange(rows) % len(base))]
+    scores = anomaly_scores(forest, Q)
+    alone = np.concatenate([anomaly_scores(forest, row[None]) for row in Q])
+    expected = reference_scores(reference_forest_from_dict(iforest._forest_to_dict(forest)),
+                                forest.sample_count, Q)
+    assert scores.tobytes() == alone.tobytes() == expected.tobytes()
+
+
+def test_a_batch_walks_one_row_of_each_class_of_rows_it_holds(monkeypatch):
+    """A 1,000-row batch of k rows that differ once clamped to the split
+    range walks k rows: rows below every dimension's least split are one
+    class, as are rows above every greatest. A batch of CHUNK_ROWS rows or
+    fewer walks every row, repeated or not."""
+    rng = np.random.default_rng(7)
+    forest = train_forest(rng.normal(size=(300, 3)), n_trees=20)
+    assert (forest.low < forest.high).all()
+    inside = rng.uniform(forest.low, forest.high, (7, 3))
+    below = forest.low - rng.uniform(0.1, 10, (400, 3))
+    above = forest.high + rng.uniform(0.0, 10, (400, 3))
+    # each inside row with its first cell below the range: 7 more classes,
+    # which share that clamped cell with below's
+    mixed = inside[np.arange(186) % 7]
+    mixed[:, 0] = below[:186, 0]
+    X = np.vstack([inside, below, above, mixed, inside])[rng.permutation(1000)]
+    walked, forest_paths = [], iforest._forest_paths
+    monkeypatch.setattr(iforest, "_forest_paths",
+                        lambda forest, X: walked.append(len(X)) or forest_paths(forest, X))
+    anomaly_scores(forest, X)
+    assert walked == [7 + 1 + 1 + 7]
+    walked.clear()
+    anomaly_scores(forest, X[:CHUNK_ROWS])
+    assert walked == [CHUNK_ROWS]
+
+
 def linked_node_table(trees: list) -> dict:
     """The NodeTable fields of linked trees, read node by node in preorder,
     the trees end to end: a split's dim, value and its right child's row;
@@ -1113,7 +1173,7 @@ class TestArtifact:
         loaded one lays out fewer levels and keeps more nodes below them."""
         trained = train_forest(np.random.default_rng(5).normal(size=(300, 3)), n_trees=20)
         monkeypatch.setattr(iforest, "LEVEL_SLOTS_PER_NODE", 1)
-        loaded = iforest._forest_from_dict(iforest._forest_to_dict(trained))
+        loaded = iforest._forest_from_dict(iforest._forest_to_dict(trained), 3)
         assert len(loaded.values) < len(trained.values)
         for forest in (trained, loaded):
             trees = [preorder_columns(tree.root) for tree in forest.trees]
@@ -1122,6 +1182,29 @@ class TestArtifact:
             assert [dim for tree_dims, _ in trees for dim in tree_dims] == dims.tolist()
             assert [value for _, tree_values in trees for value in tree_values] == values.tolist()
             assert len(dims) == 2 * len(forest.size) - forest.tree_count
+
+    def test_a_loaded_forest_keeps_the_trained_split_range_and_saves_none_of_it(self, tmp_path):
+        """low and high are each dimension's least and greatest split value
+        in the saved trees, inf and -inf where none splits it, and read the
+        same off a trained forest and the same forest saved and loaded. The
+        saved forest holds its parameters and columns only."""
+        artifact = small_artifact()
+        trained = artifact.forest
+        save_artifact(artifact, tmp_path / "model.json")
+        loaded = load_artifact(tmp_path / "model.json").forest
+        saved = iforest._forest_to_dict(trained)
+        assert set(saved) == {"sample_count", "master_seed", "dimension", *DTYPES}
+        assert iforest._forest_to_dict(loaded) == saved
+        splits = [(dim, value) for dims, values in decode_trees(saved)
+                  for dim, value in zip(dims, values) if dim >= 0]
+        low = [min((v for d, v in splits if d == j), default=math.inf)
+               for j in range(trained.dimension)]
+        high = [max((v for d, v in splits if d == j), default=-math.inf)
+                for j in range(trained.dimension)]
+        assert math.inf in low and len(splits) > 1  # some dimension is split, some is not
+        for forest in (trained, loaded):
+            assert forest.low.dtype == forest.high.dtype == np.float64
+            assert forest.low.tolist() == low and forest.high.tolist() == high
 
     def test_round_trip_scores_identical(self, tmp_path):
         artifact = small_artifact()
@@ -1271,6 +1354,10 @@ class TestArtifact:
             (lambda p: p["forest"].update(master_seed=2.5), "master_seed"),
             (lambda p: p["forest"].update(dimension=float(p["forest"]["dimension"])),
              "dimension"),
+            # refused before anything of that length is allocated
+            (lambda p: p["forest"].update(dimension=-1), "forest dimension -1 != schema dimension"),
+            (lambda p: p["forest"].update(dimension=2**40),
+             "forest dimension 1099511627776 != schema dimension"),
             (lambda p: p.update(calibrated_thresholds={" 10": -0.03}),
              r"threshold keys \[' 10'\] are not plain ints"),
             (lambda p: p.update(default_threshold="0.1"), "threshold '0.1': not float"),
@@ -1284,6 +1371,7 @@ class TestArtifact:
              "lengths-short", "negative-length", "zero-length-tree", "nan-value", "inf-value",
              "minus-zero-leaf", "fractional-leaf", "fractional-count", "string-count",
              "negative-count", "bool-count", "string-seed", "fractional-seed", "float-dimension",
+             "negative-dimension", "huge-dimension",
              "spaced-threshold-key", "string-threshold", "int-trained-at"],
     )
     def test_checksum_valid_tampering_is_corrupt(self, tmp_path, tamper, reason):
