@@ -21,7 +21,6 @@ from natwatch.detect import (
     Detector,
     TrainConfig,
     calibrate_threshold,
-    run_detector,
     train_pipeline,
 )
 from natwatch.flowdata import (
@@ -201,7 +200,8 @@ def cmd_detect(args) -> int:
         print(_collector_line(stats, args.audit))
     else:
         flows = [lf.flow for lf in _load_dataset(args.input)]
-        decisions, positives = run_detector(flows, artifacts, policy, selector, args.audit)
+        with Detector(artifacts, policy, selector, args.audit) as detector:
+            decisions, positives = detector(flows)
         print(f"{decisions} detection events ({positives} positive) -> {args.audit}")
     return 0
 

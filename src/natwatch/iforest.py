@@ -86,20 +86,10 @@ def _tree_rng(master_seed: int, tree_index: int) -> np.random.Generator:
 
 @dataclass
 class IsolationForest:
-    """Every tree laid out level by level as a complete binary tree. Level
-    k has 2^k slots a tree, tree t's position j at slot t * 2^k + j, and
-    the children of slot i are slots 2i (left) and 2i + 1 of level k + 1.
-    A leaf above the last level is copied down its right chain with value
-    -inf, which sends every row right (NaN and -inf too); the slots left
-    of the chain are never reached. The last level holds each slot's
-    depth + c(size), unless below walks on from it (_forest_paths)."""
+    """The trees as one NodeTable, which every row is scored on, decoded
+    from the format-4 columns the forest keeps."""
 
-    dims: list[np.ndarray]  # int32 per level above the last, 0 at a leaf
-    values: list[np.ndarray]  # float64 per level above the last, -inf at a leaf
-    leaf: np.ndarray  # float64, the last level: depth + c(size) at a leaf, 0 at a split
-    # the nodes under the last level's splits, and every leaf, where the
-    # levels stop above the deepest leaf (LEVEL_SLOTS_PER_NODE); else None
-    below: Optional["NodeTable"]
+    table: NodeTable
     # format 4's (lengths, dims, values) that the forest was grown or loaded
     # from, which an artifact stores: each tree's node count, then its nodes
     # in preorder, a split as its dim and value, a leaf as -1 and its size
@@ -115,7 +105,7 @@ class IsolationForest:
 
     @property
     def tree_count(self) -> int:
-        return len(self.leaf) >> len(self.values)
+        return len(self.table.roots)
 
     @property
     def size(self) -> np.ndarray:
@@ -341,18 +331,17 @@ def _grow_trees(X: np.ndarray, rngs: list, psi: int) -> tuple:
 @dataclass(frozen=True)
 class NodeTable:
     """Trees as rows of one table: each tree's nodes in preorder, the trees
-    end to end. A split's left child is the next row. A leaf is its own
-    right child, and its value -inf sends every row there (NaN and -inf
-    too), so a walk that reached a leaf stays on it. Format 4 decodes into
-    one (_table_from_columns); an IsolationForest is laid out from it, and
-    keeps one only for the nodes under its last level (below)."""
+    end to end. Row i's children are child[2i], its right, and child[2i +
+    1], its left, the next row. A leaf is both of its own children, so a
+    walk that reached a leaf stays on it whatever the row's cells (NaN and
+    +-inf too), and its value is the path length of a row that ends there.
+    Format 4 decodes into one (_table_from_columns), which a forest is
+    scored on."""
 
-    dim: np.ndarray  # int32, 0 at a leaf
-    value: np.ndarray  # float64, -inf at a leaf
-    right: np.ndarray  # int32
-    leaf: np.ndarray  # float64, depth + c(size) at a leaf, 0 at a split
-    size: np.ndarray  # int64, the leaves' sizes in row order
-    roots: np.ndarray  # intp, where walks start: each tree's first row (in below, each slot's)
+    dim: np.ndarray  # intp, 0 at a leaf
+    value: np.ndarray  # float64: a split's value, a leaf's depth + c(size)
+    child: np.ndarray  # intp, two a row: its right child, then its left
+    roots: np.ndarray  # intp, each tree's first row, where walks start
     steps: int  # the steps that take a walk from any root to its leaf
 
 
@@ -420,9 +409,10 @@ def _table_from_columns(lengths: np.ndarray, dims: np.ndarray, values: np.ndarra
     last = right
     for _ in range(max(height_limit - 1, 0).bit_length()):
         last = last.take(last)
-    ended = np.bincount(last[:n] + 1, minlength=n)[:n]  # the subtrees that end just before each row
+    # first the count of subtrees that end just before each row
+    depth = np.bincount(last[:n] + 1, minlength=n)[:n]
     del last
-    depth = np.subtract(1, ended, out=ended)
+    np.subtract(1, depth, out=depth)
     depth[:1] -= 1
     np.cumsum(depth, out=depth)  # row i: i, less the subtrees ended by it
     deep = split & (depth >= height_limit)
@@ -430,93 +420,51 @@ def _table_from_columns(lengths: np.ndarray, dims: np.ndarray, values: np.ndarra
         faults.append((4 * int(deep.argmax()) + 2, "a tree is deeper than its height limit"))
     if faults:
         raise ValueError(min(faults)[1])
-    size, leaf_depth = values.take(leaves).astype(np.int64), depth.take(leaves)
+    leaf_depth = depth.take(leaves)
     del depth
+    child = np.empty(2 * n, dtype=np.intp)  # each row's right child, then its left
+    child[0::2] = right[:n]
+    del right
+    np.add(np.arange(n), split, out=child[1::2])
+    size = values.take(leaves).astype(np.int64)
     path = _C_TABLE.take(np.minimum(size, len(_C_TABLE) - 1))
     larger = np.flatnonzero(size >= len(_C_TABLE))  # psi above 1024 only
     path[larger] = [c_factor(m) for m in size.take(larger).tolist()]
     path += leaf_depth  # c(size) + depth: addition commutes, bit for bit
-    leaf = np.zeros(n)
-    leaf[leaves] = path
     value = values.copy()
-    value[leaves] = -math.inf
-    return NodeTable(np.maximum(dims, 0), value, right[:n].astype(np.int32), leaf, size, roots,
+    value[leaves] = path
+    return NodeTable(np.maximum(dims, 0, dtype=np.intp), value, child, roots,
                      int(leaf_depth.max()))
-
-
-# A forest lays out its next level only while its levels' slots stay
-# within this many per node, so that a deep chain of a hostile artifact
-# (psi up to 2^53) does not take 2^depth slots; rows walk on below the
-# last level in a node table. 2.7 suffice for psi = 256 at 100 trees.
-LEVEL_SLOTS_PER_NODE = 4
 
 
 def _forest_from_table(table: NodeTable, columns: tuple, sample_count: int, master_seed: int,
                        dimension: int) -> IsolationForest:
-    """The forest of table's trees, decoded from columns, which it keeps,
-    laid out level by level from the rows at each slot: a split's children
-    are its next row and its right, a leaf's are itself. The levels stop at
-    the deepest leaf, or before their slots pass LEVEL_SLOTS_PER_NODE per
-    node; then below keeps table's leaves and the splits under the last
-    level, its roots the row of each of the last level's slots. The split
-    range (low, high) is read off columns' splits."""
-    n, trees = len(table.dim), len(table.roots)
-    levels = 0  # levels 0..k and level k's children take trees * (2^(k+2) - 1) slots
-    while levels < table.steps and trees * ((4 << levels) - 1) <= LEVEL_SLOTS_PER_NODE * n:
-        levels += 1
-    keep = np.ones(n, dtype=bool) if levels < table.steps else None  # the rows below the levels
-    row, dims, values = table.roots, [], []
-    for _ in range(levels):
-        dims.append(table.dim.take(row))
-        values.append(table.value.take(row))
-        split = values[-1] > -math.inf
-        if keep is not None:
-            keep[row[split]] = False
-        children = np.empty((len(row), 2), dtype=np.intp)  # each row's, left then right
-        np.add(row, split, out=children[:, 0])
-        children[:, 1] = table.right.take(row)
-        row = children.ravel()
-    below = None
-    if keep is not None:
-        at = np.cumsum(keep) - 1  # a kept row's row in below
-        below = NodeTable(table.dim[keep], table.value[keep], at[table.right[keep]].astype(np.int32),
-                          table.leaf[keep], table.size, at[row], table.steps - levels)
+    """The forest of table's trees, decoded from columns, which it keeps.
+    The split range (low, high) is read off columns' splits."""
     # a split's dim j, in [0, dimension) as table checked, at j + 1, and
     # every leaf's -1 at 0, which is dropped
     at = np.add(columns[1], 1, dtype=np.intp)  # ufunc.at is slower on int32
     low, high = np.full(dimension + 1, math.inf), np.full(dimension + 1, -math.inf)
     np.minimum.at(low, at, columns[2])
     np.maximum.at(high, at, columns[2])
-    return IsolationForest(dims, values, table.leaf.take(row), below, columns, low[1:], high[1:],
-                           sample_count, master_seed, dimension)
+    return IsolationForest(table, columns, low[1:], high[1:], sample_count, master_seed,
+                           dimension)
 
 
 def _forest_paths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     """The path lengths of the rows of X, one row of them per tree: each
-    level steps every row from slot i to 2i + 1 - (x < v), and under the
-    last level rows walk on in below."""
+    step takes every row from node i to child[2i + (x < v)], and after
+    steps steps every row stands on its leaf."""
+    table = forest.table
     n, d = X.shape
     cells, row_at = X.ravel(), np.arange(0, n * d, d)
-    slot = np.repeat(np.arange(forest.tree_count)[:, None], n, axis=1)
-    for dim, value in zip(forest.dims, forest.values):
-        goes_left = cells.take(row_at + dim.take(slot)) < value.take(slot)
-        slot += slot
-        slot += 1
-        slot -= goes_left
-    if forest.below is None:
-        return forest.leaf.take(slot)
-    return _table_paths(forest.below, cells, row_at, forest.below.roots.take(slot))
-
-
-def _table_paths(table: NodeTable, cells: np.ndarray, row_at: np.ndarray,
-                 node: np.ndarray) -> np.ndarray:
-    """The path lengths of rows standing at table's nodes node, the rows'
-    cells at row_at: every row steps down one level at a time, and a row
-    on a leaf stays there."""
+    node = np.repeat(table.roots[:, None], n, axis=1)
     for _ in range(table.steps):
         goes_left = cells.take(row_at + table.dim.take(node)) < table.value.take(node)
-        node = np.where(goes_left, node + 1, table.right.take(node))
-    return table.leaf.take(node)
+        node += node
+        node += goes_left
+        node = table.child.take(node)
+    return table.value.take(node)
 
 
 # A batch is walked this many rows at a time, so that the walk's
@@ -527,10 +475,11 @@ CHUNK_ROWS = 128
 
 def _row_classes(forest: IsolationForest, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One row for each class of X's rows that take one path in every tree,
-    and each row's class. A walk reads a cell only through x < v, v a split
-    value or a leaf's -inf, so clamping a cell below its dimension's least
-    split to -inf, and one above its greatest to that split, changes no
-    step (NaN stays NaN): rows equal once clamped are one class."""
+    and each row's class. A walk steps from a split by x < v, v its value,
+    and from a leaf to itself whatever x, so clamping a cell below its
+    dimension's least split to -inf, and one above its greatest to that
+    split, changes no step (NaN stays NaN): rows equal once clamped are one
+    class."""
     clamped = np.where(X < forest.low, -math.inf, np.minimum(X, forest.high))
     order = np.lexsort(clamped.T)
     ranked = clamped[order]

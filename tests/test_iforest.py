@@ -292,9 +292,9 @@ class TestCFactor:
         assert c_factor(1) == 0.0
 
 
-def level_path_length(tree: list, psi: int, x: list) -> float:
+def table_path_length(tree: list, psi: int, x: list) -> float:
     """The path length of row x down one tree, given as its preorder
-    columns [dims, values], on the levels loading lays out from them."""
+    columns [dims, values], on the node table loading decodes from them."""
     dims, values = tree
     columns = (np.array([len(dims)]), np.array(dims, np.int32), np.array(values, np.float64))
     table = iforest._table_from_columns(*columns, len(x), psi)
@@ -304,20 +304,20 @@ def level_path_length(tree: list, psi: int, x: list) -> float:
 
 class TestPathLength:
     def test_singleton_leaf(self):
-        assert level_path_length([[-1], [1]], 1, [0.0]) == 0.0
+        assert table_path_length([[-1], [1]], 1, [0.0]) == 0.0
 
     def test_two_point_leaf(self):
         tree = [[0, -1, -1], [0.5, 2, 2]]
-        assert level_path_length(tree, 4, [0.1]) == pytest.approx(1 + c_factor(2))
+        assert table_path_length(tree, 4, [0.1]) == pytest.approx(1 + c_factor(2))
 
     def test_uneven_leaf(self):
         tree = [[0, -1, -1], [0.5, 1, 3]]
-        assert level_path_length(tree, 4, [0.9]) == pytest.approx(1 + c_factor(3))
-        assert level_path_length(tree, 4, [0.1]) == 1.0
+        assert table_path_length(tree, 4, [0.9]) == pytest.approx(1 + c_factor(3))
+        assert table_path_length(tree, 4, [0.1]) == 1.0
 
     def test_boundary_goes_right(self):
         tree = [[0, -1, -1], [0.5, 1, 1]]
-        assert level_path_length(tree, 2, [0.5]) == 1.0  # x >= v goes right
+        assert table_path_length(tree, 2, [0.5]) == 1.0  # x >= v goes right
 
 
 # Split values, and most query cells, are drawn from these, so that rows
@@ -367,43 +367,33 @@ def tree_columns(draw, psi: int, dimension: int) -> list:
 @given(data=st.data(),
        psi=st.sampled_from([1, 2, 3, 256, 2**53 - 1]) | st.integers(1, 2**53 - 1),
        dimension=st.integers(1, 3), n_trees=st.integers(1, 5),
-       slots_per_node=st.sampled_from([1, 2, iforest.LEVEL_SLOTS_PER_NODE]),
        rows=st.one_of(st.sampled_from(CHUNK_EDGES), st.integers(0, 3 * CHUNK_ROWS + 1)),
        query_seed=st.integers(0, 2**32 - 1))
-def test_level_walk_gives_the_linked_trees_path_lengths(data, psi, dimension, n_trees,
-                                                        slots_per_node, rows, query_seed):
-    """Trees of any shape train_forest could write, laid out under a bound
-    of slots per node patched small or not, so that the levels stop above
-    the deepest leaf (a walk in below of one or more steps) or reach it:
-    every tree's path lengths of rows with NaN and +-inf cells are bit for
-    bit those of the reference decoder's linked tree, and so are the
-    anomaly scores of a batch of one or more chunks."""
+def test_table_walk_gives_the_linked_trees_path_lengths(data, psi, dimension, n_trees,
+                                                        rows, query_seed):
+    """Trees of any shape train_forest could write, walked on the node
+    table they decode into: every tree's path lengths of rows with NaN and
+    +-inf cells are bit for bit those of the reference decoder's linked
+    tree, and so are the anomaly scores of a batch of one or more chunks."""
     trees = [data.draw(tree_columns(psi, dimension)) for _ in range(n_trees)]
     forest = {"sample_count": psi, "dimension": dimension}
     encode_trees(forest, trees)
     columns = [np.array(read_column(forest, name), DTYPES[name]) for name in DTYPES]
     table = iforest._table_from_columns(*columns, dimension, psi)
-    default, iforest.LEVEL_SLOTS_PER_NODE = iforest.LEVEL_SLOTS_PER_NODE, slots_per_node
-    try:
-        laid_out = iforest._forest_from_table(table, columns, psi, 0, dimension)
-    finally:
-        iforest.LEVEL_SLOTS_PER_NODE = default
-    slots = sum(map(len, laid_out.values)) + len(laid_out.leaf)
-    assert slots <= slots_per_node * len(table.dim)
-    assert len(laid_out.values) + (laid_out.below.steps if laid_out.below else 0) == table.steps
+    decoded = iforest._forest_from_table(table, columns, psi, 0, dimension)
     linked = [reference_tree_from_columns(tree, dimension, psi, math.ceil(math.log2(psi)))
               for tree in trees]
     rng = np.random.default_rng(query_seed)
     Q = rng.choice(_GRID + [math.nan, math.inf, -math.inf], (rows, dimension))
     off_grid = rng.random(Q.shape) < 0.3
     Q[off_grid] = rng.uniform(-2, 2, off_grid.sum())
-    walked = iforest._forest_paths(laid_out, Q)
+    walked = iforest._forest_paths(decoded, Q)
     assert walked.shape == (n_trees, rows)
     for tree, paths in zip(linked, walked.tolist()):
         assert [float(linked_path_length(tree, row)).hex() for row in Q.tolist()] == \
             [path.hex() for path in paths]
-    assert anomaly_scores(laid_out, Q).tobytes() == reference_scores(linked, psi, Q).tobytes()
-    assert decode_trees(iforest._forest_to_dict(laid_out)) == trees
+    assert anomaly_scores(decoded, Q).tobytes() == reference_scores(linked, psi, Q).tobytes()
+    assert decode_trees(iforest._forest_to_dict(decoded)) == trees
 
 
 @given(n=st.integers(2, 300), dimension=st.integers(2, 4), n_trees=st.integers(1, 5),
@@ -468,22 +458,23 @@ def test_a_batch_walks_one_row_of_each_class_of_rows_it_holds(monkeypatch):
 
 def linked_node_table(trees: list) -> dict:
     """The NodeTable fields of linked trees, read node by node in preorder,
-    the trees end to end: a split's dim, value and its right child's row;
-    a leaf's 0, -inf, its own row, depth + c(size) and size."""
-    table = {name: [] for name in ("dim", "value", "right", "leaf", "size", "roots")}
+    the trees end to end: a split's dim, value, and its right and left
+    children's rows; a leaf's 0, depth + c(size), and its own row as both
+    children."""
+    table = {name: [] for name in ("dim", "value", "right", "left", "roots")}
     depths = []
 
     def read(node, depth):
         row = len(table["dim"])
         leaf = node.split_dim < 0
         table["dim"].append(0 if leaf else node.split_dim)
-        table["value"].append(-math.inf if leaf else node.split_value)
+        table["value"].append(depth + c_factor(node.size) if leaf else node.split_value)
         table["right"].append(row)
-        table["leaf"].append(depth + c_factor(node.size) if leaf else 0.0)
+        table["left"].append(row)
         if leaf:
-            table["size"].append(node.size)
             depths.append(depth)
         else:
+            table["left"][row] = row + 1
             read(node.left, depth + 1)
             table["right"][row] = len(table["dim"])
             read(node.right, depth + 1)
@@ -501,8 +492,9 @@ def test_node_decoder_gives_the_linked_trees_node_table(data, psi, dimension, n_
     """The NodeTable that _table_from_columns decodes from trees of any
     shape train_forest could write (chains down to the height limit, and
     leaf sizes past the c(size) lookup table at a psi above 1024) is, row
-    for row, that of the reference decoder's linked trees: right children,
-    roots and steps, and each leaf's depth + c(size) bit for bit."""
+    for row, that of the reference decoder's linked trees: right and left
+    children, roots and steps, and each leaf's depth + c(size) bit for
+    bit."""
     trees = [data.draw(tree_columns(psi, dimension)) for _ in range(n_trees)]
     forest = {"sample_count": psi, "dimension": dimension}
     encode_trees(forest, trees)
@@ -510,11 +502,12 @@ def test_node_decoder_gives_the_linked_trees_node_table(data, psi, dimension, n_
                                           for name in DTYPES], dimension, psi)
     expected = linked_node_table([reference_tree_from_columns(
         tree, dimension, psi, math.ceil(math.log2(psi))) for tree in trees])
-    assert [table.right.dtype, table.roots.dtype] == [np.int32, np.intp]
-    for name in ("dim", "right", "size", "roots"):
-        assert getattr(table, name).tolist() == expected[name], name
-    assert table.value.tobytes() == np.array(expected["value"]).tobytes()
-    assert [path.hex() for path in table.leaf.tolist()] == [path.hex() for path in expected["leaf"]]
+    assert [table.dim.dtype, table.child.dtype, table.roots.dtype] == [np.intp] * 3
+    for name, column in (("dim", table.dim), ("right", table.child[0::2]),
+                         ("left", table.child[1::2]), ("roots", table.roots)):
+        assert column.tolist() == expected[name], name
+    assert [value.hex() for value in table.value.tolist()] == \
+        [value.hex() for value in expected["value"]]
     assert table.steps == expected["steps"]
 
 
@@ -1167,14 +1160,11 @@ def test_schema_edits_load_as_corrupt_artifacts(data):
 
 
 class TestArtifact:
-    def test_trees_view_encodes_back_to_the_columns(self, monkeypatch):
+    def test_trees_view_encodes_back_to_the_columns(self):
         """A trained and a loaded forest's linked trees, which the benchmark
-        counts, are its columns node for node: 2 x leaves - trees nodes. The
-        loaded one lays out fewer levels and keeps more nodes below them."""
+        counts, are its columns node for node: 2 x leaves - trees nodes."""
         trained = train_forest(np.random.default_rng(5).normal(size=(300, 3)), n_trees=20)
-        monkeypatch.setattr(iforest, "LEVEL_SLOTS_PER_NODE", 1)
         loaded = iforest._forest_from_dict(iforest._forest_to_dict(trained), 3)
-        assert len(loaded.values) < len(trained.values)
         for forest in (trained, loaded):
             trees = [preorder_columns(tree.root) for tree in forest.trees]
             lengths, dims, values = forest.columns
@@ -1388,8 +1378,8 @@ class TestArtifact:
     def test_a_deep_chain_at_the_largest_psi_loads_and_scores_in_bounded_memory(self, tmp_path):
         """psi 2^53 - 1 lets a tree be 52 splits deep. One chain that deep
         in a valid artifact loads and scores with a tracemalloc peak under
-        1 MB, its levels stopping at LEVEL_SLOTS_PER_NODE slots a node
-        rather than taking 2^52, and its g is the linked tree's."""
+        1 MB, its walk taking one step a level, and its g is the linked
+        tree's."""
         psi, depth = 2**53 - 1, 52
         dims, values, leaves = [], [], []
         for level in range(depth):  # x = 0 goes on at every split, others leave
@@ -1421,8 +1411,7 @@ class TestArtifact:
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
-        forest = artifact.forest
-        assert forest.below is not None and len(forest.values) + forest.below.steps == depth
+        assert artifact.forest.table.steps == depth
         linked = reference_forest_from_dict(payload["forest"])
         assert max(linked_path_length(linked[0], row) for row in Q.tolist()) > depth
         assert g.tobytes() == (0.5 - reference_scores(linked, psi, Q)).tobytes()

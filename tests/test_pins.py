@@ -1,5 +1,5 @@
 """Pins on what a seed must keep giving: a synthetic flows.csv, one trained
-forest's levels, node table and artifact bytes, the g of a few fixed flows,
+forest's node table and artifact bytes, the g of a few fixed flows,
 and the lines the detector writes for them. numpy's Generator may
 change what choice, integers and uniform return between releases (NEP 19).
 Training calls choice, and replays integers and uniform from the raw PCG64
@@ -13,8 +13,11 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 from datetime import datetime, timezone
 from types import SimpleNamespace
+
+import numpy as np
 
 from natwatch import detect, iforest
 from natwatch.cli import main
@@ -27,9 +30,8 @@ from natwatch.preprocess import transform_many
 from natwatch.synth import builtin_scenario, generate_flows
 
 # the model apart from its encoding: the NodeTable its saved columns decode
-# into, arrays (dtype and bytes) and steps, and the levels it is scored on
+# into, which it is scored on, arrays (dtype and bytes) and steps
 TABLE_SHA256 = "ff7117851e7ecc4030d01425024f2b0ab6196bb0556e12e9cf72f6b2bfcd45da"
-LEVELS_SHA256 = "925320c9997b0f04df8ca6dc472c26c3c13ff7115854d54803f4b7b73436f9a7"
 FOREST_SHA256 = "c9cdb35f9ccdcd7466c8b5aa5262fa6209d4111e5377c1e7034f8a459bada628"
 FLOWS_CSV_SHA256 = "8cca9e6cec66b87e8135f91e7db36b67b4b1914e22a7942386034156f1fe3adc"
 G_HEX = ["-0x1.31b029f316028p-4", "0x1.7b015736f3240p-8", "0x1.94c072c200cf0p-5",
@@ -67,32 +69,29 @@ def _arrays_sha256(arrays: dict, **counts: int) -> str:
 
 def _table_sha256(forest) -> str:
     """Of the NodeTable that _table_from_columns decodes from the forest's
-    saved columns."""
+    saved columns, in the fields it was first pinned in: int32 dims and
+    right children, -inf at a leaf's value, and each leaf's depth + c(size)
+    and size apart, 0 at a split's."""
     saved = _forest_to_dict(forest)
     table = _table_from_columns(*[_column(saved, name) for name in FOREST_COLUMNS],
                                 forest.dimension, forest.sample_count)
-    return _arrays_sha256({name: getattr(table, name)
-                           for name in ("dim", "value", "right", "leaf", "size", "roots")},
-                          steps=table.steps)
-
-
-def _levels_sha256(forest) -> str:
-    assert forest.below is None  # psi 140: every level is laid out
-    arrays = {f"{name} {k}": level for name in ("dims", "values")
-              for k, level in enumerate(getattr(forest, name))}
-    return _arrays_sha256({**arrays, "leaf": forest.leaf, "size": forest.size})
+    right = table.child[0::2]
+    leaves = right == np.arange(len(right))  # a leaf is its own right child
+    leaf = np.where(leaves, table.value, 0.0)
+    value = np.where(leaves, -math.inf, table.value)
+    return _arrays_sha256({"dim": table.dim.astype(np.int32), "value": value,
+                           "right": right.astype(np.int32), "leaf": leaf,
+                           "size": forest.size, "roots": table.roots}, steps=table.steps)
 
 
 def test_a_seed_gives_the_pinned_forest_and_g(tmp_path):
     model, artifact, test = _trained()
     assert _table_sha256(artifact.forest) == TABLE_SHA256
-    assert _levels_sha256(artifact.forest) == LEVELS_SHA256
     assert _forest_sha256(artifact.forest) == FOREST_SHA256
-    # and once saved and loaded, which writes it from the loaded levels
+    # and once saved and loaded, which writes the columns it loaded
     save_artifact(artifact, tmp_path / "model.json")
     loaded = load_artifact(tmp_path / "model.json").forest
     assert _table_sha256(loaded) == TABLE_SHA256
-    assert _levels_sha256(loaded) == LEVELS_SHA256
     assert _forest_sha256(loaded) == FOREST_SHA256
     # the model's first 5 test flows, alone and leading a 200-row batch and
     # a batch of more than one chunk
