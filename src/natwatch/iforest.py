@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -666,7 +666,7 @@ def load_artifact(path) -> ModelArtifact:
     body = memoryview(data)[len(head):-1]  # not a copy
     if not data.startswith(head) or hashlib.sha256(body).hexdigest() != checksum:
         raise ArtifactError("corrupt-artifact: checksum mismatch")
-    del doc, data, body  # freed before the decode, as _column's strings are
+    del data, body  # freed before the decode, as _column's strings are
     # A valid checksum shows the file is as written, not that a writer
     # with a working forest wrote it: every field is checked as decoded.
     try:
@@ -683,6 +683,15 @@ def load_artifact(path) -> ModelArtifact:
         )
         if list(map(str, artifact.calibrated_thresholds)) != list(thresholds):
             raise ValueError(f"threshold keys {list(thresholds)!r:.40} are not plain ints")
+        # a key that save_artifact does not write would be dropped on saving back
+        for where, held, keys in (
+                ("artifact", doc, ("checksum", "format_version", "payload")),
+                ("payload", payload, [f.name for f in fields(ModelArtifact)]),
+                ("schema", payload["schema"], [f.name for f in fields(FeatureSchema)]),
+                ("forest", payload["forest"], ("sample_count", "master_seed", "dimension",
+                                               *FOREST_COLUMNS))):
+            if unknown := held.keys() - keys:
+                raise ValueError(f"unknown key {min(unknown)!r} in {where}")
         return artifact
     except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         raise ArtifactError(f"corrupt-artifact: {type(exc).__name__}: {exc}") from exc

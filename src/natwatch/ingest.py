@@ -9,7 +9,6 @@ from operator import attrgetter
 from typing import Optional, get_type_hints
 
 from natwatch.flowdata import (
-    DeviceInventory,
     FlowDataset,
     FlowRecord,
     Label,
@@ -38,9 +37,8 @@ FLOW_COLUMNS = (
     ("FLOW_END_MILLISECONDS", "flow_end_ms"),
     ("TOS", "tos"),
 )
-# Optional columns after the record's: the label, which falls back to the
-# inventory's model for SRC_IP, and the source MAC, which falls back to
-# the inventory's MAC, then to SRC_IP.
+# Optional columns after the record's: the label, none when absent or
+# empty, and the source MAC, which falls back to SRC_IP.
 LABEL_COLUMN, MAC_COLUMN = "LABEL", "SRC_MAC"
 
 MANDATORY_COLUMNS = [column for column, _ in FLOW_COLUMNS[:-1]]
@@ -51,27 +49,19 @@ _TEXT_COLUMNS = [(c, name) for c, name in FLOW_COLUMNS[:-1] if _FIELD_TYPES[name
 _FLOW_CELLS = attrgetter(*(name for _, name in FLOW_COLUMNS))
 
 
-class MissingColumnError(ValueError):
-    def __init__(self, column: str):
-        self.column = column
-        super().__init__(f"missing mandatory column: {column}")
-
-
 @dataclass(frozen=True)
 class RejectedRow:
     line_no: int  # 1-based, header = line 1
     reason: str
 
 
-def parse_flow_csv(
-    path, inventory: Optional[DeviceInventory] = None
-) -> tuple[FlowDataset, list[RejectedRow]]:
+def parse_flow_csv(path) -> tuple[FlowDataset, list[RejectedRow]]:
     """Parse a flow CSV export into a FlowDataset.
 
     Every data row ends up either as a LabeledFlow or in the rejected
-    list with its line number and a reason. Labels are taken from the
-    LABEL column when present, otherwise from an inventory lookup of
-    SRC_IP, otherwise left unset.
+    list with its line number and a reason. A row's label is its LABEL
+    cell, or none when that is absent or empty; its source MAC is its
+    SRC_MAC cell, or SRC_IP when that is absent or empty.
     """
     flows: list[LabeledFlow] = []
     rejected: list[RejectedRow] = []
@@ -94,7 +84,7 @@ def parse_flow_csv(
             raise ValueError(f"unreadable header: {exc}") from None
         for col in MANDATORY_COLUMNS:
             if col not in header:
-                raise MissingColumnError(col)
+                raise ValueError(f"missing mandatory column: {col}")
         while True:
             line_no = lines_read + 1  # where the next row starts
             quotes = 0
@@ -137,19 +127,14 @@ def parse_flow_csv(
                 continue
 
             label: Optional[Label] = None
-            mac = row.get(MAC_COLUMN, "")
-            entry = inventory.by_ip(flow.src_ip) if inventory is not None else None
             if row.get(LABEL_COLUMN):
                 try:
                     label = parse_label(row[LABEL_COLUMN])
                 except ValueError:
                     rejected.append(RejectedRow(line_no, f"parse-error:{LABEL_COLUMN}"))
                     continue
-            elif entry is not None:
-                label = entry.model
-            if not mac and entry is not None:
-                mac = entry.mac
-            flows.append(LabeledFlow(flow=flow, label=label, source_mac=mac or flow.src_ip))
+            flows.append(LabeledFlow(flow=flow, label=label,
+                                     source_mac=row.get(MAC_COLUMN) or flow.src_ip))
     return FlowDataset(flows), rejected
 
 

@@ -82,9 +82,10 @@ class TemplateCache:
     PENDING_LIMIT, oldest dropped), as (payload, sys_uptime, unix_secs).
     `drops` counts what was dropped, by reason."""
 
-    templates: OrderedDict[tuple[int, int], Template] = field(default_factory=OrderedDict)
-    pending: OrderedDict[tuple[int, int], deque] = field(default_factory=OrderedDict)
-    _pending_count: int = 0
+    templates: OrderedDict[tuple[int, int], Template] = field(default_factory=OrderedDict,
+                                                              init=False)
+    pending: OrderedDict[tuple[int, int], deque] = field(default_factory=OrderedDict, init=False)
+    _pending_count: int = field(default=0, init=False)
     drops: Counter = field(default_factory=Counter, init=False)
 
     def register(self, key: tuple[int, int], template: Template) -> deque:

@@ -246,8 +246,15 @@ def scenario_to_dict(s: ScenarioSpec) -> dict:
 def _decode(cls, obj):
     """The cls that obj, a scenario_to_dict object, describes: each field
     present passes through its converter in _DECODERS, and each absent
-    one takes the dataclass default. A missing or malformed field raises
-    ConfigError naming it; a nested spec's own ConfigError passes through."""
+    one takes the dataclass default. A missing, malformed or unknown field
+    raises ConfigError naming it; a nested spec's own ConfigError passes
+    through. obj not a JSON object is a TypeError."""
+    if type(obj) is not dict:
+        raise TypeError(f"expected an object, got {obj!r:.40}")
+    names = {f.name for f in fields(cls)}
+    for key in obj:
+        if key not in names:
+            raise ConfigError(f"scenario: unknown field {key!r}")
     kwargs = {}
     for f in fields(cls):
         required = f.default is MISSING and f.default_factory is MISSING
@@ -313,10 +320,13 @@ _DECODERS = {
 
 
 def scenario_from_dict(d: dict) -> ScenarioSpec:
-    """The scenario a scenario_to_dict document describes. A missing or
-    malformed field raises ConfigError naming the field; a spec that
-    fails a spec check is named by its list, "specs" or "dns"."""
-    return _decode(ScenarioSpec, d)
+    """The scenario a scenario_to_dict document describes. A missing,
+    malformed or unknown field raises ConfigError naming the field; a spec
+    that fails a spec check raises its own ConfigError, naming the spec."""
+    try:
+        return _decode(ScenarioSpec, d)
+    except TypeError as exc:
+        raise ConfigError(f"scenario: {exc}") from None
 
 
 def save_scenario(scenario: ScenarioSpec, path) -> None:

@@ -506,6 +506,17 @@ class TestSplit:
                    "--ratios", "0.5,0.5", "--out-prefix", str(tmp_path / "p")])
         assert rc == 2
 
+    def test_missing_column_is_one_csv_error_line(self, synth_dir, tmp_path, capsys):
+        with open(synth_dir / "flows.csv", newline="") as fh:
+            rows = [row[:6] + row[7:] for row in csv.reader(fh)]  # IN_BYTES goes
+        path = tmp_path / "no_in_bytes.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        rc = main(["split", "--data", str(path), "--out-prefix", str(tmp_path / "p")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "data-error: csv-error: missing mandatory column: IN_BYTES"]
+
 
 # The error that each case naming a UDP port ends in
 _PORT_ERRORS = {"port-70000": "bad-port", "port-minus-1": "bad-port",

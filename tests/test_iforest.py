@@ -1084,12 +1084,13 @@ def test_every_artifact_load_accepts_saves_back_the_same_bytes(data):
     """load_artifact coerces nothing: an artifact it accepts saves back
     byte for byte, which natwatch calibrate relies on. Edited here: the
     payload's scalars, a threshold and its key, leaf sizes (-0.0,
-    fractions) and the unused bits of a column's base64 tail."""
+    fractions), the unused bits of a column's base64 tail and a key of
+    the payload, forest or schema that save_artifact never writes."""
     payload = json.loads(_saved_payload())
     forest = payload["forest"]
     for _ in range(data.draw(st.integers(1, 3))):
         edit = data.draw(st.sampled_from(["scalar", "threshold-key", "threshold", "leaf-size",
-                                          "stray-bits"]))
+                                          "stray-bits", "unknown-key"]))
         if edit == "scalar":
             *keys, key = data.draw(st.sampled_from(list(_RESAVE_SCALARS)))
             owner = functools.reduce(dict.__getitem__, keys, payload)
@@ -1111,6 +1112,9 @@ def test_every_artifact_load_accepts_saves_back_the_same_bytes(data):
             at = data.draw(st.sampled_from([i for i, dim in enumerate(dims) if dim == -1]))
             values[at] = data.draw(st.sampled_from([-0.0, 0.5, 2.25, 1.0, 3.0, values[at]]))
             encode_trees(forest, trees)
+        elif edit == "unknown-key":
+            owner = data.draw(st.sampled_from([payload, forest, payload["schema"]]))
+            owner[data.draw(st.sampled_from(["note", "trees", "version"]))] = 1
         else:
             _set_stray_bits(data, forest, data.draw(st.sampled_from(list(DTYPES))))
     with tempfile.TemporaryDirectory() as tmp:
@@ -1238,6 +1242,18 @@ class TestArtifact:
         with pytest.raises(ArtifactError, match="corrupt-artifact"):
             load_artifact(path)
 
+    def test_an_unknown_key_beside_the_payload_is_corrupt(self, tmp_path):
+        """A key after the payload, inside the checksummed bytes."""
+        path = tmp_path / "model.json"
+        save_artifact(small_artifact(), path)
+        data = path.read_bytes()
+        body = data[data.index(b'"payload":') + len(b'"payload":'):-1] + b',"signer":"x"'
+        path.write_bytes(iforest._head(hashlib.sha256(body).hexdigest()) + body + b"}")
+        assert json.loads(path.read_bytes())["signer"] == "x"
+        with pytest.raises(ArtifactError, match="^corrupt-artifact: ValueError: "
+                                                "unknown key 'signer' in artifact$"):
+            load_artifact(path)
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "model.json"
         save_artifact(small_artifact(), path)
@@ -1352,6 +1368,10 @@ class TestArtifact:
              r"threshold keys \[' 10'\] are not plain ints"),
             (lambda p: p.update(default_threshold="0.1"), "threshold '0.1': not float"),
             (lambda p: p.update(trained_at=5), "trained_at 5: not str"),
+            # a key save_artifact never writes, which saving back would drop
+            (lambda p: p.update(notes="retrained"), "ValueError: unknown key 'notes' in payload$"),
+            (lambda p: p["schema"].update(dimension=12), "unknown key 'dimension' in schema$"),
+            (lambda p: p["forest"].update(n_trees=100), "unknown key 'n_trees' in forest$"),
         ],
         ids=["truncated", "truncated-then-bad-node", "trailing-node", "trailing-bad-node",
              "split-dim-999", "node-not-a-list", "leaf-over-sample", "too-deep", "three-columns",
@@ -1362,7 +1382,8 @@ class TestArtifact:
              "minus-zero-leaf", "fractional-leaf", "fractional-count", "string-count",
              "negative-count", "bool-count", "string-seed", "fractional-seed", "float-dimension",
              "negative-dimension", "huge-dimension",
-             "spaced-threshold-key", "string-threshold", "int-trained-at"],
+             "spaced-threshold-key", "string-threshold", "int-trained-at",
+             "unknown-payload-key", "unknown-schema-key", "unknown-forest-key"],
     )
     def test_checksum_valid_tampering_is_corrupt(self, tmp_path, tamper, reason):
         path = tmp_path / "model.json"

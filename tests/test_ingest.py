@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 
 from natwatch.flowdata import (
     NON_IOT,
-    DeviceInventory,
     DeviceModelId,
     FlowDataset,
     FlowRecord,
-    InventoryEntry,
     LabeledFlow,
 )
 from natwatch.ingest import (
-    MissingColumnError,
     RejectedRow,
     normalize_qname,
     parse_dns_jsonl,
@@ -79,7 +76,7 @@ class TestParseFlowCsv:
     def test_missing_mandatory_column(self, tmp_path):
         header = HEADER.replace("IN_BYTES,", "")
         path = write_csv(tmp_path, ["1,a,b,6,1,2,0,0,0,HTTP,1,2"], header=header)
-        with pytest.raises(MissingColumnError, match="IN_BYTES"):
+        with pytest.raises(ValueError, match="^missing mandatory column: IN_BYTES$"):
             parse_flow_csv(path)
 
     def test_empty_file(self, tmp_path):
@@ -101,25 +98,18 @@ class TestParseFlowCsv:
         ds, _ = parse_flow_csv(path)
         assert ds.flows[0].label == WEBCAM
 
-    def test_inventory_fallback(self, tmp_path):
-        inv = DeviceInventory([InventoryEntry("aa:bb:cc:00:00:01", "192.168.1.5", WEBCAM)])
-        path = write_csv(
-            tmp_path, ["1,192.168.1.5,8.8.8.8,17,40000,53,812,0,0,0,DNS,1000,4000"]
-        )
-        ds, _ = parse_flow_csv(path, inv)
-        assert ds.flows[0].label == WEBCAM
-        assert ds.flows[0].source_mac == "aa:bb:cc:00:00:01"
-
-    def test_inventory_fills_empty_mac_of_labeled_row(self, tmp_path):
-        inv = DeviceInventory([InventoryEntry("aa:bb:cc:00:00:01", "192.168.1.5", WEBCAM)])
-        path = write_csv(
-            tmp_path,
-            ["1,192.168.1.5,8.8.8.8,17,40000,53,812,0,0,0,DNS,1000,4000,non-IoT,"],
-            header=HEADER + ",LABEL,SRC_MAC",
-        )
-        ds, _ = parse_flow_csv(path, inv)
-        assert ds.flows[0].label == NON_IOT  # the LABEL column still wins
-        assert ds.flows[0].source_mac == "aa:bb:cc:00:00:01"
+    def test_label_and_mac_fall_back_to_none_and_src_ip(self, tmp_path):
+        """A row's label is its LABEL cell, or none when the column is
+        absent or the cell empty; its MAC is its SRC_MAC cell, or SRC_IP."""
+        row = "1,192.168.1.5,8.8.8.8,17,40000,53,812,0,0,0,DNS,1000,4000"
+        bare, rejected = parse_flow_csv(write_csv(tmp_path, [row]))
+        assert rejected == []
+        path = write_csv(tmp_path, [row + ",,", row + ",non-IoT,aa:bb:cc:00:00:01"],
+                         header=HEADER + ",LABEL,SRC_MAC")
+        labeled, rejected = parse_flow_csv(path)
+        assert rejected == []
+        assert [(lf.label, lf.source_mac) for lf in bare.flows + labeled.flows] == [
+            (None, "192.168.1.5"), (None, "192.168.1.5"), (NON_IOT, "aa:bb:cc:00:00:01")]
 
     def test_totality(self, tmp_path):
         rows = [

@@ -202,6 +202,9 @@ class TestSerialization:
         (("specs", 0, "out_bytes_lognorm"), "ab"),
         (("specs", 0, "duration_lognorm_ms"), [10.0, True]),
         (("specs", 0, "duration_lognorm_ms"), [10.0, "0.5"]),
+        (("specs", 0), "abc"),  # a spec that is not an object
+        (("specs", 1), [{"label": "non-IoT"}]),
+        (("dns", 0), None),
     ])
     def test_a_list_field_takes_only_a_json_list(self, path, value):
         doc = scenario_to_dict(builtin_scenario("overlap-pair", flows_per_device=10))
@@ -252,6 +255,26 @@ class TestSerialization:
         *parents, key = path
         functools.reduce(operator.getitem, parents, doc)[key] = value
         with pytest.raises(ConfigError, match=f"^scenario: malformed field '{key}'"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "flows_per_devise"),
+        ((), "specs "),
+        (("specs", 0), "mean_iat"),
+        (("specs", 2), "label_"),
+        (("dns", 0), "slope"),
+        (("dns", 1), "resolver"),
+    ])
+    def test_an_unknown_field_is_refused_naming_it(self, path, key):
+        """A misspelled field is refused, not left at its default."""
+        doc = scenario_to_dict(builtin_scenario("separable-13", flows_per_device=10))
+        functools.reduce(operator.getitem, path, doc)[key] = 1.0
+        with pytest.raises(ConfigError, match=f"^scenario: unknown field '{key}'$"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], "abc", None, 5, [{"name": "x", "specs": []}]])
+    def test_a_scenario_that_is_not_an_object_is_refused(self, doc):
+        with pytest.raises(ConfigError, match="^scenario: expected an object, got "):
             scenario_from_dict(doc)
 
     def test_dict_round_trip_preserves_overlap(self):
