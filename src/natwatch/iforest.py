@@ -84,12 +84,21 @@ def _tree_rng(master_seed: int, tree_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsolationForest:
-    """The trees as one NodeTable, which every row is scored on, decoded
+    """The trees as rows of one node table, which every row is scored on:
+    each tree's nodes in preorder, the trees end to end. Row i's children
+    are child[2i], its right, and child[2i + 1], its left, the next row. A
+    leaf is both of its own children, so a walk that reached a leaf stays on
+    it whatever the row's cells (NaN and +-inf too), and its value is the
+    path length of a row that ends there. The table is decoded (_forest)
     from the format-4 columns the forest keeps."""
 
-    table: NodeTable
+    dim: np.ndarray  # intp, 0 at a leaf
+    value: np.ndarray  # float64: a split's value, a leaf's depth + c(size)
+    child: np.ndarray  # intp, two a row: its right child, then its left
+    roots: np.ndarray  # intp, each tree's first row, where walks start
+    steps: int  # the steps that take a walk from any root to its leaf
     # format 4's (lengths, dims, values) that the forest was grown or loaded
     # from, which an artifact stores: each tree's node count, then its nodes
     # in preorder, a split as its dim and value, a leaf as -1 and its size
@@ -105,13 +114,7 @@ class IsolationForest:
 
     @property
     def tree_count(self) -> int:
-        return len(self.table.roots)
-
-    @property
-    def size(self) -> np.ndarray:
-        """The leaves' sizes in preorder, as int64."""
-        _, dims, values = self.columns
-        return values[dims < 0].astype(np.int64)
+        return len(self.roots)
 
     @property
     def trees(self) -> list[IsolationTree]:
@@ -160,8 +163,7 @@ def train_forest(
     n, d = X.shape
     psi = min(subsample, n)
     rngs = [_tree_rng(master_seed, t) for t in range(n_trees)]
-    columns = _grow_trees(X, rngs, psi)
-    return _forest_from_table(_table_from_columns(*columns, d, psi), columns, psi, master_seed, d)
+    return _forest(_grow_trees(X, rngs, psi), psi, master_seed, d)
 
 
 # A numpy pass of _grow_trees takes the next nodes of consecutive trees up
@@ -328,32 +330,16 @@ def _grow_trees(X: np.ndarray, rngs: list, psi: int) -> tuple:
         np.concatenate(dims, dtype=np.int32)[order], np.concatenate(values, dtype=float)[order]
 
 
-@dataclass(frozen=True)
-class NodeTable:
-    """Trees as rows of one table: each tree's nodes in preorder, the trees
-    end to end. Row i's children are child[2i], its right, and child[2i +
-    1], its left, the next row. A leaf is both of its own children, so a
-    walk that reached a leaf stays on it whatever the row's cells (NaN and
-    +-inf too), and its value is the path length of a row that ends there.
-    Format 4 decodes into one (_table_from_columns), which a forest is
-    scored on."""
-
-    dim: np.ndarray  # intp, 0 at a leaf
-    value: np.ndarray  # float64: a split's value, a leaf's depth + c(size)
-    child: np.ndarray  # intp, two a row: its right child, then its left
-    roots: np.ndarray  # intp, each tree's first row, where walks start
-    steps: int  # the steps that take a walk from any root to its leaf
-
-
-def _table_from_columns(lengths: np.ndarray, dims: np.ndarray, values: np.ndarray,
-                        dimension: int, psi: int) -> NodeTable:
-    """The NodeTable of format 4's columns: each tree's node count, then
-    every node's dim and value in preorder, the trees end to end. A split is
-    a dim in [0, dimension) and a finite value, a leaf -1 and its size, an
-    integer in [0, psi] without a sign bit. Refuses (ValueError) what
-    train_forest cannot write: no trees, lengths that do not cut the nodes,
-    a malformed, missing or extra node, or a split at the height limit. Of
-    several node faults the one named is the first met reading node by node."""
+def _forest(columns: tuple, psi: int, master_seed: int, dimension: int) -> IsolationForest:
+    """The forest of format 4's columns (lengths, dims, values), which it
+    keeps: each tree's node count, then every node's dim and value in
+    preorder, the trees end to end. A split is a dim in [0, dimension) and a
+    finite value, a leaf -1 and its size, an integer in [0, psi] without a
+    sign bit. Refuses (ValueError) what train_forest cannot write: no trees,
+    lengths that do not cut the nodes, a malformed, missing or extra node,
+    or a split at the height limit. Of several node faults the one named is
+    the first met reading node by node."""
+    lengths, dims, values = columns
     if not len(lengths):
         raise ValueError("a forest needs at least one tree")
     n, lengths = len(dims), lengths.astype(np.intp)
@@ -433,38 +419,32 @@ def _table_from_columns(lengths: np.ndarray, dims: np.ndarray, values: np.ndarra
     path += leaf_depth  # c(size) + depth: addition commutes, bit for bit
     value = values.copy()
     value[leaves] = path
-    return NodeTable(np.maximum(dims, 0, dtype=np.intp), value, child, roots,
-                     int(leaf_depth.max()))
-
-
-def _forest_from_table(table: NodeTable, columns: tuple, sample_count: int, master_seed: int,
-                       dimension: int) -> IsolationForest:
-    """The forest of table's trees, decoded from columns, which it keeps.
-    The split range (low, high) is read off columns' splits."""
-    # a split's dim j, in [0, dimension) as table checked, at j + 1, and
-    # every leaf's -1 at 0, which is dropped
-    at = np.add(columns[1], 1, dtype=np.intp)  # ufunc.at is slower on int32
+    steps = int(leaf_depth.max())
+    del split, leaves, leaf_depth, size, path  # freed before the split range's n items
+    # the split range: a split's dim j, in [0, dimension) as checked, at j +
+    # 1, and every leaf's -1 at 0, which is dropped
+    at = np.add(dims, 1, dtype=np.intp)  # ufunc.at is slower on int32
     low, high = np.full(dimension + 1, math.inf), np.full(dimension + 1, -math.inf)
-    np.minimum.at(low, at, columns[2])
-    np.maximum.at(high, at, columns[2])
-    return IsolationForest(table, columns, low[1:], high[1:], sample_count, master_seed,
-                           dimension)
+    np.minimum.at(low, at, values)
+    np.maximum.at(high, at, values)
+    del at
+    return IsolationForest(np.maximum(dims, 0, dtype=np.intp), value, child, roots, steps,
+                           columns, low[1:], high[1:], psi, master_seed, dimension)
 
 
 def _forest_paths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     """The path lengths of the rows of X, one row of them per tree: each
     step takes every row from node i to child[2i + (x < v)], and after
     steps steps every row stands on its leaf."""
-    table = forest.table
     n, d = X.shape
     cells, row_at = X.ravel(), np.arange(0, n * d, d)
-    node = np.repeat(table.roots[:, None], n, axis=1)
-    for _ in range(table.steps):
-        goes_left = cells.take(row_at + table.dim.take(node)) < table.value.take(node)
+    node = np.repeat(forest.roots[:, None], n, axis=1)
+    for _ in range(forest.steps):
+        goes_left = cells.take(row_at + forest.dim.take(node)) < forest.value.take(node)
         node += node
         node += goes_left
-        node = table.child.take(node)
-    return table.value.take(node)
+        node = forest.child.take(node)
+    return forest.value.take(node)
 
 
 # A batch is walked this many rows at a time, so that the walk's
@@ -604,8 +584,7 @@ def _forest_from_dict(d: dict, dimension: int) -> IsolationForest:
     if _exact(d["dimension"], int, "dimension") != dimension:
         raise ValueError(f"forest dimension {d['dimension']} != schema dimension {dimension}")
     columns = tuple(_column(d, name) for name in FOREST_COLUMNS)
-    return _forest_from_table(_table_from_columns(*columns, dimension, psi), columns, psi,
-                              _exact(d["master_seed"], int, "master_seed", 0), dimension)
+    return _forest(columns, psi, _exact(d["master_seed"], int, "master_seed", 0), dimension)
 
 
 def _finite_threshold(value) -> float:

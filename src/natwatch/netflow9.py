@@ -54,11 +54,11 @@ class NetflowDecodeError(ValueError):
 
 @dataclass(frozen=True)
 class Template:
-    """A template's (field type, length) pairs as sent, the length of one
-    record, and its layout: (FlowRecord field, start, end, kind) for each
-    field the decoder reads, a repeated type at its last occurrence."""
+    """The length of one record of a template, and its layout: (FlowRecord
+    field, start, end, kind) for each field the decoder reads, a repeated
+    type at its last occurrence. The (type, length) pairs it was sent with
+    are not kept."""
 
-    fields: tuple[tuple[int, int], ...]
     record_length: int
     layout: tuple[tuple[str, int, int, int], ...]
 
@@ -71,7 +71,7 @@ class Template:
             if t in V9_FIELDS and _ABSOLUTE.get(t) not in types:
                 spans[V9_FIELDS[t]] = (V9_FIELDS[t], off, off + length, _KINDS.get(t, _INT))
             off += length
-        return cls(fields, off, tuple(spans.values()))
+        return cls(off, tuple(spans.values()))
 
 
 @dataclass

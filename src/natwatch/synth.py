@@ -271,8 +271,22 @@ def _decode(cls, obj):
     return cls(**kwargs)
 
 
+def _exactly(*kinds):
+    """A converter that passes a value whose JSON type is one of kinds (a
+    bool is no int), as the first of them: 7.9 is no int, and "1" no number."""
+    def convert(value):
+        if type(value) not in kinds:
+            names = " or ".join(kind.__name__ for kind in kinds)
+            raise TypeError(f"expected {names}, got {value!r:.40}")
+        return kinds[0](value)
+    return convert
+
+
+_int, _str, _number = _exactly(int), _exactly(str), _exactly(float, int)
+
+
 def _weights(key_type):
-    return lambda w: {key_type(k): float(v) for k, v in w.items()}
+    return lambda w: {key_type(k): _number(v) for k, v in w.items()}
 
 
 def _list(value, length=None) -> list:
@@ -284,38 +298,47 @@ def _list(value, length=None) -> list:
     return value
 
 
+def _strings(value) -> list:
+    return [_str(item) for item in _list(value)]
+
+
+def _overlap_pair(value) -> tuple:
+    """An overlap pair, given as a list of two model names and a fraction."""
+    name_a, name_b, fraction = _list(value, 3)
+    return _str(name_a), _str(name_b), _number(fraction)
+
+
 def _lognorm(value) -> tuple:
     """A lognormal's (mu, sigma), given as a list of two numbers."""
-    if not all(type(v) in (int, float) for v in _list(value, 2)):
-        raise TypeError(f"expected two numbers, got {value!r:.40}")
-    return tuple(map(float, value))
+    return tuple(map(_number, _list(value, 2)))
 
 
 # One converter from JSON data per field name of the scenario dataclasses;
-# a name shared by two of them means the same thing in both.
+# a name shared by two of them means the same thing in both. Each takes
+# its JSON type exactly, as an artifact's fields do: nothing is coerced.
 _DECODERS = {
-    "name": str,
+    "name": _str,
     "specs": lambda specs: [_decode(ModelTrafficSpec, m) for m in _list(specs)],
-    "flows_per_device": int,
-    "seed": int,
-    "overlap_pairs": lambda pairs: [tuple(_list(p, 3)) for p in _list(pairs)],
+    "flows_per_device": _int,
+    "seed": _int,
+    "overlap_pairs": lambda pairs: [_overlap_pair(p) for p in _list(pairs)],
     "dns": lambda specs: [_decode(DnsModelSpec, x) for x in _list(specs)],
-    "dns_events_per_device": int,
+    "dns_events_per_device": _int,
     "label": parse_label,
     "port_weights": _weights(int),
     "protocol_weights": _weights(int),
     "l7_weights": _weights(str),
-    "macs": _list,
-    "src_tos": int,
-    "dst_tos": int,
+    "macs": _strings,
+    "src_tos": _int,
+    "dst_tos": _int,
     "in_bytes_lognorm": _lognorm,
     "out_bytes_lognorm": _lognorm,
     "duration_lognorm_ms": _lognorm,
-    "mean_iat_s": float,
-    "slope_per_request": float,
-    "qnames": _list,
-    "noise": int,
-    "resolver_ip": str,
+    "mean_iat_s": _number,
+    "slope_per_request": _number,
+    "qnames": _strings,
+    "noise": _int,
+    "resolver_ip": _str,
 }
 
 

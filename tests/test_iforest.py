@@ -297,8 +297,7 @@ def table_path_length(tree: list, psi: int, x: list) -> float:
     columns [dims, values], on the node table loading decodes from them."""
     dims, values = tree
     columns = (np.array([len(dims)]), np.array(dims, np.int32), np.array(values, np.float64))
-    table = iforest._table_from_columns(*columns, len(x), psi)
-    forest = iforest._forest_from_table(table, columns, psi, 0, len(x))
+    forest = iforest._forest(columns, psi, 0, len(x))
     return float(iforest._forest_paths(forest, np.array([x], dtype=float))[0, 0])
 
 
@@ -378,9 +377,8 @@ def test_table_walk_gives_the_linked_trees_path_lengths(data, psi, dimension, n_
     trees = [data.draw(tree_columns(psi, dimension)) for _ in range(n_trees)]
     forest = {"sample_count": psi, "dimension": dimension}
     encode_trees(forest, trees)
-    columns = [np.array(read_column(forest, name), DTYPES[name]) for name in DTYPES]
-    table = iforest._table_from_columns(*columns, dimension, psi)
-    decoded = iforest._forest_from_table(table, columns, psi, 0, dimension)
+    columns = tuple(np.array(read_column(forest, name), DTYPES[name]) for name in DTYPES)
+    decoded = iforest._forest(columns, psi, 0, dimension)
     linked = [reference_tree_from_columns(tree, dimension, psi, math.ceil(math.log2(psi)))
               for tree in trees]
     rng = np.random.default_rng(query_seed)
@@ -457,7 +455,7 @@ def test_a_batch_walks_one_row_of_each_class_of_rows_it_holds(monkeypatch):
 
 
 def linked_node_table(trees: list) -> dict:
-    """The NodeTable fields of linked trees, read node by node in preorder,
+    """The node table fields of linked trees, read node by node in preorder,
     the trees end to end: a split's dim, value, and its right and left
     children's rows; a leaf's 0, depth + c(size), and its own row as both
     children."""
@@ -489,7 +487,7 @@ def linked_node_table(trees: list) -> dict:
        psi=st.sampled_from([1, 2, 3, 256, 1025, 2**53 - 1]) | st.integers(1, 2**53 - 1),
        dimension=st.integers(1, 3), n_trees=st.integers(1, 5))
 def test_node_decoder_gives_the_linked_trees_node_table(data, psi, dimension, n_trees):
-    """The NodeTable that _table_from_columns decodes from trees of any
+    """The node table that _forest decodes from trees of any
     shape train_forest could write (chains down to the height limit, and
     leaf sizes past the c(size) lookup table at a psi above 1024) is, row
     for row, that of the reference decoder's linked trees: right and left
@@ -498,8 +496,8 @@ def test_node_decoder_gives_the_linked_trees_node_table(data, psi, dimension, n_
     trees = [data.draw(tree_columns(psi, dimension)) for _ in range(n_trees)]
     forest = {"sample_count": psi, "dimension": dimension}
     encode_trees(forest, trees)
-    table = iforest._table_from_columns(*[np.array(read_column(forest, name), DTYPES[name])
-                                          for name in DTYPES], dimension, psi)
+    table = iforest._forest(tuple(np.array(read_column(forest, name), DTYPES[name])
+                                  for name in DTYPES), psi, 0, dimension)
     expected = linked_node_table([reference_tree_from_columns(
         tree, dimension, psi, math.ceil(math.log2(psi))) for tree in trees])
     assert [table.dim.dtype, table.child.dtype, table.roots.dtype] == [np.intp] * 3
@@ -1175,7 +1173,17 @@ class TestArtifact:
             assert [len(tree_dims) for tree_dims, _ in trees] == lengths.tolist()
             assert [dim for tree_dims, _ in trees for dim in tree_dims] == dims.tolist()
             assert [value for _, tree_values in trees for value in tree_values] == values.tolist()
-            assert len(dims) == 2 * len(forest.size) - forest.tree_count
+            assert len(dims) == 2 * len(values[dims < 0]) - forest.tree_count
+
+    def test_the_benchmark_counts_a_trained_forest(self, monkeypatch):
+        """bench/spans counts the trees and nodes of what train_forest
+        returns; a traced benchmark run whose forests it cannot count
+        (iforest.unknown_layouts) is marked incorrect. Imported as
+        bench/tests import it, from the bench directory."""
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+        import spans
+        forest = train_forest(np.random.default_rng(6).normal(size=(300, 3)), n_trees=20)
+        assert spans._count_nodes(forest) == (forest.tree_count, len(forest.columns[1]))
 
     def test_a_loaded_forest_keeps_the_trained_split_range_and_saves_none_of_it(self, tmp_path):
         """low and high are each dimension's least and greatest split value
@@ -1432,7 +1440,7 @@ class TestArtifact:
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
-        assert artifact.forest.table.steps == depth
+        assert artifact.forest.steps == depth
         linked = reference_forest_from_dict(payload["forest"])
         assert max(linked_path_length(linked[0], row) for row in Q.tolist()) > depth
         assert g.tobytes() == (0.5 - reference_scores(linked, psi, Q)).tobytes()

@@ -1,6 +1,7 @@
 import socket
 import struct
 import time
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -72,7 +73,9 @@ class TestDecode:
         decode_netflow_v9(
             build_datagram([encode_template_flowset([(300, new_fields)])]), cache
         )
-        assert len(cache.templates[(0, 300)].fields) == 6
+        template = cache.templates[(0, 300)]
+        assert template.record_length == sum(length for _, length in new_fields)
+        assert len(template.layout) == 6
 
     def test_resending_identical_template_is_noop(self):
         cache = TemplateCache()
@@ -178,6 +181,29 @@ class TestDecode:
         newest = [(s, t) for s in range(n - netflow9.TEMPLATE_LIMIT // 2, n) for t in (300, 301)]
         assert list(cache.templates) == newest
         assert cache.drops == Counter({"template-evicted": 2 * n - netflow9.TEMPLATE_LIMIT})
+
+    def test_a_cached_template_keeps_none_of_the_fields_it_was_sent_with(self):
+        """Each of 20 datagrams of 65,507 bytes or less (the most UDP
+        carries over IPv4) registers one template of as many fields as fit,
+        16,369. Held in the cache, the 20 take well under 1 MiB in all: a
+        template keeps its record length and the spans of the fields the
+        decoder reads, not every (type, length) pair it was sent with."""
+        field_count = (65_507 - 20 - 8) // 4
+        fields = FIELDS + [(1000 + i, 1 + i % 4) for i in range(field_count - len(FIELDS))]
+        datagrams = [build_datagram([encode_template_flowset([(tid, fields)])])
+                     for tid in range(256, 276)]
+        assert max(map(len, datagrams)) <= 65_507
+        cache = TemplateCache()
+        tracemalloc.start()
+        try:
+            for datagram in datagrams:
+                decode_netflow_v9(datagram, cache)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(cache.templates) == 20
+        assert held < 2**20, held
+        assert cache.templates[(0, 275)].record_length == sum(length for _, length in fields)
 
 
 def _flowset(flowset_id, body):

@@ -25,11 +25,11 @@ from natwatch.detect import TrainConfig, train_pipeline
 from natwatch.flowdata import DeviceModelId, chronological_split
 from natwatch.ingest import write_flow_csv
 from natwatch.iforest import CHUNK_ROWS, FOREST_COLUMNS, _column, _forest_to_dict, \
-    _table_from_columns, load_artifact, normality_scores, save_artifact
+    _forest, load_artifact, normality_scores, save_artifact
 from natwatch.preprocess import transform_many
 from natwatch.synth import builtin_scenario, generate_flows
 
-# the model apart from its encoding: the NodeTable its saved columns decode
+# the model apart from its encoding: the node table its saved columns decode
 # into, which it is scored on, arrays (dtype and bytes) and steps
 TABLE_SHA256 = "ff7117851e7ecc4030d01425024f2b0ab6196bb0556e12e9cf72f6b2bfcd45da"
 FOREST_SHA256 = "c9cdb35f9ccdcd7466c8b5aa5262fa6209d4111e5377c1e7034f8a459bada628"
@@ -68,20 +68,22 @@ def _arrays_sha256(arrays: dict, **counts: int) -> str:
 
 
 def _table_sha256(forest) -> str:
-    """Of the NodeTable that _table_from_columns decodes from the forest's
-    saved columns, in the fields it was first pinned in: int32 dims and
-    right children, -inf at a leaf's value, and each leaf's depth + c(size)
-    and size apart, 0 at a split's."""
+    """Of the node table that _forest decodes from the forest's saved
+    columns, in the fields it was first pinned in: int32 dims and right
+    children, -inf at a leaf's value, and each leaf's depth + c(size) and
+    size apart, 0 at a split's."""
     saved = _forest_to_dict(forest)
-    table = _table_from_columns(*[_column(saved, name) for name in FOREST_COLUMNS],
-                                forest.dimension, forest.sample_count)
+    columns = tuple(_column(saved, name) for name in FOREST_COLUMNS)
+    table = _forest(columns, forest.sample_count, forest.master_seed, forest.dimension)
+    _, dims, values = columns
     right = table.child[0::2]
     leaves = right == np.arange(len(right))  # a leaf is its own right child
     leaf = np.where(leaves, table.value, 0.0)
     value = np.where(leaves, -math.inf, table.value)
     return _arrays_sha256({"dim": table.dim.astype(np.int32), "value": value,
                            "right": right.astype(np.int32), "leaf": leaf,
-                           "size": forest.size, "roots": table.roots}, steps=table.steps)
+                           "size": values[dims < 0].astype(np.int64), "roots": table.roots},
+                          steps=table.steps)
 
 
 def test_a_seed_gives_the_pinned_forest_and_g(tmp_path):

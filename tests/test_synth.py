@@ -205,6 +205,11 @@ class TestSerialization:
         (("specs", 0), "abc"),  # a spec that is not an object
         (("specs", 1), [{"label": "non-IoT"}]),
         (("dns", 0), None),
+        (("dns", 0, "qnames"), [1, 2, 3]),  # DNS lines parse_dns_jsonl would refuse
+        (("specs", 0, "macs"), [None]),
+        (("overlap_pairs", 0), ["webcam.Alphacam.AC_100", "webcam.Betacam.BC_200", "half"]),
+        (("overlap_pairs", 0), ["webcam.Alphacam.AC_100", None, 0.5]),
+        (("overlap_pairs", 0), ["webcam.Alphacam.AC_100", "webcam.Betacam.BC_200", True]),
     ])
     def test_a_list_field_takes_only_a_json_list(self, path, value):
         doc = scenario_to_dict(builtin_scenario("overlap-pair", flows_per_device=10))
@@ -248,8 +253,17 @@ class TestSerialization:
         (("specs", 0, "in_bytes_lognorm"), [10**400, 0.2]),
         (("specs", 0, "port_weights"), {"80": "x"}),
         (("specs", 0, "label"), "webcam"),
+        (("seed",), 7.9),
+        (("seed",), True),
+        (("specs", 0, "src_tos"), 1.9),
+        (("dns", 0, "noise"), 2.0),
+        (("specs", 0, "mean_iat_s"), True),
+        (("specs", 0, "port_weights"), {"20000": True}),
+        (("name",), 5),
+        (("dns", 0, "resolver_ip"), None),
     ], ids=["int-abc", "int-1.5", "int-inf", "float-abc", "float-10e400", "lognorm-10e400",
-            "weight-x", "label"])
+            "weight-x", "label", "int-7.9", "int-true", "tos-1.9", "noise-2.0", "float-true",
+            "weight-true", "str-5", "str-null"])
     def test_a_value_its_converter_refuses_names_the_field(self, path, value):
         doc = scenario_to_dict(builtin_scenario("separable-13", flows_per_device=10))
         *parents, key = path
