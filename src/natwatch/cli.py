@@ -112,11 +112,12 @@ def cmd_synth(args) -> int:
         scenario = synth.builtin_scenario(
             args.scenario, flows_per_device=args.flows, seed=args.seed
         )
+    # generate all, then write: a scenario refused on the way leaves no file
+    dataset = synth.generate_flows(scenario)
+    events = synth.generate_dns(scenario)
     os.makedirs(args.out, exist_ok=True)
     synth.save_scenario(scenario, os.path.join(args.out, "scenario.json"))
-    dataset = synth.generate_flows(scenario)
     ingest.write_flow_csv(dataset, os.path.join(args.out, "flows.csv"))
-    events = synth.generate_dns(scenario)
     ingest.write_dns_jsonl(events, os.path.join(args.out, "dns.jsonl"))
     print(f"wrote {len(dataset)} flows and {len(events)} DNS events to {args.out}")
     return 0
@@ -211,14 +212,17 @@ def cmd_collect(args) -> int:
     if duration is not None and not 0 < duration <= threading.TIMEOUT_MAX:
         raise DataError(f"bad-duration: {duration} is not a number of seconds in "
                         f"(0, {threading.TIMEOUT_MAX:.0f}]")
-    collected = []
-    with _open_udp(args.bind, args.port) as sock:
+    # the bind, then the CSV: a port refused leaves no file behind
+    with _open_udp(args.bind, args.port) as sock, \
+            open(args.out, "w", newline="", encoding="utf-8") as fh:
+        write = ingest.flow_csv_writer(fh)
+
+        def sink(records):  # each batch's rows as it arrives, so memory stays flat
+            write(LabeledFlow(flow=f, label=None, source_mac=f.src_ip) for f in records)
+            fh.flush()
+
         until = None if duration is None else time.monotonic() + duration
-        stats = netflow9.collect_udp(sock, collected.extend, until)
-    dataset = FlowDataset(
-        [LabeledFlow(flow=f, label=None, source_mac=f.src_ip) for f in collected]
-    )
-    ingest.write_flow_csv(dataset, args.out)
+        stats = netflow9.collect_udp(sock, sink, until)
     print(_collector_line(stats, args.out))
     return 0
 

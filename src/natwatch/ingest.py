@@ -6,7 +6,7 @@ import csv
 import json
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional, get_type_hints
+from typing import Callable, Iterable, Optional, get_type_hints
 
 from natwatch.flowdata import (
     FlowDataset,
@@ -138,14 +138,21 @@ def parse_flow_csv(path) -> tuple[FlowDataset, list[RejectedRow]]:
     return FlowDataset(flows), rejected
 
 
+def flow_csv_writer(fh) -> Callable[[Iterable[LabeledFlow]], None]:
+    """Write the header of the CSV schema parse_flow_csv reads to the text
+    file fh, opened with newline="", and return what writes flows to it
+    as rows."""
+    writer = csv.writer(fh)
+    writer.writerow([column for column, _ in FLOW_COLUMNS] + [LABEL_COLUMN, MAC_COLUMN])
+    return lambda flows: writer.writerows(
+        _FLOW_CELLS(lf.flow) + ("" if lf.label is None else format_label(lf.label), lf.source_mac)
+        for lf in flows)
+
+
 def write_flow_csv(dataset: FlowDataset, path) -> None:
     """Write a FlowDataset in the same CSV schema parse_flow_csv reads."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([column for column, _ in FLOW_COLUMNS] + [LABEL_COLUMN, MAC_COLUMN])
-        for lf in dataset.flows:
-            label = format_label(lf.label) if lf.label is not None else ""
-            writer.writerow(_FLOW_CELLS(lf.flow) + (label, lf.source_mac))
+        flow_csv_writer(fh)(dataset.flows)
 
 
 @dataclass(frozen=True)

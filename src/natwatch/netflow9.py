@@ -74,21 +74,29 @@ class Template:
         return cls(off, tuple(spans.values()))
 
 
+# What a template is cached under: the exporter (its source IP address, or
+# None for a lone unnamed one), the Source ID and the template ID. RFC 3954
+# (5.1) tells export streams apart by source address and Source ID together.
+TemplateKey = tuple[Optional[str], int, int]
+
+
 @dataclass
 class TemplateCache:
-    """Templates keyed by (source_id, template_id), in registration
-    order (at most TEMPLATE_LIMIT, oldest-registered evicted), plus data
-    flowsets buffered while their template is unknown (at most
-    PENDING_LIMIT, oldest dropped), as (payload, sys_uptime, unix_secs).
+    """Templates by key, in registration order (at most TEMPLATE_LIMIT,
+    oldest-registered evicted), plus data flowsets buffered while their
+    template is unknown, as (payload, sys_uptime, unix_secs), one queue a
+    key. Past PENDING_LIMIT flowsets over all queues, the head of the queue
+    whose key started buffering first is dropped: not the oldest flowset
+    overall, since a key keeps its place while its queue is not empty.
     `drops` counts what was dropped, by reason."""
 
-    templates: OrderedDict[tuple[int, int], Template] = field(default_factory=OrderedDict,
-                                                              init=False)
-    pending: OrderedDict[tuple[int, int], deque] = field(default_factory=OrderedDict, init=False)
+    templates: OrderedDict[TemplateKey, Template] = field(default_factory=OrderedDict,
+                                                          init=False)
+    pending: OrderedDict[TemplateKey, deque] = field(default_factory=OrderedDict, init=False)
     _pending_count: int = field(default=0, init=False)
     drops: Counter = field(default_factory=Counter, init=False)
 
-    def register(self, key: tuple[int, int], template: Template) -> deque:
+    def register(self, key: TemplateKey, template: Template) -> deque:
         """Cache `template` as the newest, evicting past TEMPLATE_LIMIT,
         and return the flowsets that were waiting for `key`."""
         self.templates[key] = template
@@ -100,7 +108,7 @@ class TemplateCache:
         self._pending_count -= len(waiting)
         return waiting
 
-    def buffer(self, key: tuple[int, int], item: tuple[bytes, int, int]) -> None:
+    def buffer(self, key: TemplateKey, item: tuple[bytes, int, int]) -> None:
         self.pending.setdefault(key, deque()).append(item)
         self._pending_count += 1
         while self._pending_count > PENDING_LIMIT:
@@ -136,10 +144,12 @@ def _decode_records(
     return records
 
 
-def decode_netflow_v9(datagram: bytes, cache: TemplateCache) -> list[FlowRecord]:
-    """Decode one v9 datagram, updating the template cache.
+def decode_netflow_v9(datagram: bytes, cache: TemplateCache,
+                      exporter: Optional[str] = None) -> list[FlowRecord]:
+    """Decode one v9 datagram from `exporter`, updating the template cache.
 
-    Template flowsets (id 0) register templates; data flowsets are
+    Template flowsets (id 0) register templates under the exporter, the
+    datagram's Source ID and the template ID; data flowsets are
     decoded against cached templates or buffered until the template
     arrives (those buffered records are returned by the call that
     delivers the template). Truncated or non-v9 datagrams, and templates
@@ -154,7 +164,7 @@ def decode_netflow_v9(datagram: bytes, cache: TemplateCache) -> list[FlowRecord]
 
     # Parse everything before touching the cache so a truncated flowset
     # can reject the datagram atomically.
-    staged_templates: dict[tuple[int, int], Template] = {}
+    staged_templates: dict[TemplateKey, Template] = {}
     data_sets: list[tuple[int, bytes]] = []
     off = V9_HEADER.size
     while off < len(datagram):
@@ -179,7 +189,7 @@ def decode_netflow_v9(datagram: bytes, cache: TemplateCache) -> list[FlowRecord]
                 template = Template.of(tuple(zip(pairs[::2], pairs[1::2])))
                 if template.record_length == 0:  # its data would decode to nothing
                     raise NetflowDecodeError(f"empty-template:{tid}")
-                staged_templates[(source_id, tid)] = template
+                staged_templates[(exporter, source_id, tid)] = template
                 p += 4 * field_count
         elif flowset_id >= 256:  # 1 is an options template, not needed
             data_sets.append((flowset_id, payload))
@@ -191,7 +201,7 @@ def decode_netflow_v9(datagram: bytes, cache: TemplateCache) -> list[FlowRecord]
         for item in cache.register(key, template):
             records += _decode_records(template, *item, cache.drops)
     for flowset_id, payload in data_sets:
-        key = (source_id, flowset_id)
+        key = (exporter, source_id, flowset_id)
         template = cache.templates.get(key)
         if template is None:
             cache.buffer(key, (payload, sys_uptime, unix_secs))
@@ -234,9 +244,10 @@ def collect_udp(
     passes `until` or Ctrl-C, which ends the run the same way: either
     returns the stats. The socket stays open.
 
-    Every datagram is decoded and its records handed to `sink` in
-    arrival order; malformed datagrams are counted, in all and by
-    reason (the decode error up to its first ":"), not fatal.
+    Every datagram is decoded, its templates kept apart by its sender's
+    IP address, and its records handed to `sink` in arrival order;
+    malformed datagrams are counted, in all and by reason (the decode
+    error up to its first ":"), not fatal.
     """
     stats = CollectorStats()
     cache = TemplateCache()
@@ -244,12 +255,12 @@ def collect_udp(
     with contextlib.suppress(KeyboardInterrupt):  # Ctrl-C ends the run as until does
         while until is None or time.monotonic() < until:
             try:
-                datagram = sock.recv(65535)
+                datagram, sender = sock.recvfrom(65535)
             except socket.timeout:
                 continue
             stats.datagrams += 1
             try:
-                records = decode_netflow_v9(datagram, cache)
+                records = decode_netflow_v9(datagram, cache, sender[0])
             except NetflowDecodeError as exc:
                 stats.malformed += 1
                 stats.malformed_reasons[str(exc).split(":", 1)[0]] += 1

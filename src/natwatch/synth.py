@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -23,6 +24,10 @@ from natwatch.flowdata import (
 from natwatch.ingest import DnsEvent
 
 BASE_EPOCH_MS = 1_600_000_000_000
+# The most flows, and the most DNS events, one scenario may generate. A
+# generated flow is held as Python objects until it is written, about 933
+# bytes a flow, so the flows of a scenario at the limit take about 0.9 GB.
+ROW_LIMIT = 1_000_000
 
 
 # Each spec check passes only what is valid, so NaN, which fails every comparison, fails it
@@ -90,6 +95,8 @@ class DnsModelSpec:
         _check_positive(f"{name}.mean_iat_s", self.mean_iat_s)
         if not self.qnames:
             raise ConfigError("dns qname set must be non-empty")
+        if self.noise < 0:
+            raise ConfigError(f"{name}.noise: must be non-negative, got {self.noise}")
 
 
 @dataclass
@@ -103,6 +110,25 @@ class ScenarioSpec:
     overlap_pairs: list[tuple[str, str, float]] = field(default_factory=list)
     dns: list[DnsModelSpec] = field(default_factory=list)
     dns_events_per_device: int = 200
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"scenario.seed: must be non-negative, got {self.seed}")
+        devices = {"flows_per_device": sum(len(s.macs) for s in self.specs),
+                   "dns_events_per_device": sum(len(d.macs) or 1 for d in self.dns)}
+        for field_name, count in devices.items():
+            per_device = getattr(self, field_name)
+            if per_device < 0:
+                raise ConfigError(f"scenario.{field_name}: must be non-negative, got {per_device}")
+            if per_device * count > ROW_LIMIT:
+                raise ConfigError(f"scenario.{field_name}: {per_device} for each of {count} "
+                                  f"devices is over the limit of {ROW_LIMIT:,} in all")
+        names = {format_label(s.label) for s in self.specs}
+        for name_a, name_b, fraction in self.overlap_pairs:
+            if name_a not in names or name_b not in names:
+                raise ConfigError(f"overlap pair references unknown model: {name_a}, {name_b}")
+            if not 0.0 <= fraction <= 1.0:
+                raise ConfigError(f"overlap fraction out of [0,1]: {fraction}")
 
 
 def _blend(a: dict, b: dict, fraction: float) -> dict:
@@ -118,10 +144,6 @@ def _apply_overlap(scenario: ScenarioSpec) -> list[ModelTrafficSpec]:
     specs = {format_label(s.label): s for s in scenario.specs}
     blended = dict(specs)
     for name_a, name_b, fraction in scenario.overlap_pairs:
-        if name_a not in specs or name_b not in specs:
-            raise ConfigError(f"overlap pair references unknown model: {name_a}, {name_b}")
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigError(f"overlap fraction out of [0,1]: {fraction}")
         a, b = specs[name_a], specs[name_b]
         for src, other in ((a, b), (b, a)):
             blended[format_label(src.label)] = replace(
@@ -245,101 +267,60 @@ def scenario_to_dict(s: ScenarioSpec) -> dict:
 
 def _decode(cls, obj):
     """The cls that obj, a scenario_to_dict object, describes: each field
-    present passes through its converter in _DECODERS, and each absent
-    one takes the dataclass default. A missing, malformed or unknown field
-    raises ConfigError naming it; a nested spec's own ConfigError passes
+    present is read as its annotation says, and each absent one takes the
+    dataclass default. A missing, malformed or unknown field raises
+    ConfigError naming it; a nested spec's own ConfigError passes
     through. obj not a JSON object is a TypeError."""
     if type(obj) is not dict:
         raise TypeError(f"expected an object, got {obj!r:.40}")
-    names = {f.name for f in fields(cls)}
+    kinds = get_type_hints(cls)  # each field's annotation, by field name
     for key in obj:
-        if key not in names:
+        if key not in kinds:
             raise ConfigError(f"scenario: unknown field {key!r}")
     kwargs = {}
     for f in fields(cls):
-        required = f.default is MISSING and f.default_factory is MISSING
+        if f.name not in obj:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"scenario: missing field {f.name!r}")
+            continue
         try:
-            if required or f.name in obj:
-                kwargs[f.name] = _DECODERS[f.name](obj[f.name])
-        except KeyError:
-            raise ConfigError(f"scenario: missing field {f.name!r}") from None
+            kwargs[f.name] = _read(kinds[f.name], obj[f.name])
         except ConfigError:
             raise
-        # ValueError: int("abc"); OverflowError: int(inf), float(10**400)
+        # ValueError: int("abc") as a map key; OverflowError: float(10**400)
         except (TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"scenario: malformed field {f.name!r}: {exc}") from None
     return cls(**kwargs)
 
 
-def _exactly(*kinds):
-    """A converter that passes a value whose JSON type is one of kinds (a
-    bool is no int), as the first of them: 7.9 is no int, and "1" no number."""
-    def convert(value):
-        if type(value) not in kinds:
-            names = " or ".join(kind.__name__ for kind in kinds)
-            raise TypeError(f"expected {names}, got {value!r:.40}")
-        return kinds[0](value)
-    return convert
-
-
-_int, _str, _number = _exactly(int), _exactly(str), _exactly(float, int)
-
-
-def _weights(key_type):
-    return lambda w: {key_type(k): _number(v) for k, v in w.items()}
-
-
-def _list(value, length=None) -> list:
-    """value if it is a JSON list, of `length` items if one is given: a
-    string is not read as its characters."""
-    if type(value) is not list or length is not None and len(value) != length:
-        items = "" if length is None else f" of {length} items"
-        raise TypeError(f"expected a list{items}, got {value!r:.40}")
-    return value
-
-
-def _strings(value) -> list:
-    return [_str(item) for item in _list(value)]
-
-
-def _overlap_pair(value) -> tuple:
-    """An overlap pair, given as a list of two model names and a fraction."""
-    name_a, name_b, fraction = _list(value, 3)
-    return _str(name_a), _str(name_b), _number(fraction)
-
-
-def _lognorm(value) -> tuple:
-    """A lognormal's (mu, sigma), given as a list of two numbers."""
-    return tuple(map(_number, _list(value, 2)))
-
-
-# One converter from JSON data per field name of the scenario dataclasses;
-# a name shared by two of them means the same thing in both. Each takes
-# its JSON type exactly, as an artifact's fields do: nothing is coerced.
-_DECODERS = {
-    "name": _str,
-    "specs": lambda specs: [_decode(ModelTrafficSpec, m) for m in _list(specs)],
-    "flows_per_device": _int,
-    "seed": _int,
-    "overlap_pairs": lambda pairs: [_overlap_pair(p) for p in _list(pairs)],
-    "dns": lambda specs: [_decode(DnsModelSpec, x) for x in _list(specs)],
-    "dns_events_per_device": _int,
-    "label": parse_label,
-    "port_weights": _weights(int),
-    "protocol_weights": _weights(int),
-    "l7_weights": _weights(str),
-    "macs": _strings,
-    "src_tos": _int,
-    "dst_tos": _int,
-    "in_bytes_lognorm": _lognorm,
-    "out_bytes_lognorm": _lognorm,
-    "duration_lognorm_ms": _lognorm,
-    "mean_iat_s": _number,
-    "slope_per_request": _number,
-    "qnames": _strings,
-    "noise": _int,
-    "resolver_ip": _str,
-}
+def _read(kind, value):
+    """value, JSON data, as the annotation kind: a label in canonical form,
+    a dataclass from an object, a list or a tuple only from a JSON list (a
+    string is not read as its characters; a tuple takes a list of its own
+    length), and a map's keys through the key type. A scalar takes its JSON
+    type exactly, and nothing is coerced: a bool is no int, 7.9 no int and
+    "1" no number; only a float also takes an integer."""
+    if kind == Label:  # before the dataclass branch: a DeviceModelId is a dataclass
+        return parse_label(value)
+    if is_dataclass(kind):
+        return _decode(kind, value)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is dict:
+        key, item = args
+        return {key(k): _read(item, v) for k, v in value.items()}
+    if origin in (list, tuple):
+        length = len(args) if origin is tuple else None
+        if type(value) is not list or length is not None and len(value) != length:
+            items = "" if length is None else f" of {length} items"
+            raise TypeError(f"expected a list{items}, got {value!r:.40}")
+        if origin is list:
+            return [_read(args[0], v) for v in value]
+        return tuple(map(_read, args, value))
+    exact = (float, int) if kind is float else (kind,)
+    if type(value) not in exact:
+        names = " or ".join(t.__name__ for t in exact)
+        raise TypeError(f"expected {names}, got {value!r:.40}")
+    return kind(value)
 
 
 def scenario_from_dict(d: dict) -> ScenarioSpec:

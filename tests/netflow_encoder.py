@@ -91,13 +91,16 @@ def template_then_data(template_id=300, records=None):
 
 
 class InterruptedSocket:
-    """A bound socket's stand-in for a collector: recv returns each of
-    datagrams in turn, then raises KeyboardInterrupt, as Ctrl-C does."""
+    """A bound socket's stand-in for a collector: recvfrom returns each of
+    datagrams in turn with its sender's address, all from one exporter
+    unless `senders` gives each one's IP address, then raises
+    KeyboardInterrupt, as Ctrl-C does."""
 
-    def __init__(self, datagrams: list[bytes]):
-        self.datagrams = list(datagrams)
+    def __init__(self, datagrams: list[bytes], senders: list[str] | None = None):
+        self.received = list(zip(datagrams, senders or ["192.0.2.1"] * len(datagrams)))
 
-    def recv(self, size: int) -> bytes:
-        if not self.datagrams:
+    def recvfrom(self, size: int) -> tuple[bytes, tuple[str, int]]:
+        if not self.received:
             raise KeyboardInterrupt
-        return self.datagrams.pop(0)
+        datagram, sender = self.received.pop(0)
+        return datagram, (sender, 2055)

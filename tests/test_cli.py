@@ -1,13 +1,16 @@
 import contextlib
 import csv
+import functools
 import gc
 import io
 import json
+import operator
 import os
 import shutil
 import socket
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from natwatch.cli import main
 from natwatch.detect import ActionPolicy, run_detector
 from natwatch.iforest import load_artifact
 from natwatch.ingest import parse_flow_csv
+from natwatch.synth import builtin_scenario, scenario_to_dict
 
 from netflow_encoder import RECORD, InterruptedSocket, template_then_data
 from util import make_flow
@@ -442,6 +446,37 @@ class TestCollect:
         assert capsys.readouterr().out == (
             f"2 datagrams, 1 records, 1 malformed, 1 truncated-header -> {out}\n")
 
+    def test_records_are_written_as_they_arrive(self, tmp_path, monkeypatch):
+        """30,000 records, 30 a datagram, pass through at a flat peak: held
+        until the run ends, they took about 11 MiB."""
+        def collect_udp(sock, sink, until=None):
+            for start in range(0, 30_000, 30):
+                sink([make_flow(src_port=start + i) for i in range(30)])
+            return netflow9.CollectorStats(datagrams=1_000, records=30_000)
+
+        monkeypatch.setattr(netflow9, "collect_udp", collect_udp)
+        out = tmp_path / "c.csv"
+        tracemalloc.start()
+        try:
+            rc = main(["collect", "--port", "0", "--bind", "127.0.0.1", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 2**20, peak
+        parsed, rejected = parse_flow_csv(str(out))
+        assert rejected == [] and [lf.flow.src_port for lf in parsed] == list(range(30_000))
+
+    def test_a_recv_error_leaves_the_rows_collected_before_it(self, tmp_path, monkeypatch,
+                                                              capsys):
+        monkeypatch.setattr(netflow9, "collect_udp",
+                            _fake_collector([make_flow()] * 2, OSError("recv failed")))
+        out = tmp_path / "c.csv"
+        assert main(["collect", "--port", "0", "--bind", "127.0.0.1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "data-error: recv failed"
+        parsed, rejected = parse_flow_csv(str(out))
+        assert rejected == [] and [lf.flow for lf in parsed] == [make_flow()]
+
     def test_taken_port_is_one_bind_error_line(self, tmp_path, capsys):
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
             taken.bind(("127.0.0.1", 0))
@@ -523,6 +558,16 @@ _PORT_ERRORS = {"port-70000": "bad-port", "port-minus-1": "bad-port",
                 "detect-udp-70000": "bad-port", "detect-udp-abc": "bad-port",
                 "detect-udp-empty": "bad-port", "detect-udp-port-taken": "bind-error"}
 _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:01"]}]}
+# Scenario files {tmp}/<name>.json: the overlap-pair preset with one field
+# set to a value the scenario refuses, though each is of the field's type
+_SCENARIO_EDITS = {"fraction-2": (("overlap_pairs", 0, 2), 2.0),
+                   "pair-unknown": (("overlap_pairs", 0, 1), "a.b.c"),
+                   "seed-minus-1": (("seed",), -1),
+                   "flows-minus-3": (("flows_per_device",), -3),
+                   "flows-10e13": (("flows_per_device",), 10**13),
+                   "dns-events-minus-2": (("dns_events_per_device",), -2),
+                   "noise-minus-2": (("dns", 0, "noise"), -2),
+                   "qname-empty": (("dns", 0, "qnames"), [""])}
 
 
 @pytest.mark.parametrize("argv", [
@@ -551,6 +596,9 @@ _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:
     ["synth", "--scenario", "{tmp}/list.json", "--out", "{tmp}/s"],
     ["synth", "--scenario", "{tmp}/no_weights.json", "--out", "{tmp}/s"],
     ["synth", "--scenario", "{tmp}/deep.json", "--out", "{tmp}/s"],
+    *(["synth", "--scenario", f"{{tmp}}/{name}.json", "--out", "{tmp}/s"]
+      for name in _SCENARIO_EDITS),
+    ["synth", "--scenario", "separable-13", "--flows", str(10**13), "--out", "{tmp}/s"],
     ["evaluate", "--artifacts", "{tmp}/deep.json", "--test", "{synth}/flows.csv",
      "--out", "{tmp}/e"],
     ["detect", "--artifacts", "{artifact}", "--input", "udp:{port}", "--audit", "{tmp}/a.jsonl",
@@ -566,7 +614,8 @@ _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:
         "train-subsample-0", "window-0", "tolerance-nan",
         "tolerance-negative", "min-distinct-0", "ratios-inf",
         "ratios-out-of-range", "scenario-empty", "scenario-list", "scenario-no-weights",
-        "scenario-deep", "artifact-deep", "detect-udp-threshold-missing",
+        "scenario-deep", *(f"scenario-{name}" for name in _SCENARIO_EDITS), "synth-flows-10e13",
+        "artifact-deep", "detect-udp-threshold-missing",
         "detect-udp-audit-unwritable",
         "collect-duration-inf", "collect-duration-1e300", "collect-duration-nan",
         "collect-duration-negative"])
@@ -578,6 +627,12 @@ def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tm
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "no_weights.json").write_text(json.dumps(_NO_WEIGHTS))
+    overlap = scenario_to_dict(builtin_scenario("overlap-pair", flows_per_device=10))
+    for name, (path, value) in _SCENARIO_EDITS.items():
+        doc = json.loads(json.dumps(overlap))
+        *parents, key = path
+        functools.reduce(operator.getitem, parents, doc)[key] = value
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
         taken.bind(("127.0.0.1", 0))
         paths = {"tmp": tmp_path, "synth": synth_dir, "artifact": artifact_path, "port": 0,
@@ -597,6 +652,7 @@ def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tm
     assert not (tmp_path / "a.jsonl").exists()  # no audit log was left behind
     assert not (tmp_path / "b").exists()  # no baseline report was written
     assert not (tmp_path / "c.csv").exists()  # nothing was collected
+    assert not (tmp_path / "s").exists()  # no synthetic data was written
 
 
 # What a fuzzed CSV cell or DNS value may become: numbers out of range or

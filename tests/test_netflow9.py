@@ -73,7 +73,7 @@ class TestDecode:
         decode_netflow_v9(
             build_datagram([encode_template_flowset([(300, new_fields)])]), cache
         )
-        template = cache.templates[(0, 300)]
+        template = cache.templates[(None, 0, 300)]
         assert template.record_length == sum(length for _, length in new_fields)
         assert len(template.layout) == 6
 
@@ -147,10 +147,27 @@ class TestDecode:
         for datagram in datagrams:
             assert decode_netflow_v9(datagram, cache) == []
         assert time.perf_counter() - t0 < 5.0
-        newest = [(s, 300) for s in range(n - netflow9.PENDING_LIMIT, n)]
+        newest = [(None, s, 300) for s in range(n - netflow9.PENDING_LIMIT, n)]
         assert list(cache.pending) == newest
         assert [len(q) for q in cache.pending.values()] == [1] * netflow9.PENDING_LIMIT
         assert cache.drops == Counter({"pending-dropped": n - netflow9.PENDING_LIMIT})
+
+    def test_pending_overflow_drops_the_head_of_the_queue_that_started_buffering_first(
+            self, monkeypatch):
+        """Flowsets a1, b1, a2, c1 and d1 wait under keys A to D with room
+        for 3: the overflow drops a1, then a2, the head of A's queue each
+        time, and keeps b1, which is older than a2."""
+        monkeypatch.setattr(netflow9, "PENDING_LIMIT", 3)
+        cache = TemplateCache()
+        for source_id, port in [(1, 1), (2, 2), (1, 3), (3, 4), (4, 5)]:  # a1 b1 a2 c1 d1
+            data = encode_data_flowset(300, FIELDS, [{**RECORD, 11: port}])
+            assert decode_netflow_v9(build_datagram([data], source_id=source_id), cache) == []
+        assert cache.drops == Counter({"pending-dropped": 2})
+        assert list(cache.pending) == [(None, 2, 300), (None, 3, 300), (None, 4, 300)]
+        template = encode_template_flowset([(300, FIELDS)])
+        kept = [r.dst_port for source_id in (1, 2, 3, 4)
+                for r in decode_netflow_v9(build_datagram([template], source_id=source_id), cache)]
+        assert kept == [2, 4, 5]
 
     def test_template_cache_evicts_oldest_registered(self, monkeypatch):
         monkeypatch.setattr(netflow9, "TEMPLATE_LIMIT", 3)
@@ -165,12 +182,12 @@ class TestDecode:
             register(source_id)
         register(0)  # registering again makes it the newest
         register(3)
-        assert list(cache.templates) == [(2, 300), (0, 300), (3, 300)]
+        assert list(cache.templates) == [(None, 2, 300), (None, 0, 300), (None, 3, 300)]
         assert cache.drops == Counter({"template-evicted": 1})
         # data for the evicted template waits for it again
         data = build_datagram([encode_data_flowset(300, FIELDS, [RECORD])], source_id=1)
         assert decode_netflow_v9(data, cache) == []
-        assert list(cache.pending) == [(1, 300)]
+        assert list(cache.pending) == [(None, 1, 300)]
 
     def test_spoofed_template_flood_is_bounded(self):
         n = 20_000
@@ -178,7 +195,7 @@ class TestDecode:
         cache = TemplateCache()
         for s in range(n):
             decode_netflow_v9(build_datagram([templates], source_id=s), cache)
-        newest = [(s, t) for s in range(n - netflow9.TEMPLATE_LIMIT // 2, n) for t in (300, 301)]
+        newest = [(None, s, t) for s in range(n - netflow9.TEMPLATE_LIMIT // 2, n) for t in (300, 301)]
         assert list(cache.templates) == newest
         assert cache.drops == Counter({"template-evicted": 2 * n - netflow9.TEMPLATE_LIMIT})
 
@@ -203,7 +220,39 @@ class TestDecode:
             tracemalloc.stop()
         assert len(cache.templates) == 20
         assert held < 2**20, held
-        assert cache.templates[(0, 275)].record_length == sum(length for _, length in fields)
+        assert cache.templates[(None, 0, 275)].record_length == sum(length for _, length in fields)
+
+
+# Exporter B's layout: FIELDS with IN_BYTES and OUT_BYTES swapped
+SWAPPED = [{(1, 4): (23, 4), (23, 4): (1, 4)}.get(f, f) for f in FIELDS]
+
+
+class TestExporters:
+    """Two exporters both send Source ID 0 and template 256, but their
+    layouts differ (RFC 3954 5.1: a stream is its source address and
+    Source ID together)."""
+
+    def datagrams(self):
+        record = {**RECORD, 1: 100, 23: 200}  # IN_BYTES 100, OUT_BYTES 200
+        return [build_datagram([encode_template_flowset([(256, FIELDS)])]),
+                build_datagram([encode_template_flowset([(256, SWAPPED)])]),
+                build_datagram([encode_data_flowset(256, FIELDS, [record])]),
+                build_datagram([encode_data_flowset(256, SWAPPED, [record])])]
+
+    def test_each_decodes_with_its_own_template(self):
+        cache = TemplateCache()
+        records = [r for datagram, exporter in zip(self.datagrams(), ["a", "b", "a", "b"])
+                   for r in decode_netflow_v9(datagram, cache, exporter)]
+        assert [(r.in_bytes, r.out_bytes) for r in records] == [(100, 200), (100, 200)]
+        assert list(cache.templates) == [("a", 0, 256), ("b", 0, 256)]
+
+    def test_the_collector_keys_templates_by_sender_address(self):
+        received = []
+        sock = InterruptedSocket(self.datagrams(),
+                                 senders=["192.0.2.1", "192.0.2.2", "192.0.2.1", "192.0.2.2"])
+        stats = netflow9.collect_udp(sock, received.extend)
+        assert [(r.in_bytes, r.out_bytes) for r in received] == [(100, 200), (100, 200)]
+        assert (stats.datagrams, stats.records, stats.malformed) == (4, 2, 0)
 
 
 def _flowset(flowset_id, body):

@@ -1,9 +1,12 @@
 import functools
+import json
 import math
 import operator
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from natwatch.baselines import fit_slope, unwrap_ipid
 from natwatch.flowdata import NON_IOT, ConfigError, DeviceModelId
@@ -134,9 +137,8 @@ class TestGenerateFlows:
         assert cam_ports == {20000, 30000}
 
     def test_overlap_unknown_model_rejected(self):
-        scenario = self.scenario(overlap_pairs=[("a.b.c", "d.e.f", 0.5)])
         with pytest.raises(ConfigError):
-            generate_flows(scenario)
+            self.scenario(overlap_pairs=[("a.b.c", "d.e.f", 0.5)])
 
 
 class TestGenerateDns:
@@ -271,6 +273,32 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=f"^scenario: malformed field '{key}'"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("seed",), -1, "scenario.seed: must be non-negative, got -1"),
+        (("flows_per_device",), -3, "scenario.flows_per_device: must be non-negative, got -3"),
+        (("flows_per_device",), 10**13, "scenario.flows_per_device: 10000000000000 for each of "
+                                        "15 devices is over the limit of 1,000,000 in all"),
+        (("dns_events_per_device",), -2,
+         "scenario.dns_events_per_device: must be non-negative, got -2"),
+        (("dns_events_per_device",), 10**6, "scenario.dns_events_per_device: 1000000 for each "
+                                            "of 13 devices is over the limit of 1,000,000 in all"),
+        (("dns", 0, "noise"), -2, "webcam.Alphacam.AC_100.noise: must be non-negative, got -2"),
+        (("overlap_pairs", 0, 2), 2.0, "overlap fraction out of [0,1]: 2.0"),
+        (("overlap_pairs", 0, 1), "a.b.c",
+         "overlap pair references unknown model: webcam.Alphacam.AC_100, a.b.c"),
+    ], ids=["seed-minus-1", "flows-minus-3", "flows-10e13", "dns-events-minus-2",
+            "dns-events-10e6", "noise-minus-2", "fraction-2", "pair-unknown"])
+    def test_a_value_out_of_range_is_refused_when_the_scenario_is_read(self, path, value,
+                                                                       message):
+        """Each is refused by its spec, naming it, before any row is made:
+        numpy's own errors would name no field, and come after files are
+        written."""
+        doc = scenario_to_dict(builtin_scenario("overlap-pair", flows_per_device=10))
+        *parents, key = path
+        functools.reduce(operator.getitem, parents, doc)[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(doc)
+
     @pytest.mark.parametrize("path, key", [
         ((), "flows_per_devise"),
         ((), "specs "),
@@ -295,6 +323,45 @@ class TestSerialization:
         scenario = builtin_scenario("overlap-pair", flows_per_device=10)
         restored = scenario_from_dict(scenario_to_dict(scenario))
         assert restored.overlap_pairs == scenario.overlap_pairs
+
+
+_OVERLAP_DOC = json.loads(json.dumps(scenario_to_dict(
+    builtin_scenario("overlap-pair", flows_per_device=10))))
+
+
+def _value_paths(node, path=()):
+    """The path to each value below node: each leaf, list and object."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _value_paths(child, path + (key,))
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+@given(path=st.sampled_from(list(_value_paths(_OVERLAP_DOC))), value=_json)
+def test_any_json_value_anywhere_is_read_or_refused_as_config_error(path, value):
+    """Whatever JSON value takes the place of one in a scenario document,
+    reading it gives a scenario or a ConfigError, never another error."""
+    doc = json.loads(json.dumps(_OVERLAP_DOC))
+    *parents, key = path
+    functools.reduce(operator.getitem, parents, doc)[key] = value
+    try:
+        scenario = scenario_from_dict(doc)
+    except ConfigError:
+        return
+    assert isinstance(scenario, ScenarioSpec)
 
 
 class TestBuiltinScenarios:
