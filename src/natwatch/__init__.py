@@ -6,24 +6,4 @@ flows. DNS-based deNATing baselines (IP-ID slope matching and domain
 profiles) are included for benchmarking.
 """
 
-from natwatch.flowdata import (
-    NON_IOT,
-    DeviceModelId,
-    DeviceInventory,
-    FlowRecord,
-    LabeledFlow,
-    FlowDataset,
-    DatasetSplit,
-)
-
-__all__ = [
-    "NON_IOT",
-    "DeviceModelId",
-    "DeviceInventory",
-    "FlowRecord",
-    "LabeledFlow",
-    "FlowDataset",
-    "DatasetSplit",
-]
-
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -60,23 +60,6 @@ def c_factor(n: int) -> float:
 _C_TABLE = np.array([c_factor(m) for m in range(len(_HARMONIC))])
 
 
-@dataclass(slots=True)
-class TreeNode:
-    """Internal node (split_dim >= 0) or external node (split_dim = -1).
-    Only an external node has a `size`: the sample points that end in it."""
-
-    split_dim: int = -1
-    split_value: float = 0.0
-    size: int = 0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-
-
-@dataclass
-class IsolationTree:
-    root: TreeNode
-
-
 def _tree_rng(master_seed: int, tree_index: int) -> np.random.Generator:
     # Per-tree stream derived deterministically from (master_seed, index);
     # PCG64 output is platform-independent.
@@ -117,18 +100,18 @@ class IsolationForest:
         return len(self.roots)
 
     @property
-    def trees(self) -> list[IsolationTree]:
-        """The trees as linked nodes, decoded from the columns on each
-        access. Only bench/spans reads it, to count the nodes; it goes with
-        TreeNode and IsolationTree once the benchmark counts the columns.
-        Read backwards, a preorder meets a split's subtrees before it: a
-        split pops its left child, then its right, off the stack."""
-        _, dims, values = self.columns
-        stack = []
-        for dim, value in zip(dims.tolist()[::-1], values.tolist()[::-1]):
-            stack.append(TreeNode(-1, 0.0, int(value)) if dim < 0 else
-                         TreeNode(dim, value, 0, stack.pop(), stack.pop()))
-        return [IsolationTree(root) for root in stack[::-1]]
+    def trees(self) -> list:
+        """The shape bench/spans counts nodes in, read off the node table:
+        each tree's root, then each split's left and right, and no split
+        data. It goes once the benchmark counts len(self.dim). Read
+        backwards, a split meets its children already made; every leaf, its
+        own right child, is one shared empty node."""
+        right = self.child[0::2].tolist()
+        nodes = [SimpleNamespace()] * len(right)
+        for i in range(len(right) - 1, -1, -1):
+            if right[i] != i:
+                nodes[i] = SimpleNamespace(left=nodes[i + 1], right=nodes[right[i]])
+        return [SimpleNamespace(root=nodes[root]) for root in self.roots.tolist()]
 
 
 DEFAULT_TREES = 100

@@ -45,6 +45,7 @@ _ABSOLUTE = {21: 153, 22: 152}  # the field that replaces a sysuptime-relative o
 _ABSENT = {name: 0 for name in V9_FIELDS.values()} | {"src_ip": "0.0.0.0", "dst_ip": "0.0.0.0"}
 
 PENDING_LIMIT = 10_000  # buffered data flowsets, over all keys
+PENDING_BYTES = 16 * 2**20  # their payload bytes, over all keys: 256 of the largest v9 carries
 TEMPLATE_LIMIT = 10_000  # cached templates, over all keys; oldest-registered evicted
 
 
@@ -85,15 +86,17 @@ class TemplateCache:
     """Templates by key, in registration order (at most TEMPLATE_LIMIT,
     oldest-registered evicted), plus data flowsets buffered while their
     template is unknown, as (payload, sys_uptime, unix_secs), one queue a
-    key. Past PENDING_LIMIT flowsets over all queues, the head of the queue
-    whose key started buffering first is dropped: not the oldest flowset
-    overall, since a key keeps its place while its queue is not empty.
-    `drops` counts what was dropped, by reason."""
+    key. Past PENDING_LIMIT flowsets or PENDING_BYTES payload bytes over all
+    queues, the head of the queue whose key started buffering first is
+    dropped: not the oldest flowset overall, since a key keeps its place
+    while its queue is not empty. `drops` counts what was dropped, by
+    reason."""
 
     templates: OrderedDict[TemplateKey, Template] = field(default_factory=OrderedDict,
                                                           init=False)
     pending: OrderedDict[TemplateKey, deque] = field(default_factory=OrderedDict, init=False)
     _pending_count: int = field(default=0, init=False)
+    _pending_bytes: int = field(default=0, init=False)
     drops: Counter = field(default_factory=Counter, init=False)
 
     def register(self, key: TemplateKey, template: Template) -> deque:
@@ -106,16 +109,18 @@ class TemplateCache:
             self.drops["template-evicted"] += 1
         waiting = self.pending.pop(key, deque())
         self._pending_count -= len(waiting)
+        self._pending_bytes -= sum(len(payload) for payload, _, _ in waiting)
         return waiting
 
     def buffer(self, key: TemplateKey, item: tuple[bytes, int, int]) -> None:
         self.pending.setdefault(key, deque()).append(item)
         self._pending_count += 1
-        while self._pending_count > PENDING_LIMIT:
+        self._pending_bytes += len(item[0])
+        while self._pending_count > PENDING_LIMIT or self._pending_bytes > PENDING_BYTES:
             # no queue is kept empty, so the first key's head goes; an
             # OrderedDict reaches its first key without scanning deleted slots
             oldest, q = next(iter(self.pending.items()))
-            q.popleft()
+            self._pending_bytes -= len(q.popleft()[0])
             self._pending_count -= 1
             self.drops["pending-dropped"] += 1
             if not q:

@@ -46,6 +46,11 @@ def _check_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name}: must be finite and positive, got {value}")
 
 
+def _check_range(name: str, value: int, high: int) -> None:
+    if not 0 <= value <= high:
+        raise ConfigError(f"{name}: must be in 0..{high}, got {value!r:.30}")
+
+
 @dataclass
 class ModelTrafficSpec:
     """Sampling distributions for one device model's flows."""
@@ -67,6 +72,12 @@ class ModelTrafficSpec:
         _check_weights(f"{name}.port_weights", self.port_weights)
         _check_weights(f"{name}.protocol_weights", self.protocol_weights)
         _check_weights(f"{name}.l7_weights", self.l7_weights)
+        for port in self.port_weights:
+            _check_range(f"{name}.port_weights key", port, 65535)
+        for protocol in self.protocol_weights:
+            _check_range(f"{name}.protocol_weights key", protocol, 255)
+        _check_range(f"{name}.src_tos", self.src_tos, 255)
+        _check_range(f"{name}.dst_tos", self.dst_tos, 255)
         for field_name in ("in_bytes_lognorm", "out_bytes_lognorm", "duration_lognorm_ms"):
             mu, sigma = getattr(self, field_name)
             if not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0):
@@ -94,9 +105,11 @@ class DnsModelSpec:
         _check_positive(f"{name}.slope_per_request", self.slope_per_request)
         _check_positive(f"{name}.mean_iat_s", self.mean_iat_s)
         if not self.qnames:
-            raise ConfigError("dns qname set must be non-empty")
+            raise ConfigError(f"{name}.qnames: must be non-empty")
+        if not all(self.qnames):
+            raise ConfigError(f"{name}.qnames: an empty qname")
         if self.noise < 0:
-            raise ConfigError(f"{name}.noise: must be non-negative, got {self.noise}")
+            raise ConfigError(f"{name}.noise: must be non-negative, got {self.noise!r:.30}")
 
 
 @dataclass
@@ -113,15 +126,16 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ConfigError(f"scenario.seed: must be non-negative, got {self.seed}")
+            raise ConfigError(f"scenario.seed: must be non-negative, got {self.seed!r:.30}")
         devices = {"flows_per_device": sum(len(s.macs) for s in self.specs),
                    "dns_events_per_device": sum(len(d.macs) or 1 for d in self.dns)}
         for field_name, count in devices.items():
             per_device = getattr(self, field_name)
             if per_device < 0:
-                raise ConfigError(f"scenario.{field_name}: must be non-negative, got {per_device}")
+                raise ConfigError(f"scenario.{field_name}: must be non-negative, "
+                                  f"got {per_device!r:.30}")
             if per_device * count > ROW_LIMIT:
-                raise ConfigError(f"scenario.{field_name}: {per_device} for each of {count} "
+                raise ConfigError(f"scenario.{field_name}: {per_device!r:.30} for each of {count} "
                                   f"devices is over the limit of {ROW_LIMIT:,} in all")
         names = {format_label(s.label) for s in self.specs}
         for name_a, name_b, fraction in self.overlap_pairs:
@@ -297,7 +311,8 @@ def _read(kind, value):
     """value, JSON data, as the annotation kind: a label in canonical form,
     a dataclass from an object, a list or a tuple only from a JSON list (a
     string is not read as its characters; a tuple takes a list of its own
-    length), and a map's keys through the key type. A scalar takes its JSON
+    length), and a map's keys through the key type, an int key only in
+    canonical decimal form. A scalar takes its JSON
     type exactly, and nothing is coerced: a bool is no int, 7.9 no int and
     "1" no number; only a float also takes an integer."""
     if kind == Label:  # before the dataclass branch: a DeviceModelId is a dataclass
@@ -307,7 +322,13 @@ def _read(kind, value):
     origin, args = get_origin(kind), get_args(kind)
     if origin is dict:
         key, item = args
-        return {key(k): _read(item, v) for k, v in value.items()}
+        read = {}
+        for k, v in value.items():
+            # int(k) also reads " 7", "+7", "0_7" and an Arabic-Indic 7 as 7
+            if key is int and str(int(k)) != k:
+                raise ValueError(f"map key {k!r:.30} is not an int in canonical form")
+            read[key(k)] = _read(item, v)
+        return read
     if origin in (list, tuple):
         length = len(args) if origin is tuple else None
         if type(value) is not list or length is not None and len(value) != length:

@@ -148,6 +148,16 @@ class TestIpIdEvaluation:
         assert [r["model"] for r in rows] == [PLUG.canonical(), CAM.canonical()]
         assert [(r["tpr"], r["fpr"]) for r in rows] == [(1.0, 0.0), (1.0, 0.0)]
 
+    def test_a_test_device_of_two_events_is_no_match(self):
+        """Two events give no slope: the device counts against its model's
+        TPR as a miss, and the baseline goes on."""
+        train = slope_events(7, label=CAM)
+        test = slope_events(7, label=CAM, src_ip="10.1.0.2", base=500) + slope_events(
+            7, n=2, label=CAM, src_ip="10.1.0.3")
+        [row] = evaluate_ipid_baseline(train, test)
+        assert (row["model"], row["tpr"], row["positives"], row["negatives"]) == (
+            CAM.canonical(), 0.5, 2, 0)
+
     def test_unlabeled_training_events_ignored(self):
         train = slope_events(7, label=CAM) + slope_events(3, label=None, src_ip="10.0.0.9")
         assert len(train_slope_models(train)) == 1

@@ -553,10 +553,12 @@ class TestSplit:
             "data-error: csv-error: missing mandatory column: IN_BYTES"]
 
 
-# The error that each case naming a UDP port ends in
-_PORT_ERRORS = {"port-70000": "bad-port", "port-minus-1": "bad-port",
-                "detect-udp-70000": "bad-port", "detect-udp-abc": "bad-port",
-                "detect-udp-empty": "bad-port", "detect-udp-port-taken": "bind-error"}
+# The error that each case naming a UDP port, or a directory that holds no
+# artifact, ends in
+_ERRORS = {"port-70000": "bad-port", "port-minus-1": "bad-port",
+           "detect-udp-70000": "bad-port", "detect-udp-abc": "bad-port",
+           "detect-udp-empty": "bad-port", "detect-udp-port-taken": "bind-error",
+           "detect-no-artifacts": "no-artifacts"}
 _NO_WEIGHTS = {"name": "x", "specs": [{"label": MODEL, "macs": ["02:00:00:00:00:01"]}]}
 # Scenario files {tmp}/<name>.json: the overlap-pair preset with one field
 # set to a value the scenario refuses, though each is of the field's type
@@ -567,7 +569,19 @@ _SCENARIO_EDITS = {"fraction-2": (("overlap_pairs", 0, 2), 2.0),
                    "flows-10e13": (("flows_per_device",), 10**13),
                    "dns-events-minus-2": (("dns_events_per_device",), -2),
                    "noise-minus-2": (("dns", 0, "noise"), -2),
-                   "qname-empty": (("dns", 0, "qnames"), [""])}
+                   "qname-empty": (("dns", 0, "qnames"), [""]),
+                   "port-key-spaces": (("specs", 0, "port_weights"), {" 20000 ": 1.0}),
+                   "port-key-minus-5": (("specs", 0, "port_weights"), {"-5": 1.0}),
+                   "protocol-key-300": (("specs", 0, "protocol_weights"), {"300": 1.0}),
+                   "src-tos-300": (("specs", 0, "src_tos"), 300),
+                   "flows-10e400": (("flows_per_device",), 10**400)}
+# The field that the error line of each of these cases names: each is
+# refused as the scenario is read, not when one of its flows is made
+_SCENARIO_FIELDS = {"scenario-port-key-spaces": "'port_weights'",
+                    "scenario-port-key-minus-5": "AC_100.port_weights key",
+                    "scenario-protocol-key-300": "AC_100.protocol_weights key",
+                    "scenario-src-tos-300": "AC_100.src_tos",
+                    "scenario-flows-10e400": "scenario.flows_per_device"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -578,6 +592,8 @@ _SCENARIO_EDITS = {"fraction-2": (("overlap_pairs", 0, 2), 2.0),
     ["detect", "--artifacts", "{artifact}", "--input", "udp:", "--audit", "{tmp}/a.jsonl"],
     ["detect", "--artifacts", "{artifact}", "--input", "udp:{taken}", "--bind", "127.0.0.1",
      "--audit", "{tmp}/a.jsonl"],
+    ["detect", "--artifacts", "{tmp}/models", "--input", "{synth}/flows.csv", "--audit",
+     "{tmp}/a.jsonl"],
     ["detect", "--artifacts", "{artifact}", "--input", "{synth}/flows.csv", "--audit",
      "{tmp}/a.jsonl", "--policy", "notify_stub,notify_stub", "--notify-out", "{tmp}/n.jsonl"],
     ["train", "--data", "{synth}/flows.csv", "--model", MODEL, "--out", "{tmp}/m.json",
@@ -610,7 +626,7 @@ _SCENARIO_EDITS = {"fraction-2": (("overlap_pairs", 0, 2), 2.0),
     ["collect", "--port", "{port}", "--out", "{tmp}/c.csv", "--duration", "nan"],
     ["collect", "--port", "{port}", "--out", "{tmp}/c.csv", "--duration", "-4"],
 ], ids=["port-70000", "port-minus-1", "detect-udp-70000", "detect-udp-abc", "detect-udp-empty",
-        "detect-udp-port-taken", "detect-policy-repeated",
+        "detect-udp-port-taken", "detect-no-artifacts", "detect-policy-repeated",
         "train-subsample-0", "window-0", "tolerance-nan",
         "tolerance-negative", "min-distinct-0", "ratios-inf",
         "ratios-out-of-range", "scenario-empty", "scenario-list", "scenario-no-weights",
@@ -623,6 +639,8 @@ def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tm
                                               monkeypatch, request):
     if any("{port}" in a for a in argv):  # a valid port: a stand-in collector never blocks
         monkeypatch.setattr(netflow9, "collect_udp", _fake_collector([make_flow()]))
+    (tmp_path / "models").mkdir()  # a directory of no *.json
+    (tmp_path / "models" / "model.txt").write_text("{}")
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "list.json").write_text("[1]")
@@ -644,9 +662,11 @@ def test_invalid_input_is_one_data_error_line(argv, synth_dir, artifact_path, tm
         err.splitlines()[-1]
     ]
     assert "Traceback" not in err
-    expected = _PORT_ERRORS.get(request.node.callspec.id)
+    assert len(err.splitlines()[-1]) <= 200  # an echoed value is cut short
+    expected = _ERRORS.get(request.node.callspec.id)
     if expected is not None:
         assert err.splitlines()[-1].startswith(f"data-error: {expected}: ")
+    assert _SCENARIO_FIELDS.get(request.node.callspec.id, "") in err.splitlines()[-1]
     assert ("bind-error" in err) == (expected == "bind-error")  # only a taken port fails its bind
     assert "listening" not in err  # no detector ran
     assert not (tmp_path / "a.jsonl").exists()  # no audit log was left behind

@@ -35,6 +35,12 @@ class TestDeviceModelId:
         with pytest.raises(ValueError):
             DeviceModelId.parse(bad)
 
+    @pytest.mark.parametrize("segments", [("web.cam", "D_Link", "DCS_933L"),
+                                          ("webcam", "D_Link", "DCS.933L")])
+    def test_a_segment_holding_a_dot_is_refused(self, segments):
+        with pytest.raises(ValueError, match="may not contain '.'"):
+            DeviceModelId(*segments)
+
     def test_non_iot_is_reserved_string(self):
         assert parse_label(NON_IOT) == NON_IOT
         assert parse_label("webcam.D_Link.DCS_933L") == WEBCAM
@@ -112,6 +118,13 @@ class TestLabelFlows:
         assert len(labeled) == 1
         assert labeled.flows[0].label == WEBCAM
         assert labeled.flows[0].source_mac == "aa:aa:aa:aa:aa:01"
+
+    def test_an_external_flow_not_from_the_router_is_refused(self, inventory):
+        external = [make_flow(src_ip=ROUTER), make_flow(src_ip="10.0.0.9")]
+        internal = [make_flow(src_ip="192.168.1.5")]
+        with pytest.raises(ValueError, match=r"^external flow src_ip 10\.0\.0\.9 != router "
+                                             r"10\.0\.0\.1$"):
+            label_flows(external, internal, inventory, ROUTER)
 
     def test_no_twin_rejected(self, inventory):
         external = [make_flow(src_ip=ROUTER, dst_port=443)]

@@ -10,6 +10,8 @@ import os
 import pathlib
 import tempfile
 import tracemalloc
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -21,9 +23,7 @@ from natwatch.iforest import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactError,
     CHUNK_ROWS,
-    IsolationTree,
     ModelArtifact,
-    TreeNode,
     anomaly_scores,
     c_factor,
     load_artifact,
@@ -37,6 +37,24 @@ from natwatch.preprocess import InsufficientDataError, fit_schema, flow_columns,
 from natwatch.synth import builtin_scenario, generate_flows
 
 from util import WEBCAM, dataset, make_flow, make_labeled
+
+
+@dataclass(slots=True)
+class TreeNode:
+    """A linked node of the reference trees: a split (split_dim >= 0) or a
+    leaf (split_dim = -1), which alone has a size, the sample points that
+    end in it."""
+
+    split_dim: int = -1
+    split_value: float = 0.0
+    size: int = 0
+    left: Optional["TreeNode"] = None
+    right: Optional["TreeNode"] = None
+
+
+@dataclass
+class IsolationTree:
+    root: TreeNode
 
 
 def exact_c(n):
@@ -1163,17 +1181,30 @@ def test_schema_edits_load_as_corrupt_artifacts(data):
 
 class TestArtifact:
     def test_trees_view_encodes_back_to_the_columns(self):
-        """A trained and a loaded forest's linked trees, which the benchmark
-        counts, are its columns node for node: 2 x leaves - trees nodes."""
+        """A trained and a loaded forest's trees view, which the benchmark
+        counts, has one tree per lengths entry, and a preorder walk of it
+        finds a split exactly where the columns' dims are not -1."""
         trained = train_forest(np.random.default_rng(5).normal(size=(300, 3)), n_trees=20)
         loaded = iforest._forest_from_dict(iforest._forest_to_dict(trained), 3)
         for forest in (trained, loaded):
-            trees = [preorder_columns(tree.root) for tree in forest.trees]
-            lengths, dims, values = forest.columns
-            assert [len(tree_dims) for tree_dims, _ in trees] == lengths.tolist()
-            assert [dim for tree_dims, _ in trees for dim in tree_dims] == dims.tolist()
-            assert [value for _, tree_values in trees for value in tree_values] == values.tolist()
-            assert len(dims) == 2 * len(values[dims < 0]) - forest.tree_count
+            trees = forest.trees
+            lengths, dims, _ = forest.columns
+            assert len(trees) == len(lengths)
+            splits = []
+            for tree in trees:
+                stack = [tree.root]
+                while stack:
+                    node = stack.pop()
+                    splits.append(hasattr(node, "left"))
+                    if splits[-1]:
+                        stack += (node.right, node.left)
+            assert splits == (dims >= 0).tolist()
+
+    def test_a_matrix_of_another_dimension_is_refused(self):
+        forest = train_forest(np.random.default_rng(7).normal(size=(50, 3)), n_trees=5)
+        for X in (np.zeros((4, 2)), np.zeros((1, 4))):
+            with pytest.raises(ValueError, match=f"^dimension mismatch: {X.shape[1]} != 3$"):
+                anomaly_scores(forest, X)
 
     def test_the_benchmark_counts_a_trained_forest(self, monkeypatch):
         """bench/spans counts the trees and nodes of what train_forest
@@ -1380,6 +1411,15 @@ class TestArtifact:
             (lambda p: p.update(notes="retrained"), "ValueError: unknown key 'notes' in payload$"),
             (lambda p: p["schema"].update(dimension=12), "unknown key 'dimension' in schema$"),
             (lambda p: p["forest"].update(n_trees=100), "unknown key 'n_trees' in forest$"),
+            # a schema whose every value has its type, but not a schema fit_schema makes
+            (lambda p: p["schema"]["numeric_ranges"].update(in_bytes=[300.0, 100.0]),
+             r"ValueError: bad range \[300.0, 100.0\] for numeric feature in_bytes$"),
+            (lambda p: p["schema"]["numeric_ranges"].update(out_bytes=[0.0, float("inf")]),
+             r"ValueError: bad range \[0.0, inf\] for numeric feature out_bytes$"),
+            (lambda p: p["schema"]["numeric_ranges"].update(flow_duration=[float("nan"), 1.0]),
+             r"ValueError: bad range \[nan, 1.0\] for numeric feature flow_duration$"),
+            (lambda p: p["schema"]["categories"]["l4_dst_port"].append(53),
+             "ValueError: duplicate category value in l4_dst_port$"),
         ],
         ids=["truncated", "truncated-then-bad-node", "trailing-node", "trailing-bad-node",
              "split-dim-999", "node-not-a-list", "leaf-over-sample", "too-deep", "three-columns",
@@ -1391,7 +1431,8 @@ class TestArtifact:
              "negative-count", "bool-count", "string-seed", "fractional-seed", "float-dimension",
              "negative-dimension", "huge-dimension",
              "spaced-threshold-key", "string-threshold", "int-trained-at",
-             "unknown-payload-key", "unknown-schema-key", "unknown-forest-key"],
+             "unknown-payload-key", "unknown-schema-key", "unknown-forest-key",
+             "range-reversed", "range-inf", "range-nan", "vocabulary-repeated"],
     )
     def test_checksum_valid_tampering_is_corrupt(self, tmp_path, tamper, reason):
         path = tmp_path / "model.json"

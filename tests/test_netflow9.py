@@ -169,6 +169,32 @@ class TestDecode:
                 for r in decode_netflow_v9(build_datagram([template], source_id=source_id), cache)]
         assert kept == [2, 4, 5]
 
+    def test_pending_payloads_are_bounded_in_bytes(self):
+        """400 data flowsets of the largest datagram UDP carries over IPv4
+        (65,507 bytes), each for a template never sent, hold under
+        PENDING_BYTES + 1 MiB; the 144 past 16 MiB, 256 payloads of 65,483
+        bytes, are dropped and counted."""
+        payload = b"\x00" * (65_507 - 20 - 4)
+        cache = TemplateCache()
+        tracemalloc.start()
+        try:
+            for tid in range(256, 656):
+                datagram = build_datagram([struct.pack("!HH", tid, 4 + len(payload)) + payload])
+                assert len(datagram) == 65_507
+                assert decode_netflow_v9(datagram, cache) == []
+                del datagram
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert netflow9.PENDING_BYTES == 16 * 2**20
+        assert held < netflow9.PENDING_BYTES + 2**20, held
+        assert cache.drops == Counter({"pending-dropped": 144})
+        assert list(cache.pending) == [(None, 0, tid) for tid in range(400, 656)]
+        template = build_datagram([encode_template_flowset([(655, FIELDS)])])
+        released = decode_netflow_v9(template, cache)
+        assert len(released) == len(payload) // sum(length for _, length in FIELDS)
+        assert cache._pending_bytes == 255 * len(payload)
+
     def test_template_cache_evicts_oldest_registered(self, monkeypatch):
         monkeypatch.setattr(netflow9, "TEMPLATE_LIMIT", 3)
         cache = TemplateCache()
@@ -300,6 +326,25 @@ class TestLayout:
         assert decode_netflow_v9(template, cache) == decode_netflow_v9(
             template_then_data(), TemplateCache())
 
+    def test_a_padding_record_ends_the_template_flowset(self):
+        """tid 0 with 0 fields is padding: what follows it in the flowset,
+        here a template ID under 256 that would be refused, is not read."""
+        template = encode_template_flowset([(300, FIELDS)])[4:]
+        padded = _flowset(0, template + struct.pack("!HHHH", 0, 0, 5, 1))
+        cache = TemplateCache()
+        assert decode_netflow_v9(build_datagram([padded]), cache) == []
+        assert list(cache.templates) == [(None, 0, 300)]
+        data = build_datagram([encode_data_flowset(300, FIELDS, [RECORD])])
+        assert decode_netflow_v9(data, cache) == decode_netflow_v9(template_then_data(),
+                                                                   TemplateCache())
+
+    def test_a_template_longer_than_its_flowset_is_refused(self):
+        cache = TemplateCache()
+        short = _flowset(0, struct.pack("!HHHHHH", 300, 3, 1, 4, 2, 4))  # 3 fields, 2 sent
+        with pytest.raises(NetflowDecodeError, match="^truncated-template$"):
+            decode_netflow_v9(build_datagram([short]), cache)
+        assert cache.templates == {}
+
     def test_template_of_zero_length_is_refused(self):
         for fields in ([], [(10, 0), (8, 0)]):  # no fields, or only zero-length ones
             cache = TemplateCache()
@@ -381,6 +426,8 @@ def test_decode_rejects_only_with_decode_error_and_atomically(datagrams, limit):
                 assert _cache_state(cache) == before
             queued = [len(q) for q in cache.pending.values()]
             assert all(queued) and sum(queued) == cache._pending_count <= limit
+            assert sum(len(item[0]) for q in cache.pending.values() for item in q) \
+                == cache._pending_bytes <= netflow9.PENDING_BYTES
             assert len(cache.templates) <= netflow9.TEMPLATE_LIMIT
 
 

@@ -108,11 +108,12 @@ def test_a_seed_gives_the_pinned_forest_and_g(tmp_path):
 
 
 def test_training_makes_no_linked_node(monkeypatch):
-    """The pinned forest grows straight into its columns: not one TreeNode."""
-    def no_node(*args, **kwargs):
-        raise AssertionError("training made a TreeNode")
+    """The pinned forest grows straight into its columns: training never
+    reads the linked trees view."""
+    def no_view(forest):
+        raise AssertionError("training read IsolationForest.trees")
 
-    monkeypatch.setattr(iforest, "TreeNode", no_node)
+    monkeypatch.setattr(iforest.IsolationForest, "trees", property(no_view))
     _model, artifact, _test = _train()
     assert _forest_sha256(artifact.forest) == FOREST_SHA256
 

@@ -263,9 +263,15 @@ class TestSerialization:
         (("specs", 0, "port_weights"), {"20000": True}),
         (("name",), 5),
         (("dns", 0, "resolver_ip"), None),
+        (("specs", 0, "port_weights"), {" 20000 ": 1.0}),
+        (("specs", 0, "port_weights"), {"2_0000": 1.0}),
+        (("specs", 0, "port_weights"), {"+7": 1.0}),
+        (("specs", 0, "port_weights"), {"\u0663": 1.0}),
+        (("specs", 0, "protocol_weights"), {"06": 1.0}),
     ], ids=["int-abc", "int-1.5", "int-inf", "float-abc", "float-10e400", "lognorm-10e400",
             "weight-x", "label", "int-7.9", "int-true", "tos-1.9", "noise-2.0", "float-true",
-            "weight-true", "str-5", "str-null"])
+            "weight-true", "str-5", "str-null", "key-spaces", "key-underscore", "key-plus",
+            "key-arabic-indic-3", "key-leading-zero"])
     def test_a_value_its_converter_refuses_names_the_field(self, path, value):
         doc = scenario_to_dict(builtin_scenario("separable-13", flows_per_device=10))
         *parents, key = path
@@ -286,8 +292,24 @@ class TestSerialization:
         (("overlap_pairs", 0, 2), 2.0, "overlap fraction out of [0,1]: 2.0"),
         (("overlap_pairs", 0, 1), "a.b.c",
          "overlap pair references unknown model: webcam.Alphacam.AC_100, a.b.c"),
+        (("specs", 0, "port_weights"), {"-5": 1.0},
+         "webcam.Alphacam.AC_100.port_weights key: must be in 0..65535, got -5"),
+        (("specs", 1, "port_weights"), {"20010": 0.5, "99999999": 0.5},
+         "webcam.Betacam.BC_200.port_weights key: must be in 0..65535, got 99999999"),
+        (("specs", 0, "protocol_weights"), {"300": 1.0},
+         "webcam.Alphacam.AC_100.protocol_weights key: must be in 0..255, got 300"),
+        (("specs", 0, "src_tos"), 300,
+         "webcam.Alphacam.AC_100.src_tos: must be in 0..255, got 300"),
+        (("specs", 0, "dst_tos"), -1, "webcam.Alphacam.AC_100.dst_tos: must be in 0..255, got -1"),
+        (("dns", 1, "qnames"), ["a.example", ""], "webcam.Betacam.BC_200.qnames: an empty qname"),
+        (("dns", 0, "qnames"), [], "webcam.Alphacam.AC_100.qnames: must be non-empty"),
+        (("flows_per_device",), 10**400, f"scenario.flows_per_device: {10**29} for each of 15 "
+                                         "devices is over the limit of 1,000,000 in all"),
+        (("seed",), -10**400, f"scenario.seed: must be non-negative, got -{10**28}"),
     ], ids=["seed-minus-1", "flows-minus-3", "flows-10e13", "dns-events-minus-2",
-            "dns-events-10e6", "noise-minus-2", "fraction-2", "pair-unknown"])
+            "dns-events-10e6", "noise-minus-2", "fraction-2", "pair-unknown", "port-minus-5",
+            "port-99999999", "protocol-300", "src-tos-300", "dst-tos-minus-1", "qname-empty",
+            "qnames-empty", "flows-10e400", "seed-minus-10e400"])
     def test_a_value_out_of_range_is_refused_when_the_scenario_is_read(self, path, value,
                                                                        message):
         """Each is refused by its spec, naming it, before any row is made:
@@ -318,6 +340,18 @@ class TestSerialization:
     def test_a_scenario_that_is_not_an_object_is_refused(self, doc):
         with pytest.raises(ConfigError, match="^scenario: expected an object, got "):
             scenario_from_dict(doc)
+
+    def test_an_absent_optional_field_takes_its_dataclass_default(self):
+        doc = scenario_to_dict(builtin_scenario("overlap-pair", flows_per_device=10))
+        for fields_of, name in [(doc, "seed"), (doc, "dns_events_per_device"),
+                                (doc["specs"][0], "mean_iat_s"), (doc["specs"][0], "src_tos"),
+                                (doc["dns"][0], "macs"), (doc["dns"][0], "resolver_ip")]:
+            del fields_of[name]
+        scenario = scenario_from_dict(doc)
+        assert (scenario.seed, scenario.dns_events_per_device) == (0, 200)
+        assert (scenario.specs[0].mean_iat_s, scenario.specs[0].src_tos) == (60.0, 0)
+        assert (scenario.dns[0].macs, scenario.dns[0].resolver_ip) == ([], "8.8.8.8")
+        assert scenario.specs[1] == builtin_scenario("overlap-pair").specs[1]
 
     def test_dict_round_trip_preserves_overlap(self):
         scenario = builtin_scenario("overlap-pair", flows_per_device=10)
